@@ -3,12 +3,10 @@
 Library surface: domain types and validation (``model``), price curves and
 the allocation-payment verifier (``pricing``), option generation
 (``options``), the online mechanism (``engine``), offline references
-(``oracle``), and scenario assembly (``scenario_io``). ``kernels.BACKEND``
-reports whether the compiled quote kernel is active.
+(``oracle``), and scenario assembly (``scenario_io``).
 """
 
 from .engine import AuctionOutcome, AuctionState, Quote, admit, quote, run_auction
-from .kernels import BACKEND
 from .model import (
     AllocationResult,
     ChargeOption,

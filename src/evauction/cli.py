@@ -226,11 +226,7 @@ def cmd_compare(args) -> int:
         "baseline_welfare": baseline.welfare,
         "offline_welfare": offline_welfare,
         "offline_kind": offline_kind,
-        "empirical_ratio": (
-            1.0
-            if offline_welfare <= 0
-            else (math.inf if online.welfare == 0 else offline_welfare / online.welfare)
-        ),
+        "empirical_ratio": oracle.welfare_ratio(offline_welfare, online.welfare),
     }
     _write_json(summary, out / "summary.json")
     print(

@@ -9,12 +9,13 @@ is updated. Decisions are never revoked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import kernels, pricing
+from . import pricing
 from .model import (
     AllocationResult,
     ChargeOption,
@@ -44,8 +45,9 @@ class Quote:
     """Payment breakdown for one (option, EVSE) pair at current prices.
 
     ``feasible`` is False when any slot would be pushed past a capacity;
-    the payment parts are meaningless in that case (the engine treats the
-    pair as priced out).
+    the engine never admits such a pair. The parts are the posted-price
+    sums either way (a used slot without procurement capacity makes the
+    generation part infinite).
     """
 
     cable: float
@@ -102,48 +104,81 @@ class AuctionState:
         self.k_scale = pricing.price_scale(scenario)
 
 
-def _kernel_eval(
-    state: AuctionState, option: ChargeOption, w0: int, w1: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the quote kernel for one option over slots [w0, w1) (0-based)."""
-    scenario = state.scenario
-    loc = scenario.location(option.location_id)
-    pool = scenario.pool(loc.pool_id)
+def _price_location(
+    state: AuctionState, location_id: int, options: Sequence[ChargeOption], w0: int, w1: int
+) -> list[list[tuple[bool, float, float, float]]]:
+    """Quote every option at one location on every EVSE over slots [w0, w1)
+    (0-based).
+
+    Prices are posted at current load, so each curve is evaluated once per
+    (EVSE, slot) into a table and an option's payment is the slot-order sum
+    of quantity x table price over the slots it uses. Returns
+    ``rows[m][i] = (feasible, cable, energy, generation)`` for EVSE ``m`` and
+    option ``i``; a pair is feasible when no used slot is pushed past a
+    capacity, and a slot without procurement capacity is never feasible.
+    """
+    loc = state.scenario.location(location_id)
+    pool = state.scenario.pool(loc.pool_id)
     b = state.bounds
-    pay = np.empty((loc.evse_count, 3))
-    ok = np.zeros(loc.evse_count, dtype=np.uint8)
-    kernels.quote_options(
-        state.demand.cable[loc.location_id][:, w0:w1],
-        state.demand.energy[loc.location_id][:, w0:w1],
-        state.demand.procurement[loc.pool_id][w0:w1],
-        option.cable_profile[w0:w1],
-        option.energy_schedule[w0:w1],
-        float(loc.cables_per_evse),
-        float(loc.max_charge_rate),
-        state.demand.procurement_cap(loc.pool_id)[w0:w1],
-        pool.grid_price[w0:w1],
-        state.k_scale,
-        b.cable_low,
-        b.cable_high,
-        b.energy_low,
-        b.energy_high,
-        b.generation_low,
-        b.generation_high,
-        pay,
-        ok,
-    )
-    return pay, ok
+    k = state.k_scale
+    demand = state.demand
+    cable_cap = float(loc.cables_per_evse)
+    rate_cap = float(loc.max_charge_rate)
+    cable_load = demand.cable[location_id][:, w0:w1].tolist()
+    energy_load = demand.energy[location_id][:, w0:w1].tolist()
+    pool_load = demand.procurement[loc.pool_id][w0:w1].tolist()
+    pool_cap = demand.procurement_cap(loc.pool_id)[w0:w1].tolist()
+    grid_price = pool.grid_price[w0:w1].tolist()
+    cable_prices = [
+        [pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k) for y in row]
+        for row in cable_load
+    ]
+    energy_prices = [
+        [pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in row]
+        for row in energy_load
+    ]
+    gen_prices = [
+        pricing.procurement_price(y, cap, pi, b.generation_low, b.generation_high, k)
+        if cap > 0.0
+        else math.inf
+        for y, cap, pi in zip(pool_load, pool_cap, grid_price)
+    ]
+
+    rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in cable_load]
+    for opt in options:
+        c_used = [(w, c) for w, c in enumerate(opt.cable_profile[w0:w1].tolist()) if c > 0.0]
+        e_used = [(w, e) for w, e in enumerate(opt.energy_schedule[w0:w1].tolist()) if e > 0.0]
+        gen_ok = True
+        gen_pay = 0.0
+        for w, e in e_used:
+            if pool_load[w] + e > pool_cap[w]:
+                gen_ok = False
+            gen_pay += e * gen_prices[w]
+        for m, row in enumerate(rows):
+            ok = gen_ok
+            loads = cable_load[m]
+            prices = cable_prices[m]
+            cable_pay = 0.0
+            for w, c in c_used:
+                if loads[w] + c > cable_cap:
+                    ok = False
+                cable_pay += c * prices[w]
+            loads = energy_load[m]
+            prices = energy_prices[m]
+            energy_pay = 0.0
+            for w, e in e_used:
+                if loads[w] + e > rate_cap:
+                    ok = False
+                energy_pay += e * prices[w]
+            row.append((ok, cable_pay, energy_pay, gen_pay))
+    return rows
 
 
 def quote(state: AuctionState, option: ChargeOption, evse_index: int) -> Quote:
     """Payment for ``option`` on one EVSE at current (pre-update) prices."""
-    pay, ok = _kernel_eval(state, option, 0, state.scenario.slot_count)
-    return Quote(
-        cable=float(pay[evse_index, 0]),
-        energy=float(pay[evse_index, 1]),
-        generation=float(pay[evse_index, 2]),
-        feasible=bool(ok[evse_index]),
-    )
+    rows = _price_location(state, option.location_id, (option,), 0, state.scenario.slot_count)
+    feasible, cable, energy, generation = rows[evse_index][0]
+    return Quote(cable=cable, energy=energy, generation=generation, feasible=feasible)
 
 
 def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) -> AllocationResult:
@@ -166,15 +201,15 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     best = None
     for lid in sorted(by_loc):
         value = user.valuation_at(lid)
-        evaluated = [(opt,) + _kernel_eval(state, opt, w0, w1) for opt in by_loc[lid]]
-        for m in range(state.scenario.location(lid).evse_count):
-            for opt, pay, ok in evaluated:
-                if not ok[m]:
+        opts = by_loc[lid]
+        for m, row in enumerate(_price_location(state, lid, opts, w0, w1)):
+            for opt, (ok, cable, energy, generation) in zip(opts, row):
+                if not ok:
                     continue
-                utility = value - (float(pay[m, 0]) + float(pay[m, 1]) + float(pay[m, 2]))
+                utility = value - (cable + energy + generation)
                 if utility > best_utility:
                     best_utility = utility
-                    best = (lid, m, opt, float(pay[m, 0]), float(pay[m, 1]), float(pay[m, 2]))
+                    best = (lid, m, opt, cable, energy, generation)
 
     if best is None:
         result = AllocationResult(user_id=user.user_id, accepted=False)
@@ -211,15 +246,16 @@ def _price_snapshot(state: AuctionState) -> "callable":
         if location_id not in cache:
             loc = scenario.location(location_id)
             pool = scenario.pool(loc.pool_id)
-            rate = float(loc.max_charge_rate)
             y_e = state.demand.energy[location_id].min(axis=0)
-            p_e = (b.energy_low / k) * (k * b.energy_high / b.energy_low) ** (y_e / rate)
+            p_e = pricing.exp_price(
+                y_e, float(loc.max_charge_rate), b.energy_low, b.energy_high, k
+            )
             y_g = state.demand.procurement[loc.pool_id]
             cap = state.demand.procurement_cap(loc.pool_id)
-            pi = pool.grid_price
             safe_cap = np.where(cap > 0, cap, 1.0)
-            ramp = (k * (b.generation_high - pi) / (b.generation_low - pi)) ** (y_g / safe_cap)
-            p_g = pi + ((b.generation_low - pi) / k) * ramp
+            p_g = pricing.procurement_price(
+                y_g, safe_cap, pool.grid_price, b.generation_low, b.generation_high, k
+            )
             p_g = np.where(cap > 0, p_g, np.inf)  # capacity-free slots are unusable
             cache[location_id] = p_e + p_g
         return cache[location_id]

@@ -29,6 +29,7 @@ __all__ = [
     "UserType",
     "ValueBounds",
     "Violation",
+    "integral_demand",
     "option_is_feasible",
     "validate_scenario",
 ]
@@ -319,6 +320,18 @@ class DemandState:
         return dup
 
 
+def integral_demand(demand: float) -> Optional[int]:
+    """``demand`` as a whole number of kWh, or None when it is not one.
+
+    Energy levels and explicit schedules are integers, so only an integral
+    demand can be met exactly.
+    """
+    rounded = round(demand)
+    if abs(demand - rounded) <= 1e-9:
+        return int(rounded)
+    return None
+
+
 def _check_series(out: list[Violation], path: str, arr: np.ndarray, T: int) -> bool:
     if arr.shape != (T,):
         out.append(Violation(path, f"series must have length {T}, got {arr.shape}"))
@@ -420,6 +433,8 @@ def validate_scenario(scenario: Scenario, users: Iterable[UserType] = ()) -> lis
             out.append(Violation(f"{path}.window", f"must lie within [1, {T}]"))
         if user.energy_demand <= 0:
             out.append(Violation(f"{path}.energy_demand", "must be > 0"))
+        elif integral_demand(user.energy_demand) is None:
+            out.append(Violation(f"{path}.energy_demand", "must be a whole number of kWh"))
         if not user.preferred_locations:
             out.append(Violation(f"{path}.preferred_locations", "must be non-empty"))
         if len(user.preferred_locations) != len(set(user.preferred_locations)):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ChargeOption, Scenario, UserType
+from .model import ChargeOption, Scenario, UserType, integral_demand
 
 __all__ = ["generate_options", "parse_policy"]
 
@@ -32,13 +32,6 @@ def parse_policy(policy: str) -> tuple[str, Optional[int]]:
             raise ValueError("heuristic budget must be >= 1")
         return "heuristic", k
     raise ValueError(f"unknown option policy {policy!r}")
-
-
-def _integral_demand(demand: float) -> Optional[int]:
-    rounded = round(demand)
-    if abs(demand - rounded) <= 1e-9:
-        return int(rounded)
-    return None
 
 
 def _enumerate_schedules(width: int, demand: int, levels: tuple[int, ...], limit: Optional[int]):
@@ -135,7 +128,7 @@ def generate_options(
     T = scenario.slot_count
     start = user.arrival - 1
     width = user.window_length
-    demand = _integral_demand(user.energy_demand)
+    demand = integral_demand(user.energy_demand)
 
     results: list[ChargeOption] = []
     for lid in sorted(user.preferred_locations):

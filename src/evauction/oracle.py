@@ -42,6 +42,7 @@ __all__ = [
     "offline_upper_bound",
     "search_budget",
     "solve_offline_exact",
+    "welfare_ratio",
 ]
 
 
@@ -351,42 +352,31 @@ class RatioReport:
     offline_welfare: float
 
 
+def welfare_ratio(offline_welfare: float, online_welfare: float) -> float:
+    """Offline over online welfare: 1 when the offline welfare is not
+    positive, an infinite sentinel when only the online welfare is 0."""
+    if offline_welfare <= 0.0:
+        return 1.0
+    if online_welfare == 0.0:
+        return math.inf
+    return offline_welfare / online_welfare
+
+
 def empirical_ratio(
     scenario: Scenario,
     users: Sequence[UserType],
     bounds: ValueBounds,
-    trials: int = 1,
-    seed: int = 0,
     budget: int = 10_000_000,
 ) -> RatioReport:
-    """Exact offline welfare over online welfare, on exhaustive options.
-
-    ``trials`` reruns the online side with derived seeds and keeps the
-    worst (largest) ratio; with exhaustive options the runs coincide, so
-    this matters only under bounded option policies. Conventions: a ratio
-    of 1 when offline welfare is 0, an infinite sentinel when only the
-    online welfare is 0.
-    """
+    """Exact offline welfare over online welfare (``welfare_ratio``), both
+    on the same exhaustive options."""
     opts = exhaustive_options(scenario, users)
     offline = solve_offline_exact(scenario, users, opts, budget=budget).welfare
-    worst = -math.inf
-    for trial in range(max(1, trials)):
-        online = run_auction(
-            scenario, users, bounds, seed=seed + trial, options_by_user=opts
-        ).welfare
-        if offline <= 0.0:
-            ratio = 1.0
-        elif online == 0.0:
-            ratio = math.inf
-        else:
-            ratio = offline / online
-        if ratio > worst:
-            worst = ratio
-            worst_online = online
+    online = run_auction(scenario, users, bounds, options_by_user=opts).welfare
     return RatioReport(
-        ratio=worst,
+        ratio=welfare_ratio(offline, online),
         alpha_1=pricing.alpha_1(scenario, bounds),
         alpha_2=pricing.alpha_2(scenario, bounds),
-        online_welfare=worst_online,
+        online_welfare=online,
         offline_welfare=offline,
     )

@@ -34,11 +34,13 @@ __all__ = [
     "energy_alpha",
     "energy_dapr_inputs",
     "energy_price",
+    "exp_price",
     "generation_capacity",
     "generation_cost",
     "generation_dapr_inputs",
     "generation_price",
     "price_scale",
+    "procurement_price",
     "verify_dapr",
 ]
 
@@ -99,22 +101,34 @@ def conjugate_generation(price: float, pool: GenerationPool, t: int) -> float:
     return (solar + limit) * price - limit * grid_price
 
 
-def _exp_price(y: float, cap: float, low: float, high: float, k: float) -> float:
+def exp_price(y, cap, low, high, k):
+    """The exponential price curve at load ``y`` of capacity ``cap``.
+
+    Rises from ``low / k`` at zero load to ``high`` at full capacity. Takes
+    floats or numpy arrays; every posted price in the package is this curve
+    (``procurement_price`` shifts it by the grid price).
+    """
     return (low / k) * (k * high / low) ** (y / cap)
+
+
+def procurement_price(y, cap, grid_price, low, high, k):
+    """The procurement curve: ``exp_price`` over the margin above the grid
+    price, floored at the grid price. Takes floats or numpy arrays."""
+    return grid_price + exp_price(y, cap, low - grid_price, high - grid_price, k)
 
 
 def cable_price(y: float, cables_per_evse: int, bounds: ValueBounds, k: float) -> float:
     """Marginal $ per cable-slot at cable demand ``y`` on one EVSE."""
     if not 0 <= y <= cables_per_evse:
         raise ValueError(f"cable demand {y} outside [0, {cables_per_evse}]")
-    return _exp_price(y, cables_per_evse, bounds.cable_low, bounds.cable_high, k)
+    return exp_price(y, cables_per_evse, bounds.cable_low, bounds.cable_high, k)
 
 
 def energy_price(y: float, max_charge_rate: float, bounds: ValueBounds, k: float) -> float:
     """Marginal $ per kWh at EVSE energy demand ``y``."""
     if not 0 <= y <= max_charge_rate:
         raise ValueError(f"energy demand {y} outside [0, {max_charge_rate}]")
-    return _exp_price(y, max_charge_rate, bounds.energy_low, bounds.energy_high, k)
+    return exp_price(y, max_charge_rate, bounds.energy_low, bounds.energy_high, k)
 
 
 def generation_capacity(pool: GenerationPool, t: int, mode: str = "exact") -> float:
@@ -152,9 +166,7 @@ def generation_price(
         raise ConfigurationError(f"no procurement capacity at slot {t}")
     if not 0 <= y <= cap:
         raise ValueError(f"procurement demand {y} outside [0, {cap}]")
-    return grid_price + _exp_price(
-        y, cap, bounds.generation_low - grid_price, bounds.generation_high - grid_price, k
-    )
+    return procurement_price(y, cap, grid_price, bounds.generation_low, bounds.generation_high, k)
 
 
 def compute_bounds(

@@ -5,7 +5,6 @@ lines on passing runs as well.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -20,6 +19,7 @@ from evauction.oracle import (
     no_mechanism_baseline,
     offline_upper_bound,
     solve_offline_exact,
+    welfare_ratio,
 )
 
 from instances import is_small_bid, micro_instance, random_instance
@@ -244,12 +244,7 @@ def test_c7_empirical_ratio_small_bid(micro_sweep):
     exceptions = []
     for row in qualifying:
         alpha1 = pricing.alpha_1(row["scenario"], row["scenario"].bounds)
-        if row["exact"] <= 0:
-            ratio = 1.0
-        elif row["online"] == 0:
-            ratio = math.inf
-        else:
-            ratio = row["exact"] / row["online"]
+        ratio = welfare_ratio(row["exact"], row["online"])
         if ratio > alpha1:
             exceptions.append((row["seed"], ratio, alpha1))
     for seed, ratio, alpha1 in exceptions:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,14 @@ def _gen(tmp_path, preset="s1", seed=0, extra=()):
     )
     assert code == 0
     return out / "scenario.json", out / "users.txt"
+
+
+# sha256 of ledger.csv from gen-scenario --preset downtown9 --seed 42, then
+# simulate --seed 42 --policy <key> (the reference decisions and payments)
+DOWNTOWN9_SEED42_LEDGERS = {
+    "exhaustive": "98bae1ffdb05855b5523069c7d65ed897c369fa197311d8cfb436e67f75ff62f",
+    "heuristic-3": "e3db983a2f79ee3a91ffd678874a7f615e7b2cde99fdfc048d051624cab9cfd4",
+}
 
 
 def test_gen_scenario_and_simulate_s1(tmp_path, capsys):
@@ -145,3 +154,22 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert (a / "ledger.csv").read_bytes() == (b / "ledger.csv").read_bytes()
     assert (a / "locations.csv").read_bytes() == (b / "locations.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("policy", sorted(DOWNTOWN9_SEED42_LEDGERS))
+def test_downtown9_seed42_ledger_digest(tmp_path, policy):
+    scenario, users = _gen(tmp_path, preset="downtown9", seed=42)
+    out = tmp_path / "run"
+    code = main(
+        [
+            "simulate",
+            "--scenario", str(scenario),
+            "--users", str(users),
+            "--seed", "42",
+            "--policy", policy,
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    digest = hashlib.sha256((out / "ledger.csv").read_bytes()).hexdigest()
+    assert digest == DOWNTOWN9_SEED42_LEDGERS[policy]

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evauction as ev
+from evauction import pricing
 from evauction.engine import AuctionState, admit, quote, run_auction
 from evauction.oracle import exhaustive_options
 
@@ -61,6 +64,78 @@ def test_quote_flags_capacity_overflow(s1):
     state.demand.apply(opt, 0)  # energy slot 1 now at rate cap
     q = quote(state, opt, 0)
     assert not q.feasible
+
+
+def test_cable_overflow_is_infeasible(s1):
+    scenario, _ = s1
+    loc = dataclasses.replace(scenario.locations[0], evse_count=2, cables_per_evse=1)
+    sc = dataclasses.replace(scenario, locations=(loc,))
+    state = AuctionState(sc, sc.bounds)
+    state.demand.cable[1][0, :2] = 1.0  # EVSE 0's only cable is taken
+    opt = _option([1, 1, 0, 0], [1, 0, 0, 0])
+    assert [quote(state, opt, m).feasible for m in range(2)] == [False, True]
+
+
+def test_zero_procurement_capacity_is_infeasible(s1):
+    scenario, _ = s1
+    pool = dataclasses.replace(
+        scenario.pools[0],
+        solar_actual=[0.0, 1.0, 1.0, 1.0],
+        solar_lower=[0.0, 0.5, 0.5, 0.5],
+        grid_limit=[0.0, 2.0, 2.0, 2.0],
+    )
+    sc = dataclasses.replace(scenario, pools=(pool,))
+    state = AuctionState(sc, sc.bounds)
+    assert not quote(state, _option([1, 1, 0, 0], [1, 0, 0, 0]), 0).feasible
+    assert quote(state, _option([1, 1, 0, 0], [0, 1, 0, 0]), 0).feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_price_is_linear_in_the_option(s1, data):
+    """Each part of a quote is the slot-order sum of quantity x the posted
+    price at that slot's current load, and the pair is feasible exactly when
+    no used slot overflows."""
+    scenario, _ = s1
+    loc = dataclasses.replace(scenario.locations[0], evse_count=2, max_charge_rate=2.0)
+    sc = dataclasses.replace(scenario, locations=(loc,))
+    mode = data.draw(st.sampled_from(["exact", "conservative"]))
+    state = AuctionState(sc, sc.bounds, mode)
+    T = sc.slot_count
+    pool = sc.pools[0]
+    caps = state.demand.procurement_cap(pool.pool_id)
+
+    def loads(cap):
+        return st.lists(st.floats(0.0, float(cap)), min_size=T, max_size=T)
+
+    cable_load = [data.draw(loads(loc.cables_per_evse)) for _ in range(2)]
+    energy_load = [data.draw(loads(loc.max_charge_rate)) for _ in range(2)]
+    pool_load = [data.draw(st.floats(0.0, float(cap))) for cap in caps]
+    state.demand.cable[1][:] = cable_load
+    state.demand.energy[1][:] = energy_load
+    state.demand.procurement[pool.pool_id][:] = pool_load
+    cable_req = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=T, max_size=T))
+    energy_req = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=T, max_size=T))
+    m = data.draw(st.integers(0, 1))
+
+    q = quote(state, _option(cable_req, energy_req), m)
+
+    k = pricing.price_scale(sc)
+    b = sc.bounds
+    cable = energy = generation = 0.0
+    feasible = True
+    for t in range(T):
+        c, e = cable_req[t], energy_req[t]
+        if c > 0:
+            cable += c * pricing.cable_price(cable_load[m][t], loc.cables_per_evse, b, k)
+            feasible &= cable_load[m][t] + c <= loc.cables_per_evse
+        if e > 0:
+            energy += e * pricing.energy_price(energy_load[m][t], loc.max_charge_rate, b, k)
+            generation += e * pricing.generation_price(pool_load[t], pool, t + 1, b, k, mode)
+            feasible &= energy_load[m][t] + e <= loc.max_charge_rate
+            feasible &= pool_load[t] + e <= caps[t]
+    assert (q.cable, q.energy, q.generation) == (cable, energy, generation)
+    assert q.feasible == feasible
 
 
 def test_admit_accepts_profitable_user(s1):

@@ -69,6 +69,22 @@ def test_infeasible_demand_flagged(s1):
     assert any("exceeds window capacity" in v.message for v in violations)
 
 
+def test_non_integral_demand_flagged(s1):
+    scenario, _ = s1
+    user = ev.UserType(
+        user_id=3,
+        submission_time=1,
+        arrival=1,
+        departure=4,
+        energy_demand=1.5,
+        preferred_locations=(1,),
+        valuations=(1.0,),
+    )
+    violations = ev.validate_scenario(scenario, [user])
+    assert [v.path for v in violations] == ["users[3].energy_demand"]
+    assert "whole number" in violations[0].message
+
+
 def _opt(scenario, cable, energy):
     return ev.ChargeOption(
         option_id="t", location_id=1, cable_profile=cable, energy_schedule=energy

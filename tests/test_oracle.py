@@ -13,6 +13,7 @@ from evauction.oracle import (
     no_mechanism_baseline,
     offline_upper_bound,
     solve_offline_exact,
+    welfare_ratio,
 )
 
 from instances import micro_instance
@@ -191,6 +192,14 @@ def test_empirical_ratio_adversarial(s1):
     report = empirical_ratio(sc, users, sc.bounds)
     assert report.ratio > 1.0
     assert report.ratio <= report.alpha_1
+
+
+@pytest.mark.parametrize(
+    "offline,online,ratio",
+    [(0.0, 0.0, 1.0), (-1.0, 2.0, 1.0), (3.0, 0.0, math.inf), (3.0, 2.0, 1.5)],
+)
+def test_welfare_ratio_convention(offline, online, ratio):
+    assert welfare_ratio(offline, online) == ratio
 
 
 def test_empirical_ratio_worthless_users(s1):
