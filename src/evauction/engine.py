@@ -24,6 +24,7 @@ from .model import (
     ScenarioValidationError,
     UserType,
     ValueBounds,
+    validate_bounds,
     validate_scenario,
 )
 from .options import generate_options, parse_policy
@@ -105,17 +106,19 @@ class AuctionState:
 
 
 def _price_location(
-    state: AuctionState, location_id: int, options: Sequence[ChargeOption], w0: int, w1: int
+    state: AuctionState, location_id: int, schedules: Sequence[tuple[int, ...]], w0: int, w1: int
 ) -> list[list[tuple[bool, float, float, float]]]:
-    """Quote every option at one location on every EVSE over slots [w0, w1)
-    (0-based).
+    """Quote energy schedules over slots [w0, w1) (0-based) at one location
+    on every EVSE; each holds a cable on every slot of that window.
 
     Prices are posted at current load, so each curve is evaluated once per
-    (EVSE, slot) into a table and an option's payment is the slot-order sum
-    of quantity x table price over the slots it uses. Returns
-    ``rows[m][i] = (feasible, cable, energy, generation)`` for EVSE ``m`` and
-    option ``i``; a pair is feasible when no used slot is pushed past a
-    capacity, and a slot without procurement capacity is never feasible.
+    (EVSE, slot) into a table and a payment is the slot-order sum of
+    quantity x table price over the slots used. The cable part and its
+    feasibility are the same for every schedule, so they are computed once
+    per EVSE. Returns ``rows[m][i] = (feasible, cable, energy, generation)``
+    for EVSE ``m`` and schedule ``i``; a pair is feasible when no used slot
+    is pushed past a capacity, and a slot without procurement capacity is
+    never feasible.
     """
     loc = state.scenario.location(location_id)
     pool = state.scenario.pool(loc.pool_id)
@@ -129,10 +132,12 @@ def _price_location(
     pool_load = demand.procurement[loc.pool_id][w0:w1].tolist()
     pool_cap = demand.procurement_cap(loc.pool_id)[w0:w1].tolist()
     grid_price = pool.grid_price[w0:w1].tolist()
-    cable_prices = [
-        [pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k) for y in row]
-        for row in cable_load
-    ]
+    cable_parts = []
+    for row in cable_load:
+        cable_pay = 0.0
+        for y in row:
+            cable_pay += pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k)
+        cable_parts.append((all(y + 1.0 <= cable_cap for y in row), cable_pay))
     energy_prices = [
         [pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in row]
         for row in energy_load
@@ -145,9 +150,8 @@ def _price_location(
     ]
 
     rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in cable_load]
-    for opt in options:
-        c_used = [(w, c) for w, c in enumerate(opt.cable_profile[w0:w1].tolist()) if c > 0.0]
-        e_used = [(w, e) for w, e in enumerate(opt.energy_schedule[w0:w1].tolist()) if e > 0.0]
+    for schedule in schedules:
+        e_used = [(w, float(e)) for w, e in enumerate(schedule) if e > 0]  # float-only sums are faster
         gen_ok = True
         gen_pay = 0.0
         for w, e in e_used:
@@ -155,14 +159,8 @@ def _price_location(
                 gen_ok = False
             gen_pay += e * gen_prices[w]
         for m, row in enumerate(rows):
-            ok = gen_ok
-            loads = cable_load[m]
-            prices = cable_prices[m]
-            cable_pay = 0.0
-            for w, c in c_used:
-                if loads[w] + c > cable_cap:
-                    ok = False
-                cable_pay += c * prices[w]
+            cable_ok, cable_pay = cable_parts[m]
+            ok = cable_ok and gen_ok
             loads = energy_load[m]
             prices = energy_prices[m]
             energy_pay = 0.0
@@ -176,7 +174,10 @@ def _price_location(
 
 def quote(state: AuctionState, option: ChargeOption, evse_index: int) -> Quote:
     """Payment for ``option`` on one EVSE at current (pre-update) prices."""
-    rows = _price_location(state, option.location_id, (option,), 0, state.scenario.slot_count)
+    w0 = option.start - 1
+    rows = _price_location(
+        state, option.location_id, (option.schedule,), w0, w0 + len(option.schedule)
+    )
     feasible, cable, energy, generation = rows[evse_index][0]
     return Quote(cable=cable, energy=energy, generation=generation, feasible=feasible)
 
@@ -189,7 +190,7 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     break toward the lowest location id, then the lowest EVSE index, then
     the lexicographically smallest energy schedule — options must arrive
     sorted that way per location (``generate_options`` output order) and
-    lie within the user's visit window.
+    span the user's stay.
     """
     w0 = user.arrival - 1
     w1 = user.departure
@@ -202,7 +203,8 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     for lid in sorted(by_loc):
         value = user.valuation_at(lid)
         opts = by_loc[lid]
-        for m, row in enumerate(_price_location(state, lid, opts, w0, w1)):
+        rows = _price_location(state, lid, [opt.schedule for opt in opts], w0, w1)
+        for m, row in enumerate(rows):
             for opt, (ok, cable, energy, generation) in zip(opts, row):
                 if not ok:
                     continue
@@ -278,9 +280,12 @@ def run_auction(
     ``options_by_user`` pins the option sets (used when comparing against
     the offline oracles on identical inputs); otherwise options are
     generated per user under ``option_policy`` with randomness derived
-    from ``seed`` and the user id.
+    from ``seed`` and the user id. The scenario, the users, the pinned
+    options and ``bounds`` are validated first.
     """
-    violations = validate_scenario(scenario, users)
+    violations = validate_scenario(scenario, users, options_by_user)
+    if bounds != scenario.bounds:
+        violations += validate_bounds(scenario, bounds)
     if violations:
         raise ScenarioValidationError(violations)
     kind, _ = parse_policy(option_policy)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "Violation",
     "integral_demand",
     "option_is_feasible",
+    "validate_bounds",
     "validate_scenario",
 ]
 
@@ -151,35 +152,29 @@ class UserType:
 
 @dataclass(frozen=True)
 class ChargeOption:
-    """One feasible fulfillment of a request at a specific location.
+    """One fulfillment of a request: a parking location and the energy
+    schedule over the user's stay.
 
-    ``cable_profile`` is 0/1 per slot (full horizon length); the cable is
-    held for the whole visit. ``energy_schedule`` is kWh per slot; energy
-    flows only in slots where a cable is held.
+    ``start`` is the 1-based arrival slot and ``schedule`` holds whole kWh
+    for the slots ``start, start + 1, ...``, one entry per slot of the
+    stay. The cable is held on every one of those slots, charging or not.
     """
 
-    option_id: str
     location_id: int
-    cable_profile: np.ndarray
-    energy_schedule: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cable_profile", _frozen_array(self.cable_profile))
-        object.__setattr__(self, "energy_schedule", _frozen_array(self.energy_schedule))
+    start: int
+    schedule: tuple[int, ...]
 
     @property
     def support(self) -> tuple[int, int]:
-        """1-based closed slot interval touched by this option; (1, 0) if empty."""
-        used = np.flatnonzero((self.cable_profile > 0) | (self.energy_schedule > 0))
-        if used.size == 0:
-            return (1, 0)
-        return (int(used[0]) + 1, int(used[-1]) + 1)
+        """1-based closed slot interval the option holds a cable in."""
+        return (self.start, self.start + len(self.schedule) - 1)
 
     def schedule_text(self) -> str:
-        lo, hi = self.support
-        if hi < lo:
-            return ""
-        return "-".join(f"{self.energy_schedule[t]:g}" for t in range(lo - 1, hi))
+        return "-".join(str(e) for e in self.schedule)
+
+    @property
+    def option_id(self) -> str:
+        return f"{self.location_id}:{self.schedule_text()}"
 
 
 @dataclass(frozen=True)
@@ -298,9 +293,11 @@ class DemandState:
     def apply(self, option: ChargeOption, evse_index: int) -> None:
         lid = option.location_id
         pid = self.scenario.location(lid).pool_id
-        self.cable[lid][evse_index] += option.cable_profile
-        self.energy[lid][evse_index] += option.energy_schedule
-        self.procurement[pid] += option.energy_schedule
+        window = slice(option.start - 1, option.start - 1 + len(option.schedule))
+        energy = np.array(option.schedule, dtype=np.float64)
+        self.cable[lid][evse_index, window] += 1.0
+        self.energy[lid][evse_index, window] += energy
+        self.procurement[pid][window] += energy
 
     def procurement_from_energy(self, pool_id: int) -> np.ndarray:
         """Recompute pool demand from per-EVSE energy (consistency check)."""
@@ -309,15 +306,6 @@ class DemandState:
             if loc.pool_id == pool_id:
                 total += self.energy[loc.location_id].sum(axis=0)
         return total
-
-    def copy(self) -> "DemandState":
-        dup = DemandState(self.scenario, self.mode)
-        for lid in self.cable:
-            dup.cable[lid][:] = self.cable[lid]
-            dup.energy[lid][:] = self.energy[lid]
-        for pid in self.procurement:
-            dup.procurement[pid][:] = self.procurement[pid]
-        return dup
 
 
 def integral_demand(demand: float) -> Optional[int]:
@@ -336,17 +324,47 @@ def _check_series(out: list[Violation], path: str, arr: np.ndarray, T: int) -> b
     if arr.shape != (T,):
         out.append(Violation(path, f"series must have length {T}, got {arr.shape}"))
         return False
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         out.append(Violation(path, "series contains non-finite values"))
         return False
     return True
 
 
-def validate_scenario(scenario: Scenario, users: Iterable[UserType] = ()) -> list[Violation]:
+def validate_bounds(scenario: Scenario, bounds: ValueBounds) -> list[Violation]:
+    """Check value bounds for pricing ``scenario``; one entry per violation."""
+    out: list[Violation] = []
+    b = bounds
+    if not (0 < b.cable_low < b.cable_high):
+        out.append(Violation("bounds.cable", "need 0 < cable_low < cable_high"))
+    if not (0 < b.energy_low < b.energy_high):
+        out.append(Violation("bounds.energy", "need 0 < energy_low < energy_high"))
+    if b.generation_low != b.energy_low or b.generation_high != b.energy_high:
+        out.append(Violation("bounds.generation", "generation bounds must equal energy bounds"))
+    pool_ids = {pool.pool_id for pool in scenario.pools}
+    for pid in sorted({loc.pool_id for loc in scenario.locations} & pool_ids):
+        prices = scenario.pool(pid).grid_price
+        peak = float(prices.max()) if prices.size else 0.0
+        if b.generation_low <= peak:
+            out.append(
+                Violation(
+                    "bounds.generation_low",
+                    f"must exceed every grid price (pool {pid} peaks at {peak})",
+                )
+            )
+    return out
+
+
+def validate_scenario(
+    scenario: Scenario,
+    users: Iterable[UserType] = (),
+    options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
+) -> list[Violation]:
     """Check every type invariant; returns one entry per violation.
 
     Violations are data, not faults: an empty list means the scenario (and
-    the users, if given) is ready to run.
+    the users and their pinned options, if given) is ready to run. An
+    option that fails ``option_is_feasible`` is reported at
+    ``options[<user_id>][<i>]``.
     """
     out: list[Violation] = []
     T = scenario.slot_count
@@ -367,15 +385,15 @@ def validate_scenario(scenario: Scenario, users: Iterable[UserType] = ()) -> lis
         )
         if not shapes_ok:
             continue
-        if np.any(pool.solar_lower < 0):
+        if (pool.solar_lower < 0).any():
             out.append(Violation(f"{path}.solar_lower", "must be >= 0"))
-        if np.any(pool.solar_lower > pool.solar_actual):
+        if (pool.solar_lower > pool.solar_actual).any():
             out.append(Violation(f"{path}.solar_lower", "must not exceed actual generation"))
-        if np.any(pool.solar_actual > pool.solar_upper):
+        if (pool.solar_actual > pool.solar_upper).any():
             out.append(Violation(f"{path}.solar_upper", "must be >= actual generation"))
-        if np.any(pool.grid_limit < 0):
+        if (pool.grid_limit < 0).any():
             out.append(Violation(f"{path}.grid_limit", "must be >= 0"))
-        if np.any(pool.grid_price < 0):
+        if (pool.grid_price < 0).any():
             out.append(Violation(f"{path}.grid_price", "must be >= 0"))
 
     loc_ids = set()
@@ -393,23 +411,7 @@ def validate_scenario(scenario: Scenario, users: Iterable[UserType] = ()) -> lis
         if loc.pool_id not in pool_ids:
             out.append(Violation(f"{path}.pool_id", f"references unknown pool {loc.pool_id}"))
 
-    b = scenario.bounds
-    if not (0 < b.cable_low < b.cable_high):
-        out.append(Violation("bounds.cable", "need 0 < cable_low < cable_high"))
-    if not (0 < b.energy_low < b.energy_high):
-        out.append(Violation("bounds.energy", "need 0 < energy_low < energy_high"))
-    if b.generation_low != b.energy_low or b.generation_high != b.energy_high:
-        out.append(Violation("bounds.generation", "generation bounds must equal energy bounds"))
-    used_pools = {loc.pool_id for loc in scenario.locations if loc.pool_id in pool_ids}
-    for pid in sorted(used_pools):
-        peak = float(np.max(scenario.pool(pid).grid_price)) if T else 0.0
-        if b.generation_low <= peak:
-            out.append(
-                Violation(
-                    "bounds.generation_low",
-                    f"must exceed every grid price (pool {pid} peaks at {peak})",
-                )
-            )
+    out.extend(validate_bounds(scenario, scenario.bounds))
 
     levels = scenario.energy_levels
     if not levels or levels[0] < 0:
@@ -455,27 +457,27 @@ def validate_scenario(scenario: Scenario, users: Iterable[UserType] = ()) -> lis
                 out.append(
                     Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
                 )
+        if options_by_user is not None:
+            for i, option in enumerate(options_by_user.get(user.user_id, ())):
+                if option.location_id not in loc_ids:
+                    message = f"references unknown location {option.location_id}"
+                elif not option_is_feasible(option, user, scenario):
+                    message = "infeasible for the user (location, start, length, rate cap or sum)"
+                else:
+                    continue
+                out.append(Violation(f"options[{user.user_id}][{i}]", message))
     return out
 
 
 def option_is_feasible(option: ChargeOption, user: UserType, scenario: Scenario) -> bool:
-    """True iff the option honors the user's window, demand, and rate caps."""
-    loc = scenario.location(option.location_id)  # raises on malformed input
-    if option.location_id not in user.preferred_locations:
-        return False
-    T = scenario.slot_count
-    c = option.cable_profile
-    e = option.energy_schedule
-    if c.shape != (T,) or e.shape != (T,):
-        return False
-    inside = np.zeros(T, dtype=bool)
-    inside[user.arrival - 1 : user.departure] = True
-    if np.any((c != 0) & ~inside) or np.any((e != 0) & ~inside):
-        return False
-    if not np.all((c == 0) | (c == 1)):
-        return False
-    if np.any((e > 0) & (c != 1)):
-        return False
-    if np.any(e < 0) or np.any(e > loc.max_charge_rate):
-        return False
-    return bool(math.isclose(float(e.sum()), user.energy_demand, rel_tol=0.0, abs_tol=1e-9))
+    """True iff the option is at a preferred location, starts at arrival,
+    spans the stay, keeps every slot within the rate cap and meets the
+    demand exactly."""
+    rate = scenario.location(option.location_id).max_charge_rate  # raises on malformed input
+    return (
+        option.location_id in user.preferred_locations
+        and option.start == user.arrival
+        and len(option.schedule) == user.window_length
+        and all(0 <= e <= rate for e in option.schedule)
+        and math.isclose(sum(option.schedule), user.energy_demand, rel_tol=0.0, abs_tol=1e-9)
+    )

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ChargeOption, Scenario, UserType, integral_demand
+from .model import ChargeOption, Scenario, UserType, integral_demand, option_is_feasible
 
 __all__ = ["generate_options", "parse_policy"]
 
@@ -125,7 +125,6 @@ def generate_options(
     kind, budget = parse_policy(policy)
     if rng is None:
         rng = np.random.default_rng(0)
-    T = scenario.slot_count
     start = user.arrival - 1
     width = user.window_length
     demand = integral_demand(user.energy_demand)
@@ -138,38 +137,21 @@ def generate_options(
             continue
 
         if user.explicit_schedules is not None:
-            schedules = [
-                s
-                for s in user.explicit_schedules
-                if len(s) == width
-                and abs(sum(s) - user.energy_demand) <= 1e-9
-                and all(0 <= e <= loc.max_charge_rate for e in s)
-            ]
-        elif demand is None or demand > max(levels) * width:
-            schedules = []
+            for sched in sorted(set(user.explicit_schedules)):
+                option = ChargeOption(lid, user.arrival, sched)
+                if option_is_feasible(option, user, scenario):
+                    results.append(option)
+            continue
+        if demand is None or demand > max(levels) * width:
+            continue
+        cap = max_options_per_location
+        if kind == "exhaustive":
+            schedules = _enumerate_schedules(width, demand, levels, cap)
         else:
-            cap = max_options_per_location
-            if kind == "exhaustive":
-                schedules = _enumerate_schedules(width, demand, levels, cap)
-            else:
-                quota = budget if cap is None else min(budget, cap)
-                prices = None
-                if price_snapshot is not None:
-                    prices = np.asarray(price_snapshot(lid))[start : start + width]
-                schedules = _heuristic_schedules(width, demand, levels, quota, prices, rng)
-
-        for sched in sorted(set(schedules)):
-            cable = np.zeros(T)
-            cable[start : start + width] = 1.0
-            energy = np.zeros(T)
-            energy[start : start + width] = sched
-            option_id = f"{lid}:" + "-".join(str(v) for v in sched)
-            results.append(
-                ChargeOption(
-                    option_id=option_id,
-                    location_id=lid,
-                    cable_profile=cable,
-                    energy_schedule=energy,
-                )
-            )
+            quota = budget if cap is None else min(budget, cap)
+            prices = None
+            if price_snapshot is not None:
+                prices = np.asarray(price_snapshot(lid))[start : start + width]
+            schedules = _heuristic_schedules(width, demand, levels, quota, prices, rng)
+        results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
     return results

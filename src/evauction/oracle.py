@@ -97,7 +97,7 @@ def solve_offline_exact(
     identical state are collapsed; with it off the search is a naive full
     enumeration. Both return the same welfare.
     """
-    violations = validate_scenario(scenario, users)
+    violations = validate_scenario(scenario, users, options_by_user)
     if violations:
         raise ScenarioValidationError(violations)
     if search_budget(scenario, users, options_by_user) > budget:
@@ -123,17 +123,16 @@ def solve_offline_exact(
         for loc in scenario.locations
     }
 
-    # per user: list of (value, lid, pid, option, cable_slots, energy_slots)
+    # per user: list of (value, lid, pid, option, cable_slots, energy_slots);
+    # energies are floats so the search adds floats only (faster than mixing ints)
     choices = []
     for user in ordered:
         rows = []
         for opt in options_by_user.get(user.user_id, ()):
             lid = opt.location_id
-            c_slots = [int(t) for t in np.flatnonzero(opt.cable_profile > 0)]
-            e_slots = [
-                (int(t), float(opt.energy_schedule[t]))
-                for t in np.flatnonzero(opt.energy_schedule > 0)
-            ]
+            w0 = opt.start - 1
+            c_slots = list(range(w0, w0 + len(opt.schedule)))
+            e_slots = [(w0 + i, float(e)) for i, e in enumerate(opt.schedule) if e > 0]
             rows.append((user.valuation_at(lid), lid, loc_cap[lid][3], opt, c_slots, e_slots))
         choices.append(rows)
 
@@ -274,7 +273,7 @@ def no_mechanism_baseline(
     schedules, then lower location and EVSE index. Everybody pays zero and
     the operator absorbs the procurement cost.
     """
-    violations = validate_scenario(scenario, users)
+    violations = validate_scenario(scenario, users, options_by_user)
     if violations:
         raise ScenarioValidationError(violations)
     demand = DemandState(scenario, "exact")
@@ -292,33 +291,37 @@ def no_mechanism_baseline(
                 rng=rng,
             )
         w0, w1 = user.arrival - 1, user.departure
-        chosen = None
         ranked = sorted(
             opts,
             key=lambda o: (
                 -user.valuation_at(o.location_id),
-                tuple(-e for e in o.energy_schedule[w0:w1]),
+                tuple(-e for e in o.schedule),
                 o.location_id,
             ),
         )
+        loads = {}  # per location: rate cap, EVSEs with a free cable, window loads
+        chosen = None
         for opt in ranked:
-            loc = scenario.location(opt.location_id)
-            pool_id = loc.pool_id
-            c = opt.cable_profile[w0:w1]
-            e = opt.energy_schedule[w0:w1]
-            gen_ok = np.all(
-                demand.procurement[pool_id][w0:w1] + e <= demand.procurement_cap(pool_id)[w0:w1]
-            )
-            if not gen_ok:
+            lid = opt.location_id
+            if lid not in loads:
+                loc = scenario.location(lid)
+                cable_rows = demand.cable[lid][:, w0:w1].tolist()
+                loads[lid] = (
+                    loc.max_charge_rate,
+                    [all(y + 1.0 <= loc.cables_per_evse for y in row) for row in cable_rows],
+                    demand.energy[lid][:, w0:w1].tolist(),
+                    demand.procurement[loc.pool_id][w0:w1].tolist(),
+                    demand.procurement_cap(loc.pool_id)[w0:w1].tolist(),
+                )
+            rate, cable_free, energy_rows, pool_load, pool_cap = loads[lid]
+            sched = opt.schedule
+            if not all(y + e <= cap for y, e, cap in zip(pool_load, sched, pool_cap)):
                 continue
-            ok_rows = np.all(
-                demand.cable[opt.location_id][:, w0:w1] + c <= loc.cables_per_evse, axis=1
-            ) & np.all(
-                demand.energy[opt.location_id][:, w0:w1] + e <= loc.max_charge_rate, axis=1
-            )
-            feasible = np.flatnonzero(ok_rows)
-            if feasible.size:
-                chosen = (opt, int(feasible[0]))
+            for m, (free, row) in enumerate(zip(cable_free, energy_rows)):
+                if free and all(y + e <= rate for y, e in zip(row, sched)):
+                    chosen = (opt, m)
+                    break
+            if chosen is not None:
                 break
         if chosen is None:
             ledger.append(AllocationResult(user_id=user.user_id, accepted=False))
@@ -371,8 +374,8 @@ def empirical_ratio(
     """Exact offline welfare over online welfare (``welfare_ratio``), both
     on the same exhaustive options."""
     opts = exhaustive_options(scenario, users)
+    online = run_auction(scenario, users, bounds, options_by_user=opts).welfare  # validates bounds
     offline = solve_offline_exact(scenario, users, opts, budget=budget).welfare
-    online = run_auction(scenario, users, bounds, options_by_user=opts).welfare
     return RatioReport(
         ratio=welfare_ratio(offline, online),
         alpha_1=pricing.alpha_1(scenario, bounds),

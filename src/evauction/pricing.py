@@ -188,19 +188,13 @@ def compute_bounds(
     for user in users:
         for option in options_by_user.get(user.user_id, ()):
             value = user.valuation_at(option.location_id)
-            cable_total = float(option.cable_profile.sum())
-            if cable_total > 0:
-                cable_lows.append(value / (half_scale * cable_total))
-                cable_highs.append(
-                    max(value / float(c) for c in option.cable_profile if c > 0)
-                )
-            energy_total = float(option.energy_schedule.sum())
+            cable_lows.append(value / (half_scale * len(option.schedule)))
+            cable_highs.append(value)  # one cable per slot
+            energy_total = sum(option.schedule)
             if energy_total > 0:
                 energy_lows.append(value / (half_scale * energy_total))
-                energy_highs.append(
-                    max(value / float(e) for e in option.energy_schedule if e > 0)
-                )
-    if not cable_lows or not energy_lows:
+                energy_highs.append(max(value / e for e in option.schedule if e > 0))
+    if not energy_lows:
         raise ValueError("no options with nonzero resource use")
     energy_low, energy_high = min(energy_lows), max(energy_highs)
     return ValueBounds(

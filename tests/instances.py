@@ -172,17 +172,16 @@ def micro_instance(seed: int, leaf_limit: int = 150_000):
 
 
 def is_small_bid(scenario, options_by_user) -> bool:
-    """True when every option's per-slot request is <= 10% of each cap."""
+    """True when every option's per-slot request is <= 10% of each cap
+    (its one cable per slot included)."""
     for opts in options_by_user.values():
         for opt in opts:
             loc = scenario.location(opt.location_id)
             pool = scenario.pool_of(opt.location_id)
             caps = pool.solar_actual + pool.grid_limit
-            for t in range(scenario.slot_count):
-                c = float(opt.cable_profile[t])
-                e = float(opt.energy_schedule[t])
-                if c > 0 and c > 0.1 * loc.cables_per_evse:
-                    return False
+            if 1.0 > 0.1 * loc.cables_per_evse:
+                return False
+            for t, e in enumerate(opt.schedule, opt.start - 1):
                 if e > 0 and (e > 0.1 * loc.max_charge_rate or e > 0.1 * caps[t]):
                     return False
     return True

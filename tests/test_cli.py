@@ -16,10 +16,13 @@ def _gen(tmp_path, preset="s1", seed=0, extra=()):
 
 
 # sha256 of ledger.csv from gen-scenario --preset downtown9 --seed 42, then
-# simulate --seed 42 --policy <key> (the reference decisions and payments)
+# simulate --seed 42 --policy <key> [--mode conservative] (the reference
+# decisions and payments)
 DOWNTOWN9_SEED42_LEDGERS = {
     "exhaustive": "98bae1ffdb05855b5523069c7d65ed897c369fa197311d8cfb436e67f75ff62f",
     "heuristic-3": "e3db983a2f79ee3a91ffd678874a7f615e7b2cde99fdfc048d051624cab9cfd4",
+    "exhaustive-conservative": "69877056c50145aa89c7a30842595e2d04082e6b027a26901bef2438b8754c0d",
+    "heuristic-3-conservative": "475faa23c60c2bf84e575fc77a5bac7278433f80402c0225b1d5d0bda90397e6",
 }
 
 
@@ -156,8 +159,10 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
-@pytest.mark.parametrize("policy", sorted(DOWNTOWN9_SEED42_LEDGERS))
-def test_downtown9_seed42_ledger_digest(tmp_path, policy):
+@pytest.mark.parametrize("key", sorted(DOWNTOWN9_SEED42_LEDGERS))
+def test_downtown9_seed42_ledger_digest(tmp_path, key):
+    policy = key.removesuffix("-conservative")
+    mode = "exact" if policy == key else "conservative"
     scenario, users = _gen(tmp_path, preset="downtown9", seed=42)
     out = tmp_path / "run"
     code = main(
@@ -167,9 +172,10 @@ def test_downtown9_seed42_ledger_digest(tmp_path, policy):
             "--users", str(users),
             "--seed", "42",
             "--policy", policy,
+            "--mode", mode,
             "--out", str(out),
         ]
     )
     assert code == 0
     digest = hashlib.sha256((out / "ledger.csv").read_bytes()).hexdigest()
-    assert digest == DOWNTOWN9_SEED42_LEDGERS[policy]
+    assert digest == DOWNTOWN9_SEED42_LEDGERS[key]

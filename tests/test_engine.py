@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 import evauction as ev
 from evauction import pricing
 from evauction.engine import AuctionState, admit, quote, run_auction
-from evauction.oracle import exhaustive_options
+from evauction.oracle import empirical_ratio, exhaustive_options
 
 from instances import random_instance
 
 
-def _option(cable, energy):
-    return ev.ChargeOption(
-        option_id="t", location_id=1, cable_profile=cable, energy_schedule=energy
-    )
+def _option(start, schedule):
+    return ev.ChargeOption(location_id=1, start=start, schedule=schedule)
 
 
 def _user(uid=1, arrival=1, departure=2, demand=1.0, value=2.0):
@@ -34,7 +32,7 @@ def _user(uid=1, arrival=1, departure=2, demand=1.0, value=2.0):
 def test_quote_at_empty_state(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    q = quote(state, _option([1, 1, 0, 0], [1, 0, 0, 0]), 0)
+    q = quote(state, _option(1, (1, 0)), 0)
     assert q.feasible
     assert q.cable == pytest.approx(2 * 0.05 / 6, abs=1e-12)
     assert q.energy == pytest.approx(0.5 / 6, abs=1e-12)
@@ -45,22 +43,15 @@ def test_quote_at_empty_state(s1):
 def test_quote_zero_energy_option(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    q = quote(state, _option([1, 1, 0, 0], [0, 0, 0, 0]), 0)
+    q = quote(state, _option(1, (0, 0)), 0)
     assert q.total == pytest.approx(2 * 0.05 / 6, abs=1e-12)
     assert q.energy == 0.0 and q.generation == 0.0
-
-
-def test_quote_empty_option(s1):
-    scenario, _ = s1
-    state = AuctionState(scenario, scenario.bounds)
-    q = quote(state, _option([0, 0, 0, 0], [0, 0, 0, 0]), 0)
-    assert q.total == 0.0 and q.feasible
 
 
 def test_quote_flags_capacity_overflow(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    opt = _option([1, 1, 0, 0], [1, 0, 0, 0])
+    opt = _option(1, (1, 0))
     state.demand.apply(opt, 0)  # energy slot 1 now at rate cap
     q = quote(state, opt, 0)
     assert not q.feasible
@@ -72,7 +63,7 @@ def test_cable_overflow_is_infeasible(s1):
     sc = dataclasses.replace(scenario, locations=(loc,))
     state = AuctionState(sc, sc.bounds)
     state.demand.cable[1][0, :2] = 1.0  # EVSE 0's only cable is taken
-    opt = _option([1, 1, 0, 0], [1, 0, 0, 0])
+    opt = _option(1, (1, 0))
     assert [quote(state, opt, m).feasible for m in range(2)] == [False, True]
 
 
@@ -86,16 +77,17 @@ def test_zero_procurement_capacity_is_infeasible(s1):
     )
     sc = dataclasses.replace(scenario, pools=(pool,))
     state = AuctionState(sc, sc.bounds)
-    assert not quote(state, _option([1, 1, 0, 0], [1, 0, 0, 0]), 0).feasible
-    assert quote(state, _option([1, 1, 0, 0], [0, 1, 0, 0]), 0).feasible
+    assert not quote(state, _option(1, (1, 0)), 0).feasible
+    assert quote(state, _option(1, (0, 1)), 0).feasible
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_price_is_linear_in_the_option(s1, data):
     """Each part of a quote is the slot-order sum of quantity x the posted
-    price at that slot's current load, and the pair is feasible exactly when
-    no used slot overflows."""
+    price at that slot's current load (one cable on every slot of the
+    option's window), and the pair is feasible exactly when no used slot
+    overflows."""
     scenario, _ = s1
     loc = dataclasses.replace(scenario.locations[0], evse_count=2, max_charge_rate=2.0)
     sc = dataclasses.replace(scenario, locations=(loc,))
@@ -114,21 +106,20 @@ def test_price_is_linear_in_the_option(s1, data):
     state.demand.cable[1][:] = cable_load
     state.demand.energy[1][:] = energy_load
     state.demand.procurement[pool.pool_id][:] = pool_load
-    cable_req = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=T, max_size=T))
-    energy_req = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=T, max_size=T))
+    start = data.draw(st.integers(1, T))
+    width = data.draw(st.integers(1, T - start + 1))
+    schedule = tuple(data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))
     m = data.draw(st.integers(0, 1))
 
-    q = quote(state, _option(cable_req, energy_req), m)
+    q = quote(state, _option(start, schedule), m)
 
     k = pricing.price_scale(sc)
     b = sc.bounds
     cable = energy = generation = 0.0
     feasible = True
-    for t in range(T):
-        c, e = cable_req[t], energy_req[t]
-        if c > 0:
-            cable += c * pricing.cable_price(cable_load[m][t], loc.cables_per_evse, b, k)
-            feasible &= cable_load[m][t] + c <= loc.cables_per_evse
+    for t, e in enumerate(schedule, start - 1):
+        cable += pricing.cable_price(cable_load[m][t], loc.cables_per_evse, b, k)
+        feasible &= cable_load[m][t] + 1.0 <= loc.cables_per_evse
         if e > 0:
             energy += e * pricing.energy_price(energy_load[m][t], loc.max_charge_rate, b, k)
             generation += e * pricing.generation_price(pool_load[t], pool, t + 1, b, k, mode)
@@ -141,7 +132,7 @@ def test_price_is_linear_in_the_option(s1, data):
 def test_admit_accepts_profitable_user(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    result = admit(state, _user(value=2.0), [_option([1, 1, 0, 0], [1, 0, 0, 0])])
+    result = admit(state, _user(value=2.0), [_option(1, (1, 0))])
     assert result.accepted
     assert result.payment == pytest.approx(0.35, abs=1e-12)
     assert result.utility == pytest.approx(1.65, abs=1e-12)
@@ -151,7 +142,7 @@ def test_admit_accepts_profitable_user(s1):
 def test_admit_rejects_below_floor(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    result = admit(state, _user(value=0.01), [_option([1, 1, 0, 0], [1, 0, 0, 0])])
+    result = admit(state, _user(value=0.01), [_option(1, (1, 0))])
     assert not result.accepted
     assert result.utility == 0.0 and result.payment == 0.0
     assert state.demand.cable[1].sum() == 0
@@ -160,19 +151,19 @@ def test_admit_rejects_below_floor(s1):
 def test_admit_zero_utility_is_rejection(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    result = admit(state, _user(value=0.35), [_option([1, 1, 0, 0], [1, 0, 0, 0])])
+    result = admit(state, _user(value=0.35), [_option(1, (1, 0))])
     assert not result.accepted
 
 
 def test_admit_prefers_cheaper_tuple(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    first = _option([1, 1, 0, 0], [1, 0, 0, 0])
+    first = _option(1, (1, 0))
     state.demand.apply(first, 0)
     # slot 1 energy is taken on EVSE 0; an option charging at slot 2 is cheaper
     # than re-using slot 1 (which is now at capacity and infeasible anyway)
-    o_a = ev.ChargeOption(option_id="1:0-1", location_id=1, cable_profile=[1, 1, 0, 0], energy_schedule=[0, 1, 0, 0])
-    o_b = ev.ChargeOption(option_id="1:1-0", location_id=1, cable_profile=[1, 1, 0, 0], energy_schedule=[1, 0, 0, 0])
+    o_a = _option(1, (0, 1))
+    o_b = _option(1, (1, 0))
     result = admit(state, _user(uid=2, value=2.0), [o_a, o_b])
     assert result.accepted
     assert result.option.option_id == "1:0-1"
@@ -212,6 +203,15 @@ def test_validation_failure_aborts(s1):
     bad_user = _user(arrival=3, departure=2)
     with pytest.raises(ev.ScenarioValidationError):
         run_auction(scenario, [bad_user], scenario.bounds)
+
+
+@pytest.mark.parametrize("entry", [run_auction, empirical_ratio], ids=lambda f: f.__name__)
+def test_bounds_argument_is_validated(entry):
+    scenario, users = ev.build_preset("downtown9", seed=42, user_count=50)
+    below_grid = dataclasses.replace(scenario.bounds, energy_low=0.01, generation_low=0.01)
+    with pytest.raises(ev.ScenarioValidationError) as err:
+        entry(scenario, users, below_grid)
+    assert [v.path for v in err.value.violations] == ["bounds.generation_low"]
 
 
 def test_prefix_determinism():

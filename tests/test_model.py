@@ -85,10 +85,8 @@ def test_non_integral_demand_flagged(s1):
     assert "whole number" in violations[0].message
 
 
-def _opt(scenario, cable, energy):
-    return ev.ChargeOption(
-        option_id="t", location_id=1, cable_profile=cable, energy_schedule=energy
-    )
+def _opt(start, schedule):
+    return ev.ChargeOption(location_id=1, start=start, schedule=schedule)
 
 
 def test_option_feasibility(s1):
@@ -102,14 +100,19 @@ def test_option_feasibility(s1):
         preferred_locations=(1,),
         valuations=(2.0,),
     )
-    good = _opt(scenario, [1, 1, 0, 0], [1, 1, 0, 0])
-    assert ev.option_is_feasible(good, user, scenario)
-    no_cable = _opt(scenario, [0, 0, 0, 0], [1, 0, 0, 0])
-    assert not ev.option_is_feasible(no_cable, user, scenario)
-    short = _opt(scenario, [1, 1, 0, 0], [1, 0, 0, 0])
+    assert ev.option_is_feasible(_opt(1, (1, 1)), user, scenario)
+    short = _opt(1, (1, 0))
     assert not ev.option_is_feasible(short, user, scenario)
-    outside = _opt(scenario, [1, 1, 1, 0], [1, 1, 0, 0])
+    outside = _opt(1, (1, 1, 0))
     assert not ev.option_is_feasible(outside, user, scenario)
+    late = _opt(2, (1, 1))
+    assert not ev.option_is_feasible(late, user, scenario)
+    over_rate = _opt(1, (2, 0))
+    assert not ev.option_is_feasible(over_rate, user, scenario)
+    elsewhere = dataclasses.replace(scenario.locations[0], location_id=2)
+    sc = dataclasses.replace(scenario, locations=scenario.locations + (elsewhere,))
+    not_preferred = ev.ChargeOption(location_id=2, start=1, schedule=(1, 1))
+    assert not ev.option_is_feasible(not_preferred, user, sc)
 
 
 def test_option_unknown_location_raises(s1):
@@ -123,9 +126,7 @@ def test_option_unknown_location_raises(s1):
         preferred_locations=(1,),
         valuations=(2.0,),
     )
-    ghost = ev.ChargeOption(
-        option_id="x", location_id=77, cable_profile=[1, 1, 0, 0], energy_schedule=[1, 0, 0, 0]
-    )
+    ghost = ev.ChargeOption(location_id=77, start=1, schedule=(1, 0))
     with pytest.raises(ValueError):
         ev.option_is_feasible(ghost, user, scenario)
 
@@ -146,22 +147,12 @@ def test_demand_state_consistency():
         lo, hi = opt.support
         window = slice(lo - 1, hi)
         loc = scenario.location(opt.location_id)
-        if np.any(state.cable[opt.location_id][m, window] + opt.cable_profile[window] > loc.cables_per_evse):
+        if np.any(state.cable[opt.location_id][m, window] + 1.0 > loc.cables_per_evse):
             continue
         state.apply(opt, m)
     for pool in scenario.pools:
         recomputed = state.procurement_from_energy(pool.pool_id)
         np.testing.assert_array_equal(recomputed, state.procurement[pool.pool_id])
-
-
-def test_demand_state_copy_is_independent(s1):
-    scenario, _ = s1
-    state = DemandState(scenario)
-    dup = state.copy()
-    opt = _opt(scenario, [1, 1, 0, 0], [1, 0, 0, 0])
-    state.apply(opt, 0)
-    assert dup.cable[1].sum() == 0
-    assert state.cable[1].sum() == 2
 
 
 def test_violation_str():

@@ -32,17 +32,16 @@ def test_parse_policy():
 def test_exhaustive_three_slot_window(s1):
     scenario, _ = s1
     opts = ev.generate_options(_user(s1, 1, 3, 2), scenario)
-    schedules = [tuple(o.energy_schedule[:3]) for o in opts]
-    assert schedules == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert [o.schedule for o in opts] == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     for o in opts:
-        assert list(o.cable_profile) == [1, 1, 1, 0]
+        assert o.start == 1 and o.support == (1, 3)
 
 
 def test_exact_fit_window(s1):
     scenario, _ = s1
     opts = ev.generate_options(_user(s1, 1, 2, 2), scenario)
     assert len(opts) == 1
-    assert tuple(opts[0].energy_schedule[:2]) == (1, 1)
+    assert opts[0].schedule == (1, 1)
 
 
 def test_demand_exceeding_window_is_empty(s1):
@@ -67,12 +66,12 @@ def test_all_options_feasible(s1):
 def test_heuristic_subset_of_exhaustive(s1):
     scenario, _ = s1
     user = _user(s1, 1, 4, 2)
-    full = {tuple(o.energy_schedule) for o in ev.generate_options(user, scenario)}
+    full = {o.schedule for o in ev.generate_options(user, scenario)}
     for k in (1, 2, 3, 6):
         rng = np.random.default_rng(11)
         subset = ev.generate_options(user, scenario, policy=f"heuristic-{k}", rng=rng)
         assert len(subset) <= k
-        assert {tuple(o.energy_schedule) for o in subset} <= full
+        assert {o.schedule for o in subset} <= full
 
 
 def test_heuristic_deterministic_under_rng(s1):
@@ -91,14 +90,14 @@ def test_heuristic_cheapest_uses_snapshot(s1):
     opts = ev.generate_options(
         user, scenario, "heuristic-3", price_snapshot=snapshot, rng=np.random.default_rng(0)
     )
-    assert (0, 0, 1, 0) in {tuple(o.energy_schedule) for o in opts}
+    assert (0, 0, 1, 0) in {o.schedule for o in opts}
 
 
 def test_max_options_truncates(s1):
     scenario, _ = s1
     opts = ev.generate_options(_user(s1, 1, 4, 2), scenario, max_options_per_location=3)
     assert len(opts) == 3
-    assert [tuple(o.energy_schedule[:4]) for o in opts] == [
+    assert [o.schedule for o in opts] == [
         (0, 0, 1, 1),
         (0, 1, 0, 1),
         (0, 1, 1, 0),
@@ -110,7 +109,7 @@ def test_explicit_schedules_bypass_policy(s1):
     user = _user(s1, 1, 2, 1, explicit=((1, 0), (0, 1), (1, 1)))
     opts = ev.generate_options(user, scenario)
     # the (1, 1) entry sums to 2 != demand and is dropped
-    assert {tuple(o.energy_schedule[:2]) for o in opts} == {(1, 0), (0, 1)}
+    assert {o.schedule for o in opts} == {(1, 0), (0, 1)}
 
 
 def test_multi_level_schedules():
@@ -129,5 +128,5 @@ def test_multi_level_schedules():
         valuations=(2.0,),
     )
     opts = ev.generate_options(user, sc)
-    schedules = {tuple(o.energy_schedule[:3]) for o in opts}
+    schedules = {o.schedule for o in opts}
     assert schedules == {(0, 2, 2), (1, 1, 2), (1, 2, 1), (2, 0, 2), (2, 1, 1), (2, 2, 0)}

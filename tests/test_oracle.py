@@ -31,6 +31,34 @@ def _user(uid, value, arrival=1, departure=4, demand=2.0, locs=(1,)):
     )
 
 
+@pytest.mark.parametrize("entry", ["run_auction", "solve_offline_exact", "no_mechanism_baseline"])
+def test_bad_pinned_options_are_violations(s1, entry):
+    scenario, _ = s1
+    user = _user(1, 2.0, arrival=1, departure=2, demand=1.0)
+    pinned = {
+        1: [
+            ev.ChargeOption(location_id=1, start=2, schedule=(1, 0)),  # starts after arrival
+            ev.ChargeOption(location_id=1, start=1, schedule=(0, 0)),  # below the demand
+            ev.ChargeOption(location_id=77, start=1, schedule=(1, 0)),
+            ev.ChargeOption(location_id=1, start=1, schedule=(1, 0)),
+        ]
+    }
+    run = {
+        "run_auction": lambda: ev.run_auction(
+            scenario, [user], scenario.bounds, options_by_user=pinned
+        ),
+        "solve_offline_exact": lambda: solve_offline_exact(scenario, [user], pinned),
+        "no_mechanism_baseline": lambda: no_mechanism_baseline(
+            scenario, [user], options_by_user=pinned
+        ),
+    }[entry]
+    with pytest.raises(ev.ScenarioValidationError) as err:
+        run()
+    violations = err.value.violations
+    assert [v.path for v in violations] == ["options[1][0]", "options[1][1]", "options[1][2]"]
+    assert "unknown location 77" in violations[2].message
+
+
 def test_single_user_within_solar(s1):
     scenario, users = s1
     opts = exhaustive_options(scenario, users)
@@ -169,7 +197,7 @@ def test_baseline_earliest_fill_tiebreak(s1):
     scenario, _ = s1
     users = [_user(1, 2.0, arrival=1, departure=3, demand=1.0)]
     outcome = no_mechanism_baseline(scenario, users)
-    assert tuple(outcome.ledger[0].option.energy_schedule[:3]) == (1, 0, 0)
+    assert outcome.ledger[0].option.schedule == (1, 0, 0)
 
 
 def test_empirical_ratio_single_user(s1):

@@ -123,12 +123,7 @@ def _one_user_setup(s1):
         preferred_locations=(1,),
         valuations=(2.0,),
     )
-    option = ev.ChargeOption(
-        option_id="1:1-1",
-        location_id=1,
-        cable_profile=[1, 1, 0, 0],
-        energy_schedule=[1, 1, 0, 0],
-    )
+    option = ev.ChargeOption(location_id=1, start=1, schedule=(1, 1))
     return scenario, user, option
 
 
