@@ -137,13 +137,7 @@ def _load_and_validate(args):
 def cmd_simulate(args) -> int:
     scenario, users = _load_and_validate(args)
     outcome = run_auction(
-        scenario,
-        users,
-        scenario.bounds,
-        mode=args.mode,
-        option_policy=args.policy,
-        max_options_per_location=args.max_options,
-        seed=args.seed,
+        scenario, users, scenario.bounds, mode=args.mode, option_policy=args.policy, seed=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,32 +166,22 @@ def cmd_compare(args) -> int:
     if args.offline == "bound":
         use_exact = False
 
+    # the exact oracle is compared on exhaustive options; otherwise both
+    # runs generate their own under --policy
+    pinned = opts if use_exact else None
+    policy = "exhaustive" if use_exact else args.policy
+    online = run_auction(
+        scenario, users, scenario.bounds, args.mode, policy, args.seed, options_by_user=pinned
+    )
+    baseline = oracle.no_mechanism_baseline(
+        scenario, users, seed=args.seed, option_policy=policy, options_by_user=pinned
+    )
     if use_exact:
-        online = run_auction(
-            scenario, users, scenario.bounds, mode=args.mode, seed=args.seed, options_by_user=opts
-        )
-        baseline = oracle.no_mechanism_baseline(scenario, users, seed=args.seed, options_by_user=opts)
         offline_welfare = oracle.solve_offline_exact(
             scenario, users, opts, budget=args.budget, prune=not args.no_prune
         ).welfare
         offline_kind = "exact"
     else:
-        online = run_auction(
-            scenario,
-            users,
-            scenario.bounds,
-            mode=args.mode,
-            option_policy=args.policy,
-            max_options_per_location=args.max_options,
-            seed=args.seed,
-        )
-        baseline = oracle.no_mechanism_baseline(
-            scenario,
-            users,
-            seed=args.seed,
-            option_policy=args.policy,
-            max_options_per_location=args.max_options,
-        )
         offline_welfare = oracle.offline_upper_bound(scenario, users)
         offline_kind = "upper_bound"
 
@@ -327,13 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the online mechanism")
     common(p)
     p.add_argument("--policy", default="exhaustive", help="exhaustive or heuristic-K")
-    p.add_argument("--max-options", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="online vs baseline vs offline reference")
+    p = sub.add_parser("compare", help="online vs baseline vs offline reference, same options")
     common(p)
-    p.add_argument("--policy", default="exhaustive")
-    p.add_argument("--max-options", type=int, default=None)
+    p.add_argument("--policy", default="exhaustive", help="option policy for a non-exact search")
     p.add_argument("--budget", type=int, default=10_000_000, help="offline search leaf budget")
     p.add_argument("--offline", choices=("auto", "exact", "bound"), default="auto")
     p.add_argument("--no-prune", action="store_true", help="disable search pruning (debugging)")

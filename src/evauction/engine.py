@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "build_outcome",
     "quote",
     "run_auction",
+    "run_in_order",
 ]
 
 
@@ -94,15 +95,21 @@ class AuctionOutcome:
 
 
 class AuctionState:
-    """Mutable state of one auction: demand, ledger, and running totals."""
+    """Mutable state of one run: demand, ledger and the price scale."""
 
-    def __init__(self, scenario: Scenario, bounds: ValueBounds, mode: str = "exact"):
+    def __init__(self, scenario: Scenario, bounds: Optional[ValueBounds], mode: str = "exact"):
         self.scenario = scenario
         self.bounds = bounds
-        self.mode = mode
         self.demand = DemandState(scenario, mode)
         self.ledger: list[AllocationResult] = []
         self.k_scale = pricing.price_scale(scenario)
+
+    def settle(self, result: AllocationResult) -> AllocationResult:
+        """Record a decision; an admission adds its option to demand."""
+        if result.accepted:
+            self.demand.apply(result.option, result.evse_index)
+        self.ledger.append(result)
+        return result
 
 
 def _price_location(
@@ -121,23 +128,20 @@ def _price_location(
     never feasible.
     """
     loc = state.scenario.location(location_id)
-    pool = state.scenario.pool(loc.pool_id)
     b = state.bounds
     k = state.k_scale
-    demand = state.demand
     cable_cap = float(loc.cables_per_evse)
     rate_cap = float(loc.max_charge_rate)
-    cable_load = demand.cable[location_id][:, w0:w1].tolist()
-    energy_load = demand.energy[location_id][:, w0:w1].tolist()
-    pool_load = demand.procurement[loc.pool_id][w0:w1].tolist()
-    pool_cap = demand.procurement_cap(loc.pool_id)[w0:w1].tolist()
-    grid_price = pool.grid_price[w0:w1].tolist()
-    cable_parts = []
+    cable_load, cable_free, energy_load, pool_load, pool_cap = state.demand.window(
+        location_id, w0, w1
+    )
+    grid_price = state.scenario.pool(loc.pool_id).grid_price[w0:w1].tolist()
+    cable_pays = []
     for row in cable_load:
         cable_pay = 0.0
         for y in row:
             cable_pay += pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k)
-        cable_parts.append((all(y + 1.0 <= cable_cap for y in row), cable_pay))
+        cable_pays.append(cable_pay)
     energy_prices = [
         [pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in row]
         for row in energy_load
@@ -159,8 +163,7 @@ def _price_location(
                 gen_ok = False
             gen_pay += e * gen_prices[w]
         for m, row in enumerate(rows):
-            cable_ok, cable_pay = cable_parts[m]
-            ok = cable_ok and gen_ok
+            ok = cable_free[m] and gen_ok
             loads = energy_load[m]
             prices = energy_prices[m]
             energy_pay = 0.0
@@ -168,7 +171,7 @@ def _price_location(
                 if loads[w] + e > rate_cap:
                     ok = False
                 energy_pay += e * prices[w]
-            row.append((ok, cable_pay, energy_pay, gen_pay))
+            row.append((ok, cable_pays[m], energy_pay, gen_pay))
     return rows
 
 
@@ -188,9 +191,8 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     Utility is the valuation at the option's location minus the quoted
     payment; zero utility (or no feasible tuple) means rejection. Ties
     break toward the lowest location id, then the lowest EVSE index, then
-    the lexicographically smallest energy schedule — options must arrive
-    sorted that way per location (``generate_options`` output order) and
-    span the user's stay.
+    the lexicographically smallest energy schedule, whatever order the
+    options arrive in. Options must span the user's stay.
     """
     w0 = user.arrival - 1
     w1 = user.departure
@@ -202,7 +204,7 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     best = None
     for lid in sorted(by_loc):
         value = user.valuation_at(lid)
-        opts = by_loc[lid]
+        opts = sorted(by_loc[lid], key=lambda o: o.schedule)
         rows = _price_location(state, lid, [opt.schedule for opt in opts], w0, w1)
         for m, row in enumerate(rows):
             for opt, (ok, cable, energy, generation) in zip(opts, row):
@@ -211,13 +213,13 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
                 utility = value - (cable + energy + generation)
                 if utility > best_utility:
                     best_utility = utility
-                    best = (lid, m, opt, cable, energy, generation)
+                    best = (lid, m, opt, cable, energy, generation, value)
 
     if best is None:
-        result = AllocationResult(user_id=user.user_id, accepted=False)
-    else:
-        lid, m, opt, cable_paid, energy_paid, generation_paid = best
-        result = AllocationResult(
+        return state.settle(AllocationResult(user_id=user.user_id, accepted=False))
+    lid, m, opt, cable_paid, energy_paid, generation_paid, value = best
+    return state.settle(
+        AllocationResult(
             user_id=user.user_id,
             accepted=True,
             location_id=lid,
@@ -228,14 +230,12 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
             cable_paid=cable_paid,
             energy_paid=energy_paid,
             generation_paid=generation_paid,
-            valuation=user.valuation_at(lid),
+            valuation=value,
         )
-        state.demand.apply(opt, m)
-    state.ledger.append(result)
-    return result
+    )
 
 
-def _price_snapshot(state: AuctionState) -> "callable":
+def _price_snapshot(state: AuctionState) -> Callable[[int], np.ndarray]:
     """Per-location $/kWh series (energy + procurement) at current demand,
     using each location's least-loaded EVSE; immutable snapshot for the
     heuristic option policy."""
@@ -265,49 +265,64 @@ def _price_snapshot(state: AuctionState) -> "callable":
     return series
 
 
+def run_in_order(
+    scenario: Scenario,
+    users: Sequence[UserType],
+    bounds: Optional[ValueBounds],
+    mode: str,
+    option_policy: str,
+    seed: int,
+    options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]],
+    rule: Callable[[AuctionState, UserType, Sequence[ChargeOption]], AllocationResult],
+) -> AuctionOutcome:
+    """The decision loop of the online run and the no-mechanism baseline.
+
+    Validates the inputs (``bounds`` too when they are not the scenario's),
+    then walks the users in ``(submission_time, user_id)`` order. A user's
+    options are the pinned ones, or are generated under ``option_policy``
+    with an rng drawn from ``[seed, user_id]`` and, for a heuristic policy
+    in a priced run, a price snapshot. ``rule(state, user, options)``
+    decides and settles each user. ``bounds=None`` is an unpriced run.
+    """
+    violations = validate_scenario(scenario, users, options_by_user)
+    if bounds is not None and bounds != scenario.bounds:
+        violations += validate_bounds(scenario, bounds)
+    if violations:
+        raise ScenarioValidationError(violations)
+    kind, _ = parse_policy(option_policy)
+    snapshots = bounds is not None and kind == "heuristic"
+    state = AuctionState(scenario, bounds, mode)
+    for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
+        if options_by_user is not None:
+            opts = options_by_user.get(user.user_id, ())
+        else:
+            snapshot = _price_snapshot(state) if snapshots else None
+            rng = np.random.default_rng([seed, user.user_id])
+            opts = generate_options(user, scenario, option_policy, price_snapshot=snapshot, rng=rng)
+        rule(state, user, opts)
+    return build_outcome(
+        scenario, state.demand, tuple(state.ledger), bounds, mode, option_policy, seed
+    )
+
+
 def run_auction(
     scenario: Scenario,
     users: Sequence[UserType],
     bounds: ValueBounds,
     mode: str = "exact",
     option_policy: str = "exhaustive",
-    max_options_per_location: Optional[int] = None,
     seed: int = 0,
     options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
 ) -> AuctionOutcome:
-    """Run the full mechanism over users in submission order.
+    """Run the full mechanism: ``admit`` every user in submission order at
+    prices built from ``bounds``.
 
     ``options_by_user`` pins the option sets (used when comparing against
     the offline oracles on identical inputs); otherwise options are
     generated per user under ``option_policy`` with randomness derived
-    from ``seed`` and the user id. The scenario, the users, the pinned
-    options and ``bounds`` are validated first.
+    from ``seed`` and the user id (see ``run_in_order``).
     """
-    violations = validate_scenario(scenario, users, options_by_user)
-    if bounds != scenario.bounds:
-        violations += validate_bounds(scenario, bounds)
-    if violations:
-        raise ScenarioValidationError(violations)
-    kind, _ = parse_policy(option_policy)
-    state = AuctionState(scenario, bounds, mode)
-    for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
-        if options_by_user is not None:
-            opts = options_by_user.get(user.user_id, ())
-        else:
-            snapshot = _price_snapshot(state) if kind == "heuristic" else None
-            rng = np.random.default_rng([seed, user.user_id])
-            opts = generate_options(
-                user,
-                scenario,
-                policy=option_policy,
-                max_options_per_location=max_options_per_location,
-                price_snapshot=snapshot,
-                rng=rng,
-            )
-        admit(state, user, opts)
-    return build_outcome(
-        scenario, state.demand, tuple(state.ledger), bounds, mode, option_policy, seed
-    )
+    return run_in_order(scenario, users, bounds, mode, option_policy, seed, options_by_user, admit)
 
 
 def operational_cost(scenario: Scenario, demand: DemandState) -> float:

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "Violation",
     "integral_demand",
     "option_is_feasible",
+    "procurement_capacity",
     "validate_bounds",
     "validate_scenario",
 ]
@@ -257,13 +258,22 @@ class AllocationResult:
     valuation: float = 0.0
 
 
+def procurement_capacity(pool: GenerationPool, mode: str) -> np.ndarray:
+    """Per-slot procurement ceiling: solar (the actual series in ``exact``
+    mode, the forecast lower band in ``conservative``) plus the grid limit."""
+    if mode == "exact":
+        return pool.solar_actual + pool.grid_limit
+    if mode == "conservative":
+        return pool.solar_lower + pool.grid_limit
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 class DemandState:
     """Running allocated quantities; the sole input to price quotes.
 
     ``cable[lid]`` and ``energy[lid]`` are (evse_count, T) arrays of
     cable-slots and kWh; ``procurement[pid]`` is the pool-aggregate kWh per
-    slot. ``mode`` selects which solar series caps procurement: the actual
-    series (``exact``) or the forecast lower band (``conservative``).
+    slot. ``mode`` selects the procurement ceiling (``procurement_capacity``).
     """
 
     def __init__(self, scenario: Scenario, mode: str = "exact"):
@@ -281,14 +291,29 @@ class DemandState:
         self.procurement = {pool.pool_id: np.zeros(T) for pool in scenario.pools}
         self._caps = {}
         for pool in scenario.pools:
-            solar = pool.solar_actual if mode == "exact" else pool.solar_lower
-            cap = np.ascontiguousarray(solar + pool.grid_limit)
+            cap = procurement_capacity(pool, mode)
             cap.setflags(write=False)
             self._caps[pool.pool_id] = cap
 
     def procurement_cap(self, pool_id: int) -> np.ndarray:
         """Per-slot procurement ceiling for the state's mode."""
         return self._caps[pool_id]
+
+    def window(self, location_id: int, w0: int, w1: int) -> tuple:
+        """Loads and caps over slots [w0, w1) (0-based) at one location, in
+        plain floats: ``(cable_rows, cable_free, energy_rows, pool_load,
+        pool_cap)``. The rows hold one list per EVSE; ``cable_free[m]`` is
+        True when EVSE ``m`` has a free cable on every slot of the window."""
+        loc = self.scenario.location(location_id)
+        cable_rows = self.cable[location_id][:, w0:w1].tolist()
+        cable_cap = float(loc.cables_per_evse)
+        return (
+            cable_rows,
+            [all(y + 1.0 <= cable_cap for y in row) for row in cable_rows],
+            self.energy[location_id][:, w0:w1].tolist(),
+            self.procurement[loc.pool_id][w0:w1].tolist(),
+            self._caps[loc.pool_id][w0:w1].tolist(),
+        )
 
     def apply(self, option: ChargeOption, evse_index: int) -> None:
         lid = option.location_id
@@ -364,7 +389,8 @@ def validate_scenario(
     Violations are data, not faults: an empty list means the scenario (and
     the users and their pinned options, if given) is ready to run. An
     option that fails ``option_is_feasible`` is reported at
-    ``options[<user_id>][<i>]``.
+    ``options[<user_id>][<i>]``, and a key that names no user at
+    ``options[<key>]``.
     """
     out: list[Violation] = []
     T = scenario.slot_count
@@ -466,6 +492,9 @@ def validate_scenario(
                 else:
                     continue
                 out.append(Violation(f"options[{user.user_id}][{i}]", message))
+    for key in options_by_user or ():
+        if key not in seen_users:
+            out.append(Violation(f"options[{key}]", "names no user"))
     return out
 
 

@@ -34,28 +34,24 @@ def parse_policy(policy: str) -> tuple[str, Optional[int]]:
     raise ValueError(f"unknown option policy {policy!r}")
 
 
-def _enumerate_schedules(width: int, demand: int, levels: tuple[int, ...], limit: Optional[int]):
+def _enumerate_schedules(width: int, demand: int, levels: tuple[int, ...]):
     """All length-``width`` level sequences summing to ``demand``, in
-    lexicographic order; stops early at ``limit`` when given."""
+    lexicographic order."""
     top = max(levels)
     out: list[tuple[int, ...]] = []
     prefix = [0] * width
 
-    def fill(i: int, remaining: int) -> bool:
+    def fill(i: int, remaining: int) -> None:
         if i == width:
             if remaining == 0:
                 out.append(tuple(prefix))
-                return limit is not None and len(out) >= limit
-            return False
+            return
         slots_left = width - i - 1
         for level in levels:
             if level > remaining or remaining - level > top * slots_left:
                 continue
             prefix[i] = level
-            if fill(i + 1, remaining - level):
-                return True
-        prefix[i] = 0
-        return False
+            fill(i + 1, remaining - level)
 
     fill(0, demand)
     return out
@@ -107,7 +103,6 @@ def generate_options(
     user: UserType,
     scenario: Scenario,
     policy: str = "exhaustive",
-    max_options_per_location: Optional[int] = None,
     price_snapshot: Optional[Callable[[int], np.ndarray]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> list[ChargeOption]:
@@ -144,14 +139,12 @@ def generate_options(
             continue
         if demand is None or demand > max(levels) * width:
             continue
-        cap = max_options_per_location
         if kind == "exhaustive":
-            schedules = _enumerate_schedules(width, demand, levels, cap)
+            schedules = _enumerate_schedules(width, demand, levels)
         else:
-            quota = budget if cap is None else min(budget, cap)
             prices = None
             if price_snapshot is not None:
                 prices = np.asarray(price_snapshot(lid))[start : start + width]
-            schedules = _heuristic_schedules(width, demand, levels, quota, prices, rng)
+            schedules = _heuristic_schedules(width, demand, levels, budget, prices, rng)
         results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
     return results

@@ -16,10 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from . import pricing
-from .engine import AuctionOutcome, build_outcome, operational_cost, run_auction
+from .engine import AuctionOutcome, AuctionState, operational_cost, run_auction, run_in_order
 from .model import (
     AllocationResult,
     ChargeOption,
@@ -28,6 +26,7 @@ from .model import (
     ScenarioValidationError,
     UserType,
     ValueBounds,
+    procurement_capacity,
     validate_scenario,
 )
 from .options import generate_options
@@ -112,10 +111,7 @@ def solve_offline_exact(
     cable = {loc.location_id: [[0.0] * T for _ in range(loc.evse_count)] for loc in scenario.locations}
     energy = {loc.location_id: [[0.0] * T for _ in range(loc.evse_count)] for loc in scenario.locations}
     pool_load = {p.pool_id: [0.0] * T for p in scenario.pools}
-    pool_cap = {
-        p.pool_id: [float(p.solar_actual[t] + p.grid_limit[t]) for t in range(T)]
-        for p in scenario.pools
-    }
+    pool_cap = {p.pool_id: procurement_capacity(p, "exact").tolist() for p in scenario.pools}
     pool_solar = {p.pool_id: [float(s) for s in p.solar_actual] for p in scenario.pools}
     pool_price = {p.pool_id: [float(v) for v in p.grid_price] for p in scenario.pools}
     loc_cap = {
@@ -263,85 +259,58 @@ def no_mechanism_baseline(
     users: Sequence[UserType],
     seed: int = 0,
     option_policy: str = "exhaustive",
-    max_options_per_location: Optional[int] = None,
     options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
 ) -> AuctionOutcome:
     """First-come-first-served world without prices.
 
-    Users take the feasible (capacity-respecting, finite-cost) option at
-    their highest-value location, ties broken toward earliest-fill
-    schedules, then lower location and EVSE index. Everybody pays zero and
-    the operator absorbs the procurement cost.
+    Users are taken in the online run's order on the same options (pinned,
+    or generated from ``seed`` under ``option_policy``; see
+    ``engine.run_in_order``). Each takes the first feasible option at
+    their highest-value location, earliest-fill schedules first, on the
+    lowest free EVSE. Everybody pays zero and the operator absorbs the
+    procurement cost.
     """
-    violations = validate_scenario(scenario, users, options_by_user)
-    if violations:
-        raise ScenarioValidationError(violations)
-    demand = DemandState(scenario, "exact")
-    ledger: list[AllocationResult] = []
-    for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
-        if options_by_user is not None:
-            opts = options_by_user.get(user.user_id, ())
-        else:
-            rng = np.random.default_rng([seed, user.user_id])
-            opts = generate_options(
-                user,
-                scenario,
-                policy=option_policy,
-                max_options_per_location=max_options_per_location,
-                rng=rng,
-            )
-        w0, w1 = user.arrival - 1, user.departure
-        ranked = sorted(
-            opts,
-            key=lambda o: (
-                -user.valuation_at(o.location_id),
-                tuple(-e for e in o.schedule),
-                o.location_id,
-            ),
-        )
-        loads = {}  # per location: rate cap, EVSEs with a free cable, window loads
-        chosen = None
-        for opt in ranked:
-            lid = opt.location_id
-            if lid not in loads:
-                loc = scenario.location(lid)
-                cable_rows = demand.cable[lid][:, w0:w1].tolist()
-                loads[lid] = (
-                    loc.max_charge_rate,
-                    [all(y + 1.0 <= loc.cables_per_evse for y in row) for row in cable_rows],
-                    demand.energy[lid][:, w0:w1].tolist(),
-                    demand.procurement[loc.pool_id][w0:w1].tolist(),
-                    demand.procurement_cap(loc.pool_id)[w0:w1].tolist(),
+    return run_in_order(
+        scenario, users, None, "exact", option_policy, seed, options_by_user, _first_fit
+    )
+
+
+def _first_fit(
+    state: AuctionState, user: UserType, options: Sequence[ChargeOption]
+) -> AllocationResult:
+    """The baseline's choice: options ranked by valuation (highest first),
+    then earliest fill, then location id; the first one that fits on some
+    EVSE (lowest index first) within every capacity is taken, for free."""
+    value = dict(zip(user.preferred_locations, user.valuations))
+    ranked = sorted(
+        options,
+        key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
+    )
+    w0, w1 = user.arrival - 1, user.departure
+    windows = {}
+    for opt in ranked:
+        lid = opt.location_id
+        if lid not in windows:
+            rate = state.scenario.location(lid).max_charge_rate
+            windows[lid] = (rate, *state.demand.window(lid, w0, w1))
+        rate, _, cable_free, energy_rows, pool_load, pool_cap = windows[lid]
+        sched = opt.schedule
+        if not all(y + e <= cap for y, e, cap in zip(pool_load, sched, pool_cap)):
+            continue
+        for m, (free, row) in enumerate(zip(cable_free, energy_rows)):
+            if free and all(y + e <= rate for y, e in zip(row, sched)):
+                return state.settle(
+                    AllocationResult(
+                        user_id=user.user_id,
+                        accepted=True,
+                        location_id=lid,
+                        evse_index=m,
+                        option=opt,
+                        utility=value[lid],
+                        valuation=value[lid],
+                    )
                 )
-            rate, cable_free, energy_rows, pool_load, pool_cap = loads[lid]
-            sched = opt.schedule
-            if not all(y + e <= cap for y, e, cap in zip(pool_load, sched, pool_cap)):
-                continue
-            for m, (free, row) in enumerate(zip(cable_free, energy_rows)):
-                if free and all(y + e <= rate for y, e in zip(row, sched)):
-                    chosen = (opt, m)
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            ledger.append(AllocationResult(user_id=user.user_id, accepted=False))
-        else:
-            opt, m = chosen
-            value = user.valuation_at(opt.location_id)
-            demand.apply(opt, m)
-            ledger.append(
-                AllocationResult(
-                    user_id=user.user_id,
-                    accepted=True,
-                    location_id=opt.location_id,
-                    evse_index=m,
-                    option=opt,
-                    utility=value,
-                    payment=0.0,
-                    valuation=value,
-                )
-            )
-    return build_outcome(scenario, demand, tuple(ledger), None, "exact", option_policy, seed)
+    return state.settle(AllocationResult(user_id=user.user_id, accepted=False))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ChargeOption, GenerationPool, Scenario, UserType, ValueBounds
+from .model import (
+    ChargeOption,
+    GenerationPool,
+    Scenario,
+    UserType,
+    ValueBounds,
+    procurement_capacity,
+)
 
 __all__ = [
     "ConfigurationError",
@@ -132,15 +139,8 @@ def energy_price(y: float, max_charge_rate: float, bounds: ValueBounds, k: float
 
 
 def generation_capacity(pool: GenerationPool, t: int, mode: str = "exact") -> float:
-    """Procurement ceiling at slot ``t``: solar (actual or forecast lower
-    band, per mode) plus the grid limit."""
-    if mode == "exact":
-        solar = float(pool.solar_actual[t - 1])
-    elif mode == "conservative":
-        solar = float(pool.solar_lower[t - 1])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return solar + float(pool.grid_limit[t - 1])
+    """Procurement ceiling at slot ``t`` (``model.procurement_capacity``)."""
+    return float(procurement_capacity(pool, mode)[t - 1])
 
 
 def generation_price(
@@ -249,9 +249,8 @@ def alpha_2(scenario: Scenario, bounds: ValueBounds) -> float:
                 raise ConfigurationError(
                     f"generation_low must exceed grid price {grid_price} (pool {pool.pool_id}, slot {t})"
                 )
-            limit = float(pool.grid_limit[t - 1])
-            low_cap = float(pool.solar_lower[t - 1]) + limit
-            high_cap = float(pool.solar_upper[t - 1]) + limit
+            low_cap = generation_capacity(pool, t, "conservative")
+            high_cap = float(pool.solar_upper[t - 1]) + float(pool.grid_limit[t - 1])
             if low_cap <= 0:
                 raise ConfigurationError(
                     f"pool {pool.pool_id} has no conservative capacity at slot {t}"

@@ -1,6 +1,6 @@
 """Scenario assembly: file formats, trace ingestion, and populations.
 
-File formats (documented in the README):
+File formats (this docstring is their reference):
 
 * scenario: one JSON document with ``time_grid``, ``pools``, ``locations``,
   ``bounds``, ``energy_levels``

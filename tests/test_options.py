@@ -93,17 +93,6 @@ def test_heuristic_cheapest_uses_snapshot(s1):
     assert (0, 0, 1, 0) in {o.schedule for o in opts}
 
 
-def test_max_options_truncates(s1):
-    scenario, _ = s1
-    opts = ev.generate_options(_user(s1, 1, 4, 2), scenario, max_options_per_location=3)
-    assert len(opts) == 3
-    assert [o.schedule for o in opts] == [
-        (0, 0, 1, 1),
-        (0, 1, 0, 1),
-        (0, 1, 1, 0),
-    ]
-
-
 def test_explicit_schedules_bypass_policy(s1):
     scenario, _ = s1
     user = _user(s1, 1, 2, 1, explicit=((1, 0), (0, 1), (1, 1)))

@@ -41,7 +41,8 @@ def test_bad_pinned_options_are_violations(s1, entry):
             ev.ChargeOption(location_id=1, start=1, schedule=(0, 0)),  # below the demand
             ev.ChargeOption(location_id=77, start=1, schedule=(1, 0)),
             ev.ChargeOption(location_id=1, start=1, schedule=(1, 0)),
-        ]
+        ],
+        99: [ev.ChargeOption(location_id=1, start=1, schedule=(1, 0))],  # names no user
     }
     run = {
         "run_auction": lambda: ev.run_auction(
@@ -55,8 +56,14 @@ def test_bad_pinned_options_are_violations(s1, entry):
     with pytest.raises(ev.ScenarioValidationError) as err:
         run()
     violations = err.value.violations
-    assert [v.path for v in violations] == ["options[1][0]", "options[1][1]", "options[1][2]"]
+    assert [v.path for v in violations] == [
+        "options[1][0]",
+        "options[1][1]",
+        "options[1][2]",
+        "options[99]",
+    ]
     assert "unknown location 77" in violations[2].message
+    assert violations[3].message == "names no user"
 
 
 def test_single_user_within_solar(s1):
