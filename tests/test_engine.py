@@ -296,6 +296,28 @@ def test_mechanism_invariants(seed, mode):
     assert online.revenue >= online.operational_cost - 1e-9
 
 
+def test_conservative_mode_respects_band_cap():
+    scenario, users, _ = random_instance(31, max_users=120)
+    outcome = run_auction(
+        scenario, users, scenario.bounds, mode="conservative", option_policy="heuristic-4"
+    )
+    for pool in scenario.pools:
+        cap = pool.solar_lower + pool.grid_limit
+        assert np.all(outcome.demand.procurement[pool.pool_id] <= cap + 1e-12)
+
+
+def test_individual_rationality_and_cost_recovery():
+    scenario, users, mode = random_instance(5, max_users=150)
+    outcome = run_auction(scenario, users, scenario.bounds, mode=mode, option_policy="heuristic-4")
+    for r in outcome.ledger:
+        if r.accepted:
+            assert r.utility > 0
+            assert r.payment < r.valuation
+        else:
+            assert r.payment == 0.0 and r.utility == 0.0
+    assert outcome.revenue >= outcome.operational_cost - 1e-9
+
+
 def test_heuristic_policy_end_to_end(s1):
     scenario, _ = s1
     users = [
