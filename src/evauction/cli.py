@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import oracle, pricing
@@ -77,18 +78,6 @@ def write_locations_csv(outcome: AuctionOutcome, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _bounds_dict(scenario: Scenario) -> dict:
-    b = scenario.bounds
-    return {
-        "cable_low": b.cable_low,
-        "cable_high": b.cable_high,
-        "energy_low": b.energy_low,
-        "energy_high": b.energy_high,
-        "generation_low": b.generation_low,
-        "generation_high": b.generation_high,
-    }
-
-
 def _alphas(scenario: Scenario) -> tuple:
     try:
         return (
@@ -107,7 +96,7 @@ def _summary(scenario_path, users_path, scenario, outcome: AuctionOutcome) -> di
         "mode": outcome.mode,
         "policy": outcome.policy,
         "seed": outcome.seed,
-        "bounds": _bounds_dict(scenario),
+        "bounds": asdict(scenario.bounds),
         "alpha_1": a1,
         "alpha_2": a2,
         "welfare": outcome.welfare,
@@ -154,36 +143,29 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario, users = _load_and_validate(args)
-    opts = oracle.exhaustive_options(scenario, users)
-    budget_needed = oracle.search_budget(scenario, users, opts)
-    use_exact = budget_needed <= args.budget
-    if args.offline == "exact" and not use_exact:
-        print(
-            f"offline search needs {budget_needed} leaves > budget {args.budget}",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-    if args.offline == "bound":
-        use_exact = False
-
-    # the exact oracle is compared on exhaustive options; otherwise both
-    # runs generate their own under --policy
-    pinned = opts if use_exact else None
-    policy = "exhaustive" if use_exact else args.policy
+    # the online run and the baseline see the exact oracle's exhaustive
+    # options when it ran; otherwise they generate their own under --policy
+    pinned = None
+    if args.offline != "bound":
+        opts = oracle.exhaustive_options(scenario, users)
+        try:
+            offline_welfare = oracle.solve_offline_exact(
+                scenario, users, opts, budget=args.budget
+            ).welfare
+            pinned = opts
+        except OracleBudgetExceeded:
+            if args.offline == "exact":
+                raise
+    if pinned is None:
+        offline_welfare = oracle.offline_upper_bound(scenario, users)
+    offline_kind = "upper_bound" if pinned is None else "exact"
+    policy = args.policy if pinned is None else "exhaustive"
     online = run_auction(
         scenario, users, scenario.bounds, args.mode, policy, args.seed, options_by_user=pinned
     )
     baseline = oracle.no_mechanism_baseline(
         scenario, users, seed=args.seed, option_policy=policy, options_by_user=pinned
     )
-    if use_exact:
-        offline_welfare = oracle.solve_offline_exact(
-            scenario, users, opts, budget=args.budget, prune=not args.no_prune
-        ).welfare
-        offline_kind = "exact"
-    else:
-        offline_welfare = oracle.offline_upper_bound(scenario, users)
-        offline_kind = "upper_bound"
 
     bound_by_loc = oracle.upper_bound_by_location(scenario, users)
     out = Path(args.out)
@@ -254,10 +236,9 @@ def cmd_validate_dapr(args) -> int:
     worst = (math.inf, "")
     failures = 0
     for label, (price_fn, cost_d, conj_d, cap), alpha in curves:
-        if args.alpha is not None:
-            alpha = args.alpha
-        alpha *= args.alpha_scale
-        report = pricing.verify_dapr(price_fn, cost_d, conj_d, cap, alpha, args.grid_points)
+        report = pricing.verify_dapr(
+            price_fn, cost_d, conj_d, cap, alpha * args.alpha_scale, args.grid_points
+        )
         if not report.holds:
             failures += 1
         if report.min_slack < worst[0]:
@@ -318,14 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="exhaustive", help="option policy for a non-exact search")
     p.add_argument("--budget", type=int, default=10_000_000, help="offline search leaf budget")
     p.add_argument("--offline", choices=("auto", "exact", "bound"), default="auto")
-    p.add_argument("--no-prune", action="store_true", help="disable search pruning (debugging)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate-dapr", help="numeric allocation-payment check")
     p.add_argument("--scenario", required=True)
     p.add_argument("--mode", choices=("exact", "conservative"), default="exact")
     p.add_argument("--grid-points", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=None, help="override every curve's ratio")
     p.add_argument("--alpha-scale", type=float, default=1.0, help="stress factor on each ratio")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate_dapr)

@@ -112,6 +112,22 @@ class AuctionState:
         return result
 
 
+def _procurement_prices(
+    state: AuctionState, pool_id: int, pool_load: list, pool_cap: list, w0: int, w1: int
+) -> list[float]:
+    """Posted $/kWh of pool procurement over slots [w0, w1) (0-based) at
+    the given loads and caps; a slot without procurement capacity is
+    priced ``math.inf``, so no energy ever fits there."""
+    b = state.bounds
+    grid_price = state.scenario.pool(pool_id).grid_price[w0:w1].tolist()
+    return [
+        pricing.procurement_price(y, cap, pi, b.generation_low, b.generation_high, state.k_scale)
+        if cap > 0.0
+        else math.inf
+        for y, cap, pi in zip(pool_load, pool_cap, grid_price)
+    ]
+
+
 def _price_location(
     state: AuctionState, location_id: int, schedules: Sequence[tuple[int, ...]], w0: int, w1: int
 ) -> list[list[tuple[bool, float, float, float]]]:
@@ -135,7 +151,6 @@ def _price_location(
     cable_load, cable_free, energy_load, pool_load, pool_cap = state.demand.window(
         location_id, w0, w1
     )
-    grid_price = state.scenario.pool(loc.pool_id).grid_price[w0:w1].tolist()
     cable_pays = []
     for row in cable_load:
         cable_pay = 0.0
@@ -146,12 +161,7 @@ def _price_location(
         [pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in row]
         for row in energy_load
     ]
-    gen_prices = [
-        pricing.procurement_price(y, cap, pi, b.generation_low, b.generation_high, k)
-        if cap > 0.0
-        else math.inf
-        for y, cap, pi in zip(pool_load, pool_cap, grid_price)
-    ]
+    gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
 
     rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in cable_load]
     for schedule in schedules:
@@ -235,34 +245,20 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     )
 
 
-def _price_snapshot(state: AuctionState) -> Callable[[int], np.ndarray]:
-    """Per-location $/kWh series (energy + procurement) at current demand,
-    using each location's least-loaded EVSE; immutable snapshot for the
-    heuristic option policy."""
-    scenario = state.scenario
+def _price_snapshot(state: AuctionState, location_id: int, w0: int, w1: int) -> list[float]:
+    """Per-slot $/kWh over slots [w0, w1) (0-based) at one location: the
+    energy price at the least-loaded EVSE plus the procurement price, as
+    ``_price_location`` posts them. The heuristic option policy ranks
+    slots by it."""
+    loc = state.scenario.location(location_id)
     b = state.bounds
-    k = state.k_scale
-    cache: dict[int, np.ndarray] = {}
-
-    def series(location_id: int) -> np.ndarray:
-        if location_id not in cache:
-            loc = scenario.location(location_id)
-            pool = scenario.pool(loc.pool_id)
-            y_e = state.demand.energy[location_id].min(axis=0)
-            p_e = pricing.exp_price(
-                y_e, float(loc.max_charge_rate), b.energy_low, b.energy_high, k
-            )
-            y_g = state.demand.procurement[loc.pool_id]
-            cap = state.demand.procurement_cap(loc.pool_id)
-            safe_cap = np.where(cap > 0, cap, 1.0)
-            p_g = pricing.procurement_price(
-                y_g, safe_cap, pool.grid_price, b.generation_low, b.generation_high, k
-            )
-            p_g = np.where(cap > 0, p_g, np.inf)  # capacity-free slots are unusable
-            cache[location_id] = p_e + p_g
-        return cache[location_id]
-
-    return series
+    rate_cap = float(loc.max_charge_rate)
+    _, _, energy_load, pool_load, pool_cap = state.demand.window(location_id, w0, w1)
+    gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
+    return [
+        pricing.exp_price(min(ys), rate_cap, b.energy_low, b.energy_high, state.k_scale) + p
+        for ys, p in zip(zip(*energy_load), gen_prices)
+    ]
 
 
 def run_in_order(
@@ -279,10 +275,12 @@ def run_in_order(
 
     Validates the inputs (``bounds`` too when they are not the scenario's),
     then walks the users in ``(submission_time, user_id)`` order. A user's
-    options are the pinned ones, or are generated under ``option_policy``
-    with an rng drawn from ``[seed, user_id]`` and, for a heuristic policy
-    in a priced run, a price snapshot. ``rule(state, user, options)``
-    decides and settles each user. ``bounds=None`` is an unpriced run.
+    options are the pinned ones (every user needs a key), or are generated
+    under ``option_policy`` with an rng drawn from ``[seed, user_id]``;
+    a heuristic policy in a priced run also gets each preferred location's
+    posted slot prices over the stay (``_price_snapshot``).
+    ``rule(state, user, options)`` decides and settles each user.
+    ``bounds=None`` is an unpriced run.
     """
     violations = validate_scenario(scenario, users, options_by_user)
     if bounds is not None and bounds != scenario.bounds:
@@ -290,15 +288,20 @@ def run_in_order(
     if violations:
         raise ScenarioValidationError(violations)
     kind, _ = parse_policy(option_policy)
-    snapshots = bounds is not None and kind == "heuristic"
+    priced_heuristic = bounds is not None and kind == "heuristic"
     state = AuctionState(scenario, bounds, mode)
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
         if options_by_user is not None:
-            opts = options_by_user.get(user.user_id, ())
+            opts = options_by_user[user.user_id]
         else:
-            snapshot = _price_snapshot(state) if snapshots else None
+            slot_prices = None
+            if priced_heuristic:
+                w0, w1 = user.arrival - 1, user.departure
+                slot_prices = {
+                    lid: _price_snapshot(state, lid, w0, w1) for lid in user.preferred_locations
+                }
             rng = np.random.default_rng([seed, user.user_id])
-            opts = generate_options(user, scenario, option_policy, price_snapshot=snapshot, rng=rng)
+            opts = generate_options(user, scenario, option_policy, slot_prices=slot_prices, rng=rng)
         rule(state, user, opts)
     return build_outcome(
         scenario, state.demand, tuple(state.ledger), bounds, mode, option_policy, seed

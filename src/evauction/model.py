@@ -211,6 +211,11 @@ class Scenario:
         object.__setattr__(self, "pools", tuple(self.pools))
         object.__setattr__(self, "locations", tuple(self.locations))
         object.__setattr__(self, "energy_levels", tuple(sorted(set(int(v) for v in self.energy_levels))))
+        # id indexes, built in reverse so that on a duplicate id the first
+        # definition wins (validate_scenario reports the duplicate)
+        by_loc = {loc.location_id: loc for loc in reversed(self.locations)}
+        object.__setattr__(self, "_location_by_id", by_loc)
+        object.__setattr__(self, "_pool_by_id", {p.pool_id: p for p in reversed(self.pools)})
 
     @property
     def slot_count(self) -> int:
@@ -221,16 +226,16 @@ class Scenario:
         return tuple(sorted(loc.location_id for loc in self.locations))
 
     def location(self, location_id: int) -> Location:
-        for loc in self.locations:
-            if loc.location_id == location_id:
-                return loc
-        raise ValueError(f"unknown location_id {location_id}")
+        try:
+            return self._location_by_id[location_id]
+        except KeyError:
+            raise ValueError(f"unknown location_id {location_id}") from None
 
     def pool(self, pool_id: int) -> GenerationPool:
-        for pool in self.pools:
-            if pool.pool_id == pool_id:
-                return pool
-        raise ValueError(f"unknown pool_id {pool_id}")
+        try:
+            return self._pool_by_id[pool_id]
+        except KeyError:
+            raise ValueError(f"unknown pool_id {pool_id}") from None
 
     def pool_of(self, location_id: int) -> GenerationPool:
         return self.pool(self.location(location_id).pool_id)
@@ -289,15 +294,7 @@ class DemandState:
             loc.location_id: np.zeros((loc.evse_count, T)) for loc in scenario.locations
         }
         self.procurement = {pool.pool_id: np.zeros(T) for pool in scenario.pools}
-        self._caps = {}
-        for pool in scenario.pools:
-            cap = procurement_capacity(pool, mode)
-            cap.setflags(write=False)
-            self._caps[pool.pool_id] = cap
-
-    def procurement_cap(self, pool_id: int) -> np.ndarray:
-        """Per-slot procurement ceiling for the state's mode."""
-        return self._caps[pool_id]
+        self._caps = {pool.pool_id: procurement_capacity(pool, mode) for pool in scenario.pools}
 
     def window(self, location_id: int, w0: int, w1: int) -> tuple:
         """Loads and caps over slots [w0, w1) (0-based) at one location, in
@@ -389,8 +386,8 @@ def validate_scenario(
     Violations are data, not faults: an empty list means the scenario (and
     the users and their pinned options, if given) is ready to run. An
     option that fails ``option_is_feasible`` is reported at
-    ``options[<user_id>][<i>]``, and a key that names no user at
-    ``options[<key>]``.
+    ``options[<user_id>][<i>]``, and a user without a key or a key that
+    names no user at ``options[<key>]`` (an empty list pins no options).
     """
     out: list[Violation] = []
     T = scenario.slot_count
@@ -484,6 +481,8 @@ def validate_scenario(
                     Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
                 )
         if options_by_user is not None:
+            if user.user_id not in options_by_user:
+                out.append(Violation(f"options[{user.user_id}]", "missing (pin [] for no options)"))
             for i, option in enumerate(options_by_user.get(user.user_id, ())):
                 if option.location_id not in loc_ids:
                     message = f"references unknown location {option.location_id}"

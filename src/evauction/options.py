@@ -7,13 +7,13 @@ the entire visit window; only the energy placement varies. Two policies:
 * ``exhaustive`` enumerates every schedule over the allowed per-slot
   energy levels that meets the demand exactly (oracle-grade, small windows)
 * ``heuristic-K`` emits at most K schedules: earliest-fill, latest-fill,
-  cheapest at a price snapshot when one is supplied, and seeded random
-  fills for the remainder
+  cheapest-first at the supplied slot prices (when there are any), and
+  seeded random fills for the remainder
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def _heuristic_schedules(
     demand: int,
     levels: tuple[int, ...],
     budget: int,
-    slot_prices: Optional[np.ndarray],
+    slot_prices: Optional[Sequence[float]],
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
     top = max(levels)
@@ -89,7 +89,7 @@ def _heuristic_schedules(
     add(_greedy_fill(range(width), demand, top, width))
     add(_greedy_fill(range(width - 1, -1, -1), demand, top, width))
     if slot_prices is not None:
-        order = sorted(range(width), key=lambda i: (float(slot_prices[i]), i))
+        order = sorted(range(width), key=lambda i: (slot_prices[i], i))
         add(_greedy_fill(order, demand, top, width))
     attempts = 0
     while len(picked) < budget and attempts < 4 * budget:
@@ -103,7 +103,7 @@ def generate_options(
     user: UserType,
     scenario: Scenario,
     policy: str = "exhaustive",
-    price_snapshot: Optional[Callable[[int], np.ndarray]] = None,
+    slot_prices: Optional[Mapping[int, Sequence[float]]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> list[ChargeOption]:
     """Feasible options for ``user``, sorted by (location, schedule).
@@ -113,14 +113,13 @@ def generate_options(
     carries explicit schedules those are used verbatim (where they fit)
     and the policy machinery is bypassed.
 
-    ``price_snapshot`` maps a location id to a per-slot $ /kWh series used
-    by the heuristic's cheapest-fill variant; it must be an immutable
-    snapshot of current prices.
+    ``slot_prices`` maps each preferred location id to its $/kWh per slot
+    of the user's stay; the heuristic's cheapest-fill variant fills the
+    cheapest slots first.
     """
     kind, budget = parse_policy(policy)
     if rng is None:
         rng = np.random.default_rng(0)
-    start = user.arrival - 1
     width = user.window_length
     demand = integral_demand(user.energy_demand)
 
@@ -142,9 +141,7 @@ def generate_options(
         if kind == "exhaustive":
             schedules = _enumerate_schedules(width, demand, levels)
         else:
-            prices = None
-            if price_snapshot is not None:
-                prices = np.asarray(price_snapshot(lid))[start : start + width]
+            prices = None if slot_prices is None else slot_prices[lid]
             schedules = _heuristic_schedules(width, demand, levels, budget, prices, rng)
         results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
     return results

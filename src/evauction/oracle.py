@@ -78,7 +78,7 @@ def search_budget(
     total_evse = sum(loc.evse_count for loc in scenario.locations)
     leaves = 1
     for user in users:
-        leaves *= len(options_by_user.get(user.user_id, ())) * total_evse + 1
+        leaves *= len(options_by_user[user.user_id]) * total_evse + 1
     return leaves
 
 
@@ -124,7 +124,7 @@ def solve_offline_exact(
     choices = []
     for user in ordered:
         rows = []
-        for opt in options_by_user.get(user.user_id, ()):
+        for opt in options_by_user[user.user_id]:
             lid = opt.location_id
             w0 = opt.start - 1
             c_slots = list(range(w0, w0 + len(opt.schedule)))

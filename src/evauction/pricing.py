@@ -183,7 +183,7 @@ def compute_bounds(
     """
     if not users:
         raise ValueError("cannot compute bounds from an empty user list")
-    half_scale = 2.0 * sum(loc.evse_count + 0.5 for loc in scenario.locations)
+    half_scale = price_scale(scenario) / 2
     cable_lows, cable_highs, energy_lows, energy_highs = [], [], [], []
     for user in users:
         for option in options_by_user.get(user.user_id, ()):

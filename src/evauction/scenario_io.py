@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -80,14 +80,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             }
             for l in scenario.locations
         ],
-        "bounds": {
-            "cable_low": scenario.bounds.cable_low,
-            "cable_high": scenario.bounds.cable_high,
-            "energy_low": scenario.bounds.energy_low,
-            "energy_high": scenario.bounds.energy_high,
-            "generation_low": scenario.bounds.generation_low,
-            "generation_high": scenario.bounds.generation_high,
-        },
+        "bounds": asdict(scenario.bounds),
         "energy_levels": list(scenario.energy_levels),
     }
 

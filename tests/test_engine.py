@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import pricing
-from evauction.engine import AuctionState, admit, quote, run_auction
+from evauction.engine import AuctionState, _price_snapshot, admit, quote, run_auction
+from evauction.model import procurement_capacity
 from evauction.oracle import empirical_ratio, exhaustive_options, no_mechanism_baseline
 
 from instances import random_instance
@@ -95,7 +97,7 @@ def test_price_is_linear_in_the_option(s1, data):
     state = AuctionState(sc, sc.bounds, mode)
     T = sc.slot_count
     pool = sc.pools[0]
-    caps = state.demand.procurement_cap(pool.pool_id)
+    caps = procurement_capacity(pool, mode)
 
     def loads(cap):
         return st.lists(st.floats(0.0, float(cap)), min_size=T, max_size=T)
@@ -127,6 +129,52 @@ def test_price_is_linear_in_the_option(s1, data):
             feasible &= pool_load[t] + e <= caps[t]
     assert (q.cable, q.energy, q.generation) == (cable, energy, generation)
     assert q.feasible == feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_heuristic_ranks_slots_by_posted_prices(s1, data):
+    """The heuristic's slot price is the posted energy price at the
+    least-loaded EVSE plus the posted procurement price, and a slot
+    without procurement capacity is priced inf."""
+    scenario, _ = s1
+    loc = dataclasses.replace(scenario.locations[0], evse_count=3, max_charge_rate=2.0)
+    T = scenario.slot_count
+    no_cap = data.draw(st.lists(st.booleans(), min_size=T, max_size=T))
+    base = scenario.pools[0]
+    pool = dataclasses.replace(
+        base,
+        solar_actual=np.where(no_cap, 0.0, base.solar_actual),
+        solar_lower=np.where(no_cap, 0.0, base.solar_lower),
+        grid_limit=np.where(no_cap, 0.0, base.grid_limit),
+    )
+    sc = dataclasses.replace(scenario, locations=(loc,), pools=(pool,))
+    mode = data.draw(st.sampled_from(["exact", "conservative"]))
+    state = AuctionState(sc, sc.bounds, mode)
+    caps = procurement_capacity(pool, mode)
+    energy_load = [
+        data.draw(st.lists(st.floats(0.0, loc.max_charge_rate), min_size=T, max_size=T))
+        for _ in range(loc.evse_count)
+    ]
+    pool_load = [data.draw(st.floats(0.0, float(cap))) for cap in caps]
+    state.demand.energy[1][:] = energy_load
+    state.demand.procurement[pool.pool_id][:] = pool_load
+    w0 = data.draw(st.integers(0, T - 1))
+    w1 = data.draw(st.integers(w0 + 1, T))
+
+    series = _price_snapshot(state, 1, w0, w1)
+
+    k = pricing.price_scale(sc)
+    b = sc.bounds
+    expected = []
+    for t in range(w0, w1):
+        least = min(row[t] for row in energy_load)
+        if caps[t] > 0:
+            gen = pricing.generation_price(pool_load[t], pool, t + 1, b, k, mode)
+            expected.append(pricing.energy_price(least, loc.max_charge_rate, b, k) + gen)
+        else:
+            expected.append(math.inf)
+    assert series == expected
 
 
 def test_admit_accepts_profitable_user(s1):

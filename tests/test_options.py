@@ -86,9 +86,9 @@ def test_heuristic_cheapest_uses_snapshot(s1):
     scenario, _ = s1
     user = _user(s1, 1, 4, 1)
     # slot 3 is by far the cheapest; the cheapest-fill schedule must use it
-    snapshot = lambda lid: np.array([5.0, 5.0, 0.01, 5.0])
+    prices = {1: [5.0, 5.0, 0.01, 5.0]}
     opts = ev.generate_options(
-        user, scenario, "heuristic-3", price_snapshot=snapshot, rng=np.random.default_rng(0)
+        user, scenario, "heuristic-3", slot_prices=prices, rng=np.random.default_rng(0)
     )
     assert (0, 0, 1, 0) in {o.schedule for o in opts}
 

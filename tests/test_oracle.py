@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import oracle
@@ -35,6 +37,8 @@ def _user(uid, value, arrival=1, departure=4, demand=2.0, locs=(1,)):
 def test_bad_pinned_options_are_violations(s1, entry):
     scenario, _ = s1
     user = _user(1, 2.0, arrival=1, departure=2, demand=1.0)
+    unkeyed = _user(2, 2.0, arrival=1, departure=2, demand=1.0)  # no key: not "no options"
+    unoffered = _user(3, 2.0, arrival=1, departure=2, demand=1.0)  # [] is legal: no options
     pinned = {
         1: [
             ev.ChargeOption(location_id=1, start=2, schedule=(1, 0)),  # starts after arrival
@@ -42,15 +46,17 @@ def test_bad_pinned_options_are_violations(s1, entry):
             ev.ChargeOption(location_id=77, start=1, schedule=(1, 0)),
             ev.ChargeOption(location_id=1, start=1, schedule=(1, 0)),
         ],
+        3: [],
         99: [ev.ChargeOption(location_id=1, start=1, schedule=(1, 0))],  # names no user
     }
+    users = [user, unkeyed, unoffered]
     run = {
         "run_auction": lambda: ev.run_auction(
-            scenario, [user], scenario.bounds, options_by_user=pinned
+            scenario, users, scenario.bounds, options_by_user=pinned
         ),
-        "solve_offline_exact": lambda: solve_offline_exact(scenario, [user], pinned),
+        "solve_offline_exact": lambda: solve_offline_exact(scenario, users, pinned),
         "no_mechanism_baseline": lambda: no_mechanism_baseline(
-            scenario, [user], options_by_user=pinned
+            scenario, users, options_by_user=pinned
         ),
     }[entry]
     with pytest.raises(ev.ScenarioValidationError) as err:
@@ -60,10 +66,29 @@ def test_bad_pinned_options_are_violations(s1, entry):
         "options[1][0]",
         "options[1][1]",
         "options[1][2]",
+        "options[2]",
         "options[99]",
     ]
     assert "unknown location 77" in violations[2].message
-    assert violations[3].message == "names no user"
+    assert violations[3].message.startswith("missing")
+    assert violations[4].message == "names no user"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_oracle_sandwich_and_determinism(seed):
+    """On pinned options: bound >= exact >= online and exact >= baseline,
+    and a rerun of the online run gives the identical ledger."""
+    scenario, users, options, _ = micro_instance(seed)
+    bounds = scenario.bounds
+    online = ev.run_auction(scenario, users, bounds, options_by_user=options)
+    exact = solve_offline_exact(scenario, users, options).welfare
+    baseline = no_mechanism_baseline(scenario, users, options_by_user=options).welfare
+    assert offline_upper_bound(scenario, users) >= exact - 1e-9
+    assert exact >= online.welfare - 1e-9
+    assert exact >= baseline - 1e-9
+    rerun = ev.run_auction(scenario, users, bounds, options_by_user=options)
+    assert rerun.ledger == online.ledger
 
 
 def test_single_user_within_solar(s1):
