@@ -211,11 +211,6 @@ class Scenario:
         object.__setattr__(self, "pools", tuple(self.pools))
         object.__setattr__(self, "locations", tuple(self.locations))
         object.__setattr__(self, "energy_levels", tuple(sorted(set(int(v) for v in self.energy_levels))))
-        # id indexes, built in reverse so that on a duplicate id the first
-        # definition wins (validate_scenario reports the duplicate)
-        by_loc = {loc.location_id: loc for loc in reversed(self.locations)}
-        object.__setattr__(self, "_location_by_id", by_loc)
-        object.__setattr__(self, "_pool_by_id", {p.pool_id: p for p in reversed(self.pools)})
 
     @property
     def slot_count(self) -> int:
@@ -226,16 +221,16 @@ class Scenario:
         return tuple(sorted(loc.location_id for loc in self.locations))
 
     def location(self, location_id: int) -> Location:
-        try:
-            return self._location_by_id[location_id]
-        except KeyError:
-            raise ValueError(f"unknown location_id {location_id}") from None
+        for loc in self.locations:
+            if loc.location_id == location_id:
+                return loc
+        raise ValueError(f"unknown location_id {location_id}")
 
     def pool(self, pool_id: int) -> GenerationPool:
-        try:
-            return self._pool_by_id[pool_id]
-        except KeyError:
-            raise ValueError(f"unknown pool_id {pool_id}") from None
+        for pool in self.pools:
+            if pool.pool_id == pool_id:
+                return pool
+        raise ValueError(f"unknown pool_id {pool_id}")
 
     def pool_of(self, location_id: int) -> GenerationPool:
         return self.pool(self.location(location_id).pool_id)

@@ -94,15 +94,20 @@ def solve_offline_exact(
     With ``prune`` on, subtrees that cannot beat the incumbent are cut
     (remaining users credited their best valuation for free) and EVSEs in
     identical state are collapsed; with it off the search is a naive full
-    enumeration. Both return the same welfare.
+    enumeration. Both return the same welfare. A tree of more than
+    ``budget`` leaves raises ``OracleBudgetExceeded`` before the inputs are
+    validated, unless a user has no key (a validation violation).
     """
-    violations = validate_scenario(scenario, users, options_by_user)
-    if violations:
-        raise ScenarioValidationError(violations)
-    if search_budget(scenario, users, options_by_user) > budget:
+    # the leaf count needs only the option counts; the per-option checks
+    # would dominate on an instance this large
+    keyed = all(u.user_id in options_by_user for u in users)
+    if keyed and search_budget(scenario, users, options_by_user) > budget:
         raise OracleBudgetExceeded(
             f"search tree exceeds {budget} leaves; use offline_upper_bound instead"
         )
+    violations = validate_scenario(scenario, users, options_by_user)
+    if violations:
+        raise ScenarioValidationError(violations)
 
     ordered = sorted(users, key=lambda u: (u.submission_time, u.user_id))
     n = len(ordered)

@@ -179,14 +179,15 @@ def compute_bounds(
     This is experiment tooling: the online engine takes bounds as given
     (it cannot see future users). Lower bounds divide each value by twice
     the station-scale sum times the option's total resource use; upper
-    bounds are the largest value per unit actually requested.
+    bounds are the largest value per unit actually requested. Every user
+    needs a key in ``options_by_user`` (an empty list for none).
     """
     if not users:
         raise ValueError("cannot compute bounds from an empty user list")
     half_scale = price_scale(scenario) / 2
     cable_lows, cable_highs, energy_lows, energy_highs = [], [], [], []
     for user in users:
-        for option in options_by_user.get(user.user_id, ()):
+        for option in options_by_user[user.user_id]:
             value = user.valuation_at(option.location_id)
             cable_lows.append(value / (half_scale * len(option.schedule)))
             cable_highs.append(value)  # one cable per slot

@@ -61,7 +61,9 @@ def micro_sweep():
         scenario, users, options, _ = micro_instance(seed)
         exact = solve_offline_exact(scenario, users, options, prune=True).welfare
         naive = solve_offline_exact(scenario, users, options, prune=False).welfare
-        online = run_auction(scenario, users, scenario.bounds, options_by_user=options).welfare
+        online = run_auction(scenario, users, scenario.bounds, options_by_user=options)
+        rerun = run_auction(scenario, users, scenario.bounds, options_by_user=options)
+        baseline = no_mechanism_baseline(scenario, users, options_by_user=options).welfare
         bound = offline_upper_bound(scenario, users)
         rows.append(
             {
@@ -71,7 +73,9 @@ def micro_sweep():
                 "users": len(users),
                 "exact": exact,
                 "naive": naive,
-                "online": online,
+                "online": online.welfare,
+                "rerun_identical": rerun.ledger == online.ledger,
+                "baseline": baseline,
                 "bound": bound,
             }
         )
@@ -230,6 +234,10 @@ def test_c6_oracle_sandwich(micro_sweep):
             bad.append((row["seed"], "sandwich"))
         if abs(row["exact"] - row["naive"]) > TOL:
             bad.append((row["seed"], "naive mismatch"))
+        if row["exact"] < row["baseline"] - TOL:
+            bad.append((row["seed"], "baseline above exact"))
+        if not row["rerun_identical"]:
+            bad.append((row["seed"], "rerun ledger differs"))
     _verdict(
         "C6 oracle sandwich",
         not bad and elapsed < 60.0,

@@ -131,22 +131,6 @@ def test_option_unknown_location_raises(s1):
         ev.option_is_feasible(ghost, user, scenario)
 
 
-def test_scenario_lookup_first_definition_wins(s1):
-    scenario, _ = s1
-    loc, pool = scenario.locations[0], scenario.pools[0]
-    sc = dataclasses.replace(
-        scenario,
-        locations=(loc, dataclasses.replace(loc, evse_count=9)),
-        pools=(pool, dataclasses.replace(pool, grid_price=pool.grid_price * 2)),
-    )
-    assert sc.location(loc.location_id) is sc.locations[0]
-    assert sc.pool(pool.pool_id) is sc.pools[0]
-    assert sc.pool_of(loc.location_id) is sc.pools[0]
-    for lookup in (sc.location, sc.pool):
-        with pytest.raises(ValueError, match="unknown"):
-            lookup(77)
-
-
 def test_demand_state_consistency():
     scenario, users, mode = random_instance(3, max_users=60)
     options = {

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import oracle
@@ -74,23 +72,6 @@ def test_bad_pinned_options_are_violations(s1, entry):
     assert violations[4].message == "names no user"
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_oracle_sandwich_and_determinism(seed):
-    """On pinned options: bound >= exact >= online and exact >= baseline,
-    and a rerun of the online run gives the identical ledger."""
-    scenario, users, options, _ = micro_instance(seed)
-    bounds = scenario.bounds
-    online = ev.run_auction(scenario, users, bounds, options_by_user=options)
-    exact = solve_offline_exact(scenario, users, options).welfare
-    baseline = no_mechanism_baseline(scenario, users, options_by_user=options).welfare
-    assert offline_upper_bound(scenario, users) >= exact - 1e-9
-    assert exact >= online.welfare - 1e-9
-    assert exact >= baseline - 1e-9
-    rerun = ev.run_auction(scenario, users, bounds, options_by_user=options)
-    assert rerun.ledger == online.ledger
-
-
 def test_single_user_within_solar(s1):
     scenario, users = s1
     opts = exhaustive_options(scenario, users)
@@ -131,6 +112,15 @@ def test_budget_gate(s1):
     opts = exhaustive_options(scenario, users)
     with pytest.raises(OracleBudgetExceeded):
         solve_offline_exact(scenario, users, opts, budget=10)
+    # the leaf count is checked before the options are validated...
+    ghost = ev.ChargeOption(location_id=77, start=1, schedule=(1, 1, 0, 0))
+    bad = {**opts, 1: opts[1] + [ghost]}
+    with pytest.raises(OracleBudgetExceeded):
+        solve_offline_exact(scenario, users, bad, budget=10)
+    # ...unless a user has no key
+    del bad[1]
+    with pytest.raises(ev.ScenarioValidationError):
+        solve_offline_exact(scenario, users, bad, budget=10)
 
 
 def test_pruned_equals_naive_small():

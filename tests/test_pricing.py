@@ -152,6 +152,13 @@ def test_compute_bounds_empty_raises(s1):
         pricing.compute_bounds([], {}, scenario)
 
 
+def test_compute_bounds_missing_key_raises(s1):
+    scenario, user, option = _one_user_setup(s1)
+    twin = dataclasses.replace(user, user_id=2)
+    with pytest.raises(KeyError):
+        pricing.compute_bounds([user, twin], {1: [option]}, scenario)
+
+
 def test_alpha_values(s1):
     scenario, _ = s1
     b = scenario.bounds
