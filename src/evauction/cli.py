@@ -78,18 +78,16 @@ def write_locations_csv(outcome: AuctionOutcome, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _alphas(scenario: Scenario) -> tuple:
+def _alpha(alpha, scenario: Scenario):
+    """``alpha(scenario, scenario.bounds)``, or None when its preconditions
+    fail; each ratio constant in a summary stands on its own."""
     try:
-        return (
-            pricing.alpha_1(scenario, scenario.bounds),
-            pricing.alpha_2(scenario, scenario.bounds),
-        )
+        return alpha(scenario, scenario.bounds)
     except pricing.ConfigurationError:
-        return (None, None)
+        return None
 
 
 def _summary(scenario_path, users_path, scenario, outcome: AuctionOutcome) -> dict:
-    a1, a2 = _alphas(scenario)
     return {
         "scenario_digest": _digest(scenario_path),
         "users_digest": _digest(users_path),
@@ -97,8 +95,8 @@ def _summary(scenario_path, users_path, scenario, outcome: AuctionOutcome) -> di
         "policy": outcome.policy,
         "seed": outcome.seed,
         "bounds": asdict(scenario.bounds),
-        "alpha_1": a1,
-        "alpha_2": a2,
+        "alpha_1": _alpha(pricing.alpha_1, scenario),
+        "alpha_2": _alpha(pricing.alpha_2, scenario),
         "welfare": outcome.welfare,
         "revenue": outcome.revenue,
         "operational_cost": outcome.operational_cost,
@@ -179,14 +177,13 @@ def cmd_compare(args) -> int:
         )
     (out / "welfare_by_location.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_ledger_csv(online, out / "ledger.csv")
-    a1, a2 = _alphas(scenario)
     summary = {
         "scenario_digest": _digest(args.scenario),
         "users_digest": _digest(args.users),
         "mode": args.mode,
         "seed": args.seed,
-        "alpha_1": a1,
-        "alpha_2": a2,
+        "alpha_1": _alpha(pricing.alpha_1, scenario),
+        "alpha_2": _alpha(pricing.alpha_2, scenario),
         "online_welfare": online.welfare,
         "online_revenue": online.revenue,
         "baseline_welfare": baseline.welfare,
@@ -209,29 +206,7 @@ def cmd_validate_dapr(args) -> int:
         for v in violations:
             print(f"validation: {v}", file=sys.stderr)
         return EXIT_VALIDATION
-    bounds = scenario.bounds
-    curves = []  # (label, inputs, alpha)
-    for lid in scenario.location_ids:
-        curves.append(
-            (f"cable[{lid}]", pricing.cable_dapr_inputs(scenario, lid, bounds),
-             pricing.cable_alpha(scenario, bounds))
-        )
-        curves.append(
-            (f"energy[{lid}]", pricing.energy_dapr_inputs(scenario, lid, bounds),
-             pricing.energy_alpha(scenario, bounds))
-        )
-    gen_alpha = pricing.alpha_1(scenario, bounds) if args.mode == "exact" else pricing.alpha_2(scenario, bounds)
-    for pid in sorted({loc.pool_id for loc in scenario.locations}):
-        pool = scenario.pool(pid)
-        for t in range(1, scenario.slot_count + 1):
-            curves.append(
-                (
-                    f"generation[{pid}]@t{t}",
-                    pricing.generation_dapr_inputs(scenario, pool, t, bounds, mode=args.mode),
-                    gen_alpha,
-                )
-            )
-
+    curves = pricing.dapr_curves(scenario, scenario.bounds, args.mode)
     rows = ["curve,y,price,slack"]
     worst = (math.inf, "")
     failures = 0

@@ -316,13 +316,6 @@ class DemandState:
         self.energy[lid][evse_index, window] += energy
         self.procurement[pid][window] += energy
 
-    def procurement_from_energy(self, pool_id: int) -> np.ndarray:
-        """Recompute pool demand from per-EVSE energy (consistency check)."""
-        total = np.zeros(self.scenario.slot_count)
-        for loc in self.scenario.locations:
-            if loc.pool_id == pool_id:
-                total += self.energy[loc.location_id].sum(axis=0)
-        return total
 
 
 def integral_demand(demand: float) -> Optional[int]:

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import pricing
-from .engine import AuctionOutcome, AuctionState, operational_cost, run_auction, run_in_order
+from .engine import AuctionOutcome, AuctionState, operational_cost, run_in_order
 from .model import (
     AllocationResult,
     ChargeOption,
@@ -25,7 +24,6 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     UserType,
-    ValueBounds,
     procurement_capacity,
     validate_scenario,
 )
@@ -34,13 +32,12 @@ from .options import generate_options
 __all__ = [
     "OfflineSolution",
     "OracleBudgetExceeded",
-    "RatioReport",
-    "empirical_ratio",
     "exhaustive_options",
     "no_mechanism_baseline",
     "offline_upper_bound",
     "search_budget",
     "solve_offline_exact",
+    "upper_bound_by_location",
     "welfare_ratio",
 ]
 
@@ -318,17 +315,6 @@ def _first_fit(
     return state.settle(AllocationResult(user_id=user.user_id, accepted=False))
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Observed offline/online welfare ratio next to the guarantees."""
-
-    ratio: float
-    alpha_1: float
-    alpha_2: float
-    online_welfare: float
-    offline_welfare: float
-
-
 def welfare_ratio(offline_welfare: float, online_welfare: float) -> float:
     """Offline over online welfare: 1 when the offline welfare is not
     positive, an infinite sentinel when only the online welfare is 0."""
@@ -337,23 +323,3 @@ def welfare_ratio(offline_welfare: float, online_welfare: float) -> float:
     if online_welfare == 0.0:
         return math.inf
     return offline_welfare / online_welfare
-
-
-def empirical_ratio(
-    scenario: Scenario,
-    users: Sequence[UserType],
-    bounds: ValueBounds,
-    budget: int = 10_000_000,
-) -> RatioReport:
-    """Exact offline welfare over online welfare (``welfare_ratio``), both
-    on the same exhaustive options."""
-    opts = exhaustive_options(scenario, users)
-    online = run_auction(scenario, users, bounds, options_by_user=opts).welfare  # validates bounds
-    offline = solve_offline_exact(scenario, users, opts, budget=budget).welfare
-    return RatioReport(
-        ratio=welfare_ratio(offline, online),
-        alpha_1=pricing.alpha_1(scenario, bounds),
-        alpha_2=pricing.alpha_2(scenario, bounds),
-        online_welfare=online,
-        offline_welfare=offline,
-    )

@@ -1,4 +1,5 @@
-"""Cost functions, their convex conjugates, and the posted price curves.
+"""The posted price curves, their ratio constants and the allocation-payment
+check.
 
 Every price here is a pure function of the current allocated quantity, so
 "updating prices" after an admission is just re-evaluation at the new
@@ -7,12 +8,19 @@ tied to the lowest user value (so an empty resource admits anyone) up to
 the highest user value at full capacity (so a full resource rejects
 everyone). Procurement additionally floors the curve at the grid price so
 no admitted kWh is ever sold below its purchase cost.
+
+The welfare guarantees rest on the differential allocation-payment (DAPR)
+inequality: each curve must satisfy it at a ratio constant, ``alpha_1``
+under accurate solar and ``alpha_2`` when pricing against the lower band
+of the solar forecast. ``dapr_curves`` lists every curve with its cost and
+conjugate slopes and its constant; ``verify_dapr`` checks one numerically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,20 +39,11 @@ __all__ = [
     "DaprReport",
     "alpha_1",
     "alpha_2",
-    "cable_alpha",
-    "cable_dapr_inputs",
     "cable_price",
     "compute_bounds",
-    "conjugate_cable",
-    "conjugate_energy",
-    "conjugate_generation",
-    "energy_alpha",
-    "energy_dapr_inputs",
+    "dapr_curves",
     "energy_price",
     "exp_price",
-    "generation_capacity",
-    "generation_cost",
-    "generation_dapr_inputs",
     "generation_price",
     "price_scale",
     "procurement_price",
@@ -63,49 +62,6 @@ def price_scale(scenario: Scenario) -> float:
     admit-anyone base price and steepens the ramp toward capacity.
     """
     return 4.0 * sum(loc.evse_count + 0.5 for loc in scenario.locations)
-
-
-def generation_cost(y: float, pool: GenerationPool, t: int) -> float:
-    """Operational cost of supplying ``y`` kWh at slot ``t`` (1-based).
-
-    Zero while demand fits within on-site solar, then the grid price per
-    extra kWh up to the procurement limit, then ``math.inf``. The infinite
-    branch is a sentinel: callers must keep demand inside the limit, and
-    welfare accounting never sums it.
-    """
-    if y < 0:
-        raise ValueError("demand must be >= 0")
-    solar = float(pool.solar_actual[t - 1])
-    limit = float(pool.grid_limit[t - 1])
-    if y <= solar:
-        return 0.0
-    if y <= solar + limit:
-        return float(pool.grid_price[t - 1]) * (y - solar)
-    return math.inf
-
-
-def conjugate_cable(price: float, cables_per_evse: int) -> float:
-    """Convex conjugate of the (free, capacitated) cable resource cost."""
-    if price < 0:
-        raise ValueError("price must be >= 0")
-    return price * cables_per_evse
-
-
-def conjugate_energy(price: float, max_charge_rate: float) -> float:
-    """Convex conjugate of the (free, capacitated) EVSE energy cost."""
-    if price < 0:
-        raise ValueError("price must be >= 0")
-    return price * max_charge_rate
-
-
-def conjugate_generation(price: float, pool: GenerationPool, t: int) -> float:
-    """Convex conjugate of the piecewise-linear procurement cost."""
-    solar = float(pool.solar_actual[t - 1])
-    grid_price = float(pool.grid_price[t - 1])
-    limit = float(pool.grid_limit[t - 1])
-    if price < grid_price:
-        return solar * price
-    return (solar + limit) * price - limit * grid_price
 
 
 def exp_price(y, cap, low, high, k):
@@ -138,11 +94,6 @@ def energy_price(y: float, max_charge_rate: float, bounds: ValueBounds, k: float
     return exp_price(y, max_charge_rate, bounds.energy_low, bounds.energy_high, k)
 
 
-def generation_capacity(pool: GenerationPool, t: int, mode: str = "exact") -> float:
-    """Procurement ceiling at slot ``t`` (``model.procurement_capacity``)."""
-    return float(procurement_capacity(pool, mode)[t - 1])
-
-
 def generation_price(
     y: float,
     pool: GenerationPool,
@@ -161,7 +112,7 @@ def generation_price(
         raise ConfigurationError(
             f"generation_low {bounds.generation_low} must exceed grid price {grid_price}"
         )
-    cap = generation_capacity(pool, t, mode)
+    cap = float(procurement_capacity(pool, mode)[t - 1])
     if cap <= 0:
         raise ConfigurationError(f"no procurement capacity at slot {t}")
     if not 0 <= y <= cap:
@@ -215,69 +166,50 @@ def _pools_in_use(scenario: Scenario) -> list[GenerationPool]:
     return seen
 
 
-def alpha_1(scenario: Scenario, bounds: ValueBounds) -> float:
-    """Worst-case welfare ratio guaranteed under accurate solar data."""
+def _log_ramp(k: float, high: float, low: float) -> float:
+    """Log of a curve's top-to-bottom price ratio; every ratio constant is
+    twice the worst of these over its curves."""
+    return math.log(k * high / low)
+
+
+def _generation_alpha(scenario: Scenario, bounds: ValueBounds, banded: bool) -> float:
+    """Twice the worst procurement ramp over the pools in use and their
+    slots. The ramp is taken over the margin above the grid price; with
+    ``banded`` it is scaled by the slot's upper-to-lower capacity spread of
+    the solar forecast band."""
     k = price_scale(scenario)
     worst = 0.0
     for pool in _pools_in_use(scenario):
+        if banded and np.any(pool.solar_lower > pool.solar_upper):
+            raise ConfigurationError(f"pool {pool.pool_id} has an inverted forecast band")
+        low_caps = procurement_capacity(pool, "conservative")
         for t in range(1, scenario.slot_count + 1):
             grid_price = float(pool.grid_price[t - 1])
             if bounds.generation_low <= grid_price:
                 raise ConfigurationError(
                     f"generation_low must exceed grid price {grid_price} (pool {pool.pool_id}, slot {t})"
                 )
-            worst = max(
-                worst,
-                math.log(
-                    k
-                    * (bounds.generation_high - grid_price)
-                    / (bounds.generation_low - grid_price)
-                ),
-            )
+            spread = 1.0
+            if banded:
+                low_cap = float(low_caps[t - 1])
+                if low_cap <= 0:
+                    raise ConfigurationError(
+                        f"pool {pool.pool_id} has no conservative capacity at slot {t}"
+                    )
+                spread = (float(pool.solar_upper[t - 1]) + float(pool.grid_limit[t - 1])) / low_cap
+            ramp = _log_ramp(k, bounds.generation_high - grid_price, bounds.generation_low - grid_price)
+            worst = max(worst, spread * ramp)
     return 2.0 * worst
+
+
+def alpha_1(scenario: Scenario, bounds: ValueBounds) -> float:
+    """Worst-case welfare ratio guaranteed under accurate solar data."""
+    return _generation_alpha(scenario, bounds, banded=False)
 
 
 def alpha_2(scenario: Scenario, bounds: ValueBounds) -> float:
     """Worst-case welfare ratio when pricing against the solar lower band."""
-    k = price_scale(scenario)
-    worst = 0.0
-    for pool in _pools_in_use(scenario):
-        if np.any(pool.solar_lower > pool.solar_upper):
-            raise ConfigurationError(f"pool {pool.pool_id} has an inverted forecast band")
-        for t in range(1, scenario.slot_count + 1):
-            grid_price = float(pool.grid_price[t - 1])
-            if bounds.generation_low <= grid_price:
-                raise ConfigurationError(
-                    f"generation_low must exceed grid price {grid_price} (pool {pool.pool_id}, slot {t})"
-                )
-            low_cap = generation_capacity(pool, t, "conservative")
-            high_cap = float(pool.solar_upper[t - 1]) + float(pool.grid_limit[t - 1])
-            if low_cap <= 0:
-                raise ConfigurationError(
-                    f"pool {pool.pool_id} has no conservative capacity at slot {t}"
-                )
-            worst = max(
-                worst,
-                (high_cap / low_cap)
-                * math.log(
-                    k
-                    * (bounds.generation_high - grid_price)
-                    / (bounds.generation_low - grid_price)
-                ),
-            )
-    return 2.0 * worst
-
-
-def cable_alpha(scenario: Scenario, bounds: ValueBounds) -> float:
-    """Ratio constant matched to the cable curve's ramp."""
-    k = price_scale(scenario)
-    return 2.0 * math.log(k * bounds.cable_high / bounds.cable_low)
-
-
-def energy_alpha(scenario: Scenario, bounds: ValueBounds) -> float:
-    """Ratio constant matched to the EVSE energy curve's ramp."""
-    k = price_scale(scenario)
-    return 2.0 * math.log(k * bounds.energy_high / bounds.energy_low)
+    return _generation_alpha(scenario, bounds, banded=True)
 
 
 @dataclass(frozen=True)
@@ -298,8 +230,8 @@ class DaprReport:
 
 def verify_dapr(
     price_fn: Callable[[float], float],
-    cost_derivative: Callable[[float], float],
-    conjugate_derivative: Callable[[float], float],
+    cost_slope: Callable[[float], float],
+    conj_slope: Callable[[float], float],
     cap: float,
     alpha: float,
     grid_points: int = 1000,
@@ -313,10 +245,12 @@ def verify_dapr(
         (price(y) - cost'(y)) * dy  >=  (1/alpha) * conj'(price(y)) * dp
 
     at every interval. The check passes when no slack drops below
-    ``tolerance``.
+    ``tolerance``. ``alpha`` must be finite and positive.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     ys = np.linspace(0.0, cap, grid_points)
     prices = [price_fn(float(y)) for y in ys]
     dy = cap / (grid_points - 1)
@@ -327,7 +261,7 @@ def verify_dapr(
         y = float(ys[i])
         p = prices[i]
         dp = prices[i + 1] - p
-        slack = (p - cost_derivative(y)) * dy - (conjugate_derivative(p) / alpha) * dp
+        slack = (p - cost_slope(y)) * dy - (conj_slope(p) / alpha) * dp
         rows.append((y, p, slack))
         if slack < min_slack:
             min_slack = slack
@@ -341,17 +275,41 @@ def verify_dapr(
     )
 
 
-def generation_dapr_inputs(
-    scenario: Scenario,
-    pool: GenerationPool,
-    t: int,
-    bounds: ValueBounds,
-    mode: str = "exact",
-):
-    """Price curve, exact branch derivatives, and domain cap for one
-    procurement curve. The cost side always uses actual solar, even when
-    the curve prices against the conservative band."""
+def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") -> list:
+    """Every posted curve with the inputs of ``verify_dapr`` and its ratio
+    constant, as ``(label, (price, cost', conj', cap), alpha)``.
+
+    The order is ``cable[lid]`` and ``energy[lid]`` per location, then
+    ``generation[pid]@t{t}`` per pool in use and slot. Cables and EVSE
+    energy are free up to capacity, so their cost slope is zero and their
+    conjugate slope is the capacity. Procurement is checked at ``alpha_1``
+    in ``exact`` mode and at ``alpha_2`` in ``conservative`` mode; its cost
+    side always uses actual solar, even when the curve prices against the
+    lower band.
+    """
     k = price_scale(scenario)
+    cable_alpha = 2.0 * _log_ramp(k, bounds.cable_high, bounds.cable_low)
+    energy_alpha = 2.0 * _log_ramp(k, bounds.energy_high, bounds.energy_low)
+    curves = []
+    for loc in scenario.locations:
+        cables, rate = loc.cables_per_evse, loc.max_charge_rate
+        cable = partial(cable_price, cables_per_evse=cables, bounds=bounds, k=k)
+        energy = partial(energy_price, max_charge_rate=rate, bounds=bounds, k=k)
+        curves.append((f"cable[{loc.location_id}]", _free_resource(cable, cables), cable_alpha))
+        curves.append((f"energy[{loc.location_id}]", _free_resource(energy, rate), energy_alpha))
+    gen_alpha = alpha_1(scenario, bounds) if mode == "exact" else alpha_2(scenario, bounds)
+    for pool in _pools_in_use(scenario):
+        for t in range(1, scenario.slot_count + 1):
+            inputs = _procurement_inputs(pool, t, bounds, k, mode)
+            curves.append((f"generation[{pool.pool_id}]@t{t}", inputs, gen_alpha))
+    return curves
+
+
+def _free_resource(price: Callable[[float], float], cap: float) -> tuple:
+    return price, (lambda y: 0.0), (lambda p: float(cap)), float(cap)
+
+
+def _procurement_inputs(pool: GenerationPool, t: int, bounds: ValueBounds, k: float, mode: str) -> tuple:
     solar = float(pool.solar_actual[t - 1])
     grid_price = float(pool.grid_price[t - 1])
     limit = float(pool.grid_limit[t - 1])
@@ -359,34 +317,10 @@ def generation_dapr_inputs(
     def price(y: float) -> float:
         return generation_price(y, pool, t, bounds, k, mode)
 
-    def cost_derivative(y: float) -> float:
+    def cost_slope(y: float) -> float:
         return 0.0 if y <= solar else grid_price
 
-    def conjugate_derivative(p: float) -> float:
+    def conj_slope(p: float) -> float:
         return solar if p < grid_price else solar + limit
 
-    return price, cost_derivative, conjugate_derivative, generation_capacity(pool, t, mode)
-
-
-def cable_dapr_inputs(scenario: Scenario, location_id: int, bounds: ValueBounds):
-    """Curve and derivatives for one location's cable resource (free up to
-    capacity, so the cost derivative is zero and the conjugate slope is the
-    cable count)."""
-    k = price_scale(scenario)
-    cables = scenario.location(location_id).cables_per_evse
-
-    def price(y: float) -> float:
-        return cable_price(y, cables, bounds, k)
-
-    return price, (lambda y: 0.0), (lambda p: float(cables)), float(cables)
-
-
-def energy_dapr_inputs(scenario: Scenario, location_id: int, bounds: ValueBounds):
-    """Curve and derivatives for one location's EVSE energy resource."""
-    k = price_scale(scenario)
-    rate = scenario.location(location_id).max_charge_rate
-
-    def price(y: float) -> float:
-        return energy_price(y, rate, bounds, k)
-
-    return price, (lambda y: 0.0), (lambda p: float(rate)), float(rate)
+    return price, cost_slope, conj_slope, float(procurement_capacity(pool, mode)[t - 1])

@@ -14,6 +14,7 @@ import evauction as ev
 from evauction import pricing
 from evauction.cli import main as cli_main
 from evauction.engine import run_auction
+from evauction.model import procurement_capacity
 from evauction.oracle import (
     exhaustive_options,
     no_mechanism_baseline,
@@ -103,8 +104,9 @@ def test_c1_pricing_boundary_identities(scenarios):
             curves += 2
         for pool in scenario.pools:
             for mode in ("exact", "conservative"):
+                caps = procurement_capacity(pool, mode)
                 for t in range(1, scenario.slot_count + 1):
-                    cap = pricing.generation_capacity(pool, t, mode)
+                    cap = float(caps[t - 1])
                     grid = float(pool.grid_price[t - 1])
                     at_zero = pricing.generation_price(0.0, pool, t, b, k, mode)
                     at_cap = pricing.generation_price(cap, pool, t, b, k, mode)
@@ -124,25 +126,20 @@ def test_c2_dapr_at_alpha1(scenarios):
     ok = True
     notes = []
     for name, scenario in scenarios.items():
-        b = scenario.bounds
-        a1 = pricing.alpha_1(scenario, b)
+        a1 = pricing.alpha_1(scenario, scenario.bounds)
         gen_pass = True
         quarter_violated = False
-        for pool in scenario.pools:
-            for t in range(1, scenario.slot_count + 1):
-                inputs = pricing.generation_dapr_inputs(scenario, pool, t, b)
-                gen_pass &= pricing.verify_dapr(*inputs, alpha=a1, grid_points=1000).holds
-                if not quarter_violated:
-                    quarter_violated = not pricing.verify_dapr(
-                        *inputs, alpha=a1 / 4, grid_points=1000
-                    ).holds
         resource_pass = True
         resource_violated = True
-        for lid in scenario.location_ids:
-            for inputs, alpha in (
-                (pricing.cable_dapr_inputs(scenario, lid, b), pricing.cable_alpha(scenario, b)),
-                (pricing.energy_dapr_inputs(scenario, lid, b), pricing.energy_alpha(scenario, b)),
-            ):
+        for label, inputs, alpha in pricing.dapr_curves(scenario, scenario.bounds, "exact"):
+            if label.startswith("generation"):
+                gen_pass &= alpha == a1
+                gen_pass &= pricing.verify_dapr(*inputs, alpha=alpha, grid_points=1000).holds
+                if not quarter_violated:
+                    quarter_violated = not pricing.verify_dapr(
+                        *inputs, alpha=alpha / 4, grid_points=1000
+                    ).holds
+            else:
                 resource_pass &= pricing.verify_dapr(*inputs, alpha=alpha).holds
                 resource_violated &= not pricing.verify_dapr(*inputs, alpha=alpha / 4).holds
         ok &= gen_pass and quarter_violated and resource_pass and resource_violated
@@ -170,13 +167,14 @@ def test_c3_dapr_under_forecast_error(s1):
         banded = dataclasses.replace(scenario, pools=(pool,))
         a1 = pricing.alpha_1(banded, b)
         a2 = pricing.alpha_2(banded, b)
-        holds = all(
-            pricing.verify_dapr(
-                *pricing.generation_dapr_inputs(banded, banded.pools[0], t, b, mode="conservative"),
-                alpha=a2,
-                grid_points=1000,
-            ).holds
-            for t in range(1, banded.slot_count + 1)
+        generation = [
+            (inputs, alpha)
+            for label, inputs, alpha in pricing.dapr_curves(banded, b, "conservative")
+            if label.startswith("generation")
+        ]
+        holds = len(generation) == banded.slot_count and all(
+            alpha == a2 and pricing.verify_dapr(*inputs, alpha=alpha, grid_points=1000).holds
+            for inputs, alpha in generation
         )
         ok &= holds and a2 >= a1
         notes.append(f"band {frac}: a2={a2:.3f} {'holds' if holds else 'FAILS'}")

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from evauction import pricing
 from evauction.cli import main
+from evauction.scenario_io import load_scenario
 
 
 def _gen(tmp_path, preset="s1", seed=0, extra=()):
@@ -179,3 +181,37 @@ def test_downtown9_seed42_ledger_digest(tmp_path, key):
     assert code == 0
     digest = hashlib.sha256((out / "ledger.csv").read_bytes()).hexdigest()
     assert digest == DOWNTOWN9_SEED42_LEDGERS[key]
+
+
+def test_summary_alphas_stand_alone(tmp_path):
+    # no grid and no lower-band solar at slot 1: alpha_2 has no conservative
+    # capacity there, while alpha_1 is still defined
+    scenario, users = _gen(
+        tmp_path,
+        preset="downtown9",
+        seed=42,
+        extra=("--set", "pool.1.grid_limit=0", "--set", "users.count=50"),
+    )
+    loaded = load_scenario(scenario)
+    with pytest.raises(pricing.ConfigurationError, match="no conservative capacity"):
+        pricing.alpha_2(loaded, loaded.bounds)
+    out = tmp_path / "run"
+    code = main(
+        ["simulate", "--scenario", str(scenario), "--users", str(users), "--out", str(out)]
+    )
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["alpha_1"] == pricing.alpha_1(loaded, loaded.bounds)
+    assert summary["alpha_2"] is None
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+def test_validate_dapr_rejects_bad_alpha_scale(tmp_path, capsys, scale):
+    scenario, _ = _gen(tmp_path)
+    out = tmp_path / "dapr3"
+    code = main(
+        ["validate-dapr", "--scenario", str(scenario), "--out", str(out), f"--alpha-scale={scale}"]
+    )
+    assert code == 2
+    assert "alpha must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,7 +10,7 @@ import evauction as ev
 from evauction import pricing
 from evauction.engine import AuctionState, _price_snapshot, admit, quote, run_auction
 from evauction.model import procurement_capacity
-from evauction.oracle import empirical_ratio, exhaustive_options, no_mechanism_baseline
+from evauction.oracle import exhaustive_options, no_mechanism_baseline
 
 from instances import random_instance
 
@@ -263,7 +263,7 @@ def test_validation_failure_aborts(s1):
         run_auction(scenario, [bad_user], scenario.bounds)
 
 
-@pytest.mark.parametrize("entry", [run_auction, empirical_ratio], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [run_auction], ids=lambda f: f.__name__)
 def test_bounds_argument_is_validated(entry):
     scenario, users = ev.build_preset("downtown9", seed=42, user_count=50)
     below_grid = dataclasses.replace(scenario.bounds, energy_low=0.01, generation_low=0.01)

@@ -151,7 +151,10 @@ def test_demand_state_consistency():
             continue
         state.apply(opt, m)
     for pool in scenario.pools:
-        recomputed = state.procurement_from_energy(pool.pool_id)
+        recomputed = np.zeros(scenario.slot_count)
+        for loc in scenario.locations:
+            if loc.pool_id == pool.pool_id:
+                recomputed += state.energy[loc.location_id].sum(axis=0)
         np.testing.assert_array_equal(recomputed, state.procurement[pool.pool_id])
 
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import evauction as ev
-from evauction import oracle
+from evauction import oracle, pricing
 from evauction.oracle import (
     OracleBudgetExceeded,
-    empirical_ratio,
     exhaustive_options,
     no_mechanism_baseline,
     offline_upper_bound,
@@ -222,11 +221,18 @@ def test_baseline_earliest_fill_tiebreak(s1):
     assert outcome.ledger[0].option.schedule == (1, 0, 0)
 
 
+def _exact_over_online(scenario, users):
+    """(offline, online) welfare on the same exhaustive options, as
+    ``compare`` runs them."""
+    opts = exhaustive_options(scenario, users)
+    online = ev.run_auction(scenario, users, scenario.bounds, options_by_user=opts).welfare
+    return solve_offline_exact(scenario, users, opts).welfare, online
+
+
 def test_empirical_ratio_single_user(s1):
     scenario, users = s1
-    report = empirical_ratio(scenario, users, scenario.bounds)
-    assert report.ratio == pytest.approx(1.0)
-    assert report.alpha_1 == pytest.approx(2 * math.log(56), abs=1e-9)
+    assert welfare_ratio(*_exact_over_online(scenario, users)) == pytest.approx(1.0)
+    assert pricing.alpha_1(scenario, scenario.bounds) == pytest.approx(2 * math.log(56), abs=1e-9)
 
 
 def test_empirical_ratio_adversarial(s1):
@@ -239,9 +245,9 @@ def test_empirical_ratio_adversarial(s1):
         _user(1, 1.0, arrival=1, departure=4, demand=2.0),
         _user(2, 5.0, arrival=1, departure=4, demand=2.0),
     ]
-    report = empirical_ratio(sc, users, sc.bounds)
-    assert report.ratio > 1.0
-    assert report.ratio <= report.alpha_1
+    ratio = welfare_ratio(*_exact_over_online(sc, users))
+    assert ratio > 1.0
+    assert ratio <= pricing.alpha_1(sc, sc.bounds)
 
 
 @pytest.mark.parametrize(
@@ -255,6 +261,6 @@ def test_welfare_ratio_convention(offline, online, ratio):
 def test_empirical_ratio_worthless_users(s1):
     scenario, _ = s1
     users = [_user(1, 0.0, demand=1.0)]
-    report = empirical_ratio(scenario, users, scenario.bounds)
-    assert report.ratio == 1.0
-    assert report.offline_welfare == 0.0
+    offline, online = _exact_over_online(scenario, users)
+    assert offline == 0.0
+    assert welfare_ratio(offline, online) == 1.0

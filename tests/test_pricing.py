@@ -19,40 +19,6 @@ def test_price_scale(s1_parts):
     assert pricing.price_scale(scenario) == 6.0
 
 
-def test_generation_cost_branches(s1_parts):
-    _, _, pool, _ = s1_parts
-    assert pricing.generation_cost(0.5, pool, 1) == 0.0
-    assert pricing.generation_cost(2.0, pool, 1) == pytest.approx(0.2, abs=1e-12)
-    assert math.isinf(pricing.generation_cost(3.5, pool, 1))
-    with pytest.raises(ValueError):
-        pricing.generation_cost(-1.0, pool, 1)
-
-
-def test_conjugates(s1_parts):
-    _, _, pool, _ = s1_parts
-    assert pricing.conjugate_cable(0.0, 4) == 0.0
-    assert pricing.conjugate_cable(0.1, 2) == pytest.approx(0.2)
-    assert pricing.conjugate_cable(7.4508, 4) == pytest.approx(29.8032)
-    with pytest.raises(ValueError):
-        pricing.conjugate_cable(-0.1, 4)
-    assert pricing.conjugate_energy(0.5, 2.0) == pytest.approx(1.0)
-    assert pricing.conjugate_generation(0.1, pool, 1) == pytest.approx(0.1)
-    assert pricing.conjugate_generation(0.5, pool, 1) == pytest.approx(1.1)
-    # continuity at the grid-price breakpoint
-    assert pricing.conjugate_generation(0.2, pool, 1) == pytest.approx(0.2, abs=1e-12)
-
-
-def test_conjugate_matches_direct_supremum(s1_parts):
-    """Check the conjugate against sup_y {p*y - cost(y)} on a fine grid
-    (grid includes the cost curve's breakpoints, where the sup lands)."""
-    _, _, pool, _ = s1_parts
-    ys = np.union1d(np.linspace(0.0, 3.0, 20001), [1.0, 3.0])
-    costs = np.array([pricing.generation_cost(float(y), pool, 1) for y in ys])
-    for p in (0.0, 0.05, 0.1, 0.19, 0.2, 0.21, 0.5, 1.0, 3.0):
-        direct = float(np.max(p * ys - costs))
-        assert pricing.conjugate_generation(p, pool, 1) == pytest.approx(direct, abs=1e-6)
-
-
 def test_cable_price_fixture_values(s1_parts):
     _, bounds, _, k = s1_parts
     assert pricing.cable_price(0, 2, bounds, k) == pytest.approx(0.05 / 6, abs=1e-12)
@@ -182,25 +148,72 @@ def test_alpha_1_requires_valid_floor(s1):
         pricing.alpha_1(scenario, bad)
 
 
+def _curves(scenario, mode="exact"):
+    curves = pricing.dapr_curves(scenario, scenario.bounds, mode)
+    return {label: (inputs, alpha) for label, inputs, alpha in curves}
+
+
 def test_dapr_generation_verdicts(s1):
     scenario, _ = s1
-    b = scenario.bounds
-    pool = scenario.pools[0]
-    a1 = pricing.alpha_1(scenario, b)
-    inputs = pricing.generation_dapr_inputs(scenario, pool, 1, b)
-    assert pricing.verify_dapr(*inputs, alpha=a1, grid_points=1000).holds
+    inputs, alpha = _curves(scenario)["generation[1]@t1"]
+    assert alpha == pricing.alpha_1(scenario, scenario.bounds)
+    assert pricing.verify_dapr(*inputs, alpha=alpha, grid_points=1000).holds
     assert not pricing.verify_dapr(*inputs, alpha=1.0, grid_points=1000).holds
 
 
 def test_dapr_cable_verdicts(s1):
     scenario, _ = s1
-    b = scenario.bounds
-    inputs = pricing.cable_dapr_inputs(scenario, 1, b)
-    alpha = pricing.cable_alpha(scenario, b)
+    inputs, alpha = _curves(scenario)["cable[1]"]
     assert pricing.verify_dapr(*inputs, alpha=alpha).holds
     assert not pricing.verify_dapr(*inputs, alpha=alpha / 4).holds
+
+
+@pytest.mark.parametrize("mode,alpha", [("exact", pricing.alpha_1), ("conservative", pricing.alpha_2)])
+def test_dapr_curves_order_and_alphas(downtown, mode, alpha):
+    scenario, _ = downtown
+    curves = pricing.dapr_curves(scenario, scenario.bounds, mode)
+    expected = [f"{kind}[{lid}]" for lid in scenario.location_ids for kind in ("cable", "energy")]
+    pools = sorted({loc.pool_id for loc in scenario.locations})
+    expected += [f"generation[{pid}]@t{t}" for pid in pools for t in range(1, scenario.slot_count + 1)]
+    assert [label for label, _, _ in curves] == expected
+    gen_alpha = alpha(scenario, scenario.bounds)
+    assert all(a == gen_alpha for label, _, a in curves if label.startswith("generation"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "conservative"])
+def test_dapr_procurement_slopes(s1, mode):
+    """The procurement slopes match the cost grid_price * max(0, y - solar)
+    they stand for: cost' is its left derivative, and conj'(p) the largest
+    maximiser of p*y - cost(y) over [0, solar + grid_limit]."""
+    scenario, _ = s1
+    pool = scenario.pools[0]
+    h = 1e-6
+    for t in range(1, scenario.slot_count + 1):
+        (_, cost_d, conj_d, cap), _ = _curves(scenario, mode)[f"generation[1]@t{t}"]
+        solar = float(pool.solar_actual[t - 1])
+        limit = float(pool.grid_limit[t - 1])
+        grid = float(pool.grid_price[t - 1])
+
+        def cost(y):
+            return grid * max(0.0, y - solar)
+
+        for y in np.linspace(0.0, cap, 301):
+            if not solar < y < solar + h:
+                assert cost_d(float(y)) == pytest.approx((cost(y) - cost(y - h)) / h, abs=1e-6)
+        ys = np.union1d(np.linspace(0.0, solar + limit, 20001), [solar, solar + limit])
+        costs = np.array([cost(float(y)) for y in ys])
+        for p in (0.0, 0.05, 0.1, 0.19, 0.2, 0.21, 0.5, 1.0, 3.0):
+            gains = p * ys - costs
+            argmax = float(ys[np.flatnonzero(gains >= gains.max() - 1e-9)[-1]])
+            assert conj_d(p) == pytest.approx(argmax, abs=1e-9)
 
 
 def test_dapr_rejects_tiny_grid():
     with pytest.raises(ValueError):
         pricing.verify_dapr(lambda y: y, lambda y: 0.0, lambda p: 1.0, 1.0, 2.0, grid_points=1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_dapr_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        pricing.verify_dapr(lambda y: y, lambda y: 0.0, lambda p: 1.0, 1.0, alpha)
