@@ -78,7 +78,8 @@ class LocationStats:
 
 @dataclass
 class AuctionOutcome:
-    """Everything a run produces: the append-only ledger, aggregate
+    """Everything a run produces (the online mechanism, the no-mechanism
+    baseline or the exact oracle): the append-only ledger, aggregate
     accounting, per-location statistics, and the final demand state."""
 
     ledger: tuple[AllocationResult, ...]
@@ -235,8 +236,6 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
             location_id=lid,
             evse_index=m,
             option=opt,
-            utility=best_utility,
-            payment=cable_paid + energy_paid + generation_paid,
             cable_paid=cable_paid,
             energy_paid=energy_paid,
             generation_paid=generation_paid,
@@ -328,16 +327,6 @@ def run_auction(
     return run_in_order(scenario, users, bounds, mode, option_policy, seed, options_by_user, admit)
 
 
-def operational_cost(scenario: Scenario, demand: DemandState) -> float:
-    """Total procurement cost of the allocated demand, at actual solar."""
-    total = 0.0
-    for pool in scenario.pools:
-        load = demand.procurement[pool.pool_id]
-        over = np.maximum(0.0, load - pool.solar_actual)
-        total += float(np.dot(pool.grid_price, over))
-    return total
-
-
 def build_outcome(
     scenario: Scenario,
     demand: DemandState,
@@ -347,37 +336,42 @@ def build_outcome(
     policy: str,
     seed: int,
 ) -> AuctionOutcome:
-    """Aggregate a finished run into totals and per-location statistics.
+    """Total a finished run: the one tally of every allocator's ledger.
 
     Welfare is the valuation sum of admitted users minus the operational
-    cost at actual solar (regardless of the pricing mode). Per-location
-    welfare attributes each slot's cost in proportion to the location's
-    share of pool demand. Peak prices are evaluated at final demand; a
-    priceless run (``bounds=None``, the no-mechanism baseline) reports 0.
+    cost, the grid price of every kWh procured beyond actual solar
+    (regardless of the pricing mode). Per-location welfare attributes each
+    slot's cost in proportion to the location's share of pool demand. Peak
+    prices are evaluated at final demand; a priceless run (``bounds=None``:
+    the no-mechanism baseline and the exact oracle) reports 0.
     """
     k = pricing.price_scale(scenario)
-    valuation_total = sum(r.valuation for r in ledger if r.accepted)
-    revenue = sum(r.payment for r in ledger if r.accepted)
-    surplus = sum(r.utility for r in ledger if r.accepted)
-    cost = operational_cost(scenario, demand)
+    valuation_total = revenue = surplus = 0.0
+    admitted: dict[int, list[AllocationResult]] = {lid: [] for lid in scenario.location_ids}
+    for r in ledger:
+        if r.accepted:
+            valuation_total += r.valuation
+            revenue += r.payment
+            surplus += r.utility
+            admitted[r.location_id].append(r)
 
-    pool_cost = {}
+    cost = 0.0
+    slot_cost = {}
     for pool in scenario.pools:
-        load = demand.procurement[pool.pool_id]
-        pool_cost[pool.pool_id] = pool.grid_price * np.maximum(0.0, load - pool.solar_actual)
+        grid_energy = np.maximum(0.0, demand.procurement[pool.pool_id] - pool.solar_actual)
+        cost += float(np.dot(pool.grid_price, grid_energy))
+        slot_cost[pool.pool_id] = pool.grid_price * grid_energy
 
     stats = []
-    for lid in scenario.location_ids:
+    for lid, rows in admitted.items():
         loc = scenario.location(lid)
         pool = scenario.pool(loc.pool_id)
-        served = sum(1 for r in ledger if r.accepted and r.location_id == lid)
-        val_sum = sum(r.valuation for r in ledger if r.accepted and r.location_id == lid)
-        rev_sum = sum(r.payment for r in ledger if r.accepted and r.location_id == lid)
+        val_sum = sum((r.valuation for r in rows), 0.0)
         energy_series = demand.energy[lid].sum(axis=0)
         pool_load = demand.procurement[loc.pool_id]
         safe_load = np.where(pool_load > 0, pool_load, 1.0)
         share = np.where(pool_load > 0, energy_series / safe_load, 0.0)
-        attributed = float(np.dot(pool_cost[loc.pool_id], share))
+        attributed = float(np.dot(slot_cost[loc.pool_id], share))
         peak_cable = 0.0
         peak_generation = 0.0
         if bounds is not None:
@@ -395,9 +389,9 @@ def build_outcome(
                 location_id=lid,
                 evse_count=loc.evse_count,
                 cables_per_evse=loc.cables_per_evse,
-                evs_served=served,
+                evs_served=len(rows),
                 valuation_sum=val_sum,
-                revenue=rev_sum,
+                revenue=sum((r.payment for r in rows), 0.0),
                 energy_delivered=float(energy_series.sum()),
                 welfare=val_sum - attributed,
                 peak_cable_price=peak_cable,
@@ -411,7 +405,7 @@ def build_outcome(
         revenue=revenue,
         operational_cost=cost,
         user_surplus=surplus,
-        accepted_count=sum(1 for r in ledger if r.accepted),
+        accepted_count=sum(len(rows) for rows in admitted.values()),
         per_location=tuple(stats),
         demand=demand,
         mode=mode,

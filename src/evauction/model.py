@@ -241,8 +241,10 @@ class AllocationResult:
     """Outcome of one admission decision.
 
     Accepted results carry the chosen (location, EVSE, option) tuple, the
-    posted payment and its breakdown; rejected users pay nothing and get
-    zero utility (auxiliary parking).
+    valuation there and the posted payment's three parts (all zero for an
+    unpriced allocator); ``payment`` and ``utility`` are derived from
+    them. Rejected users pay nothing and get zero utility (auxiliary
+    parking).
     """
 
     user_id: int
@@ -250,12 +252,18 @@ class AllocationResult:
     location_id: Optional[int] = None
     evse_index: Optional[int] = None
     option: Optional[ChargeOption] = None
-    utility: float = 0.0
-    payment: float = 0.0
     cable_paid: float = 0.0
     energy_paid: float = 0.0
     generation_paid: float = 0.0
     valuation: float = 0.0
+
+    @property
+    def payment(self) -> float:
+        return self.cable_paid + self.energy_paid + self.generation_paid
+
+    @property
+    def utility(self) -> float:
+        return self.valuation - self.payment
 
 
 def procurement_capacity(pool: GenerationPool, mode: str) -> np.ndarray:
@@ -372,8 +380,10 @@ def validate_scenario(
     """Check every type invariant; returns one entry per violation.
 
     Violations are data, not faults: an empty list means the scenario (and
-    the users and their pinned options, if given) is ready to run. An
-    option that fails ``option_is_feasible`` is reported at
+    the users and their pinned options, if given) is ready to run. A user
+    whose explicit schedules fit none of its known preferred locations
+    (``option_is_feasible``) is reported at ``users[<id>].explicit_schedules``;
+    a pinned option that fails ``option_is_feasible`` is reported at
     ``options[<user_id>][<i>]``, and a user without a key or a key that
     names no user at ``options[<key>]`` (an empty list pins no options).
     """
@@ -468,6 +478,12 @@ def validate_scenario(
                 out.append(
                     Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
                 )
+        if user.explicit_schedules is not None and not any(
+            option_is_feasible(ChargeOption(lid, user.arrival, sched), user, scenario)
+            for sched in user.explicit_schedules
+            for lid in known
+        ):
+            out.append(Violation(f"{path}.explicit_schedules", "no schedule fits a preferred location"))
         if options_by_user is not None:
             if user.user_id not in options_by_user:
                 out.append(Violation(f"options[{user.user_id}]", "missing (pin [] for no options)"))
@@ -487,13 +503,14 @@ def validate_scenario(
 
 def option_is_feasible(option: ChargeOption, user: UserType, scenario: Scenario) -> bool:
     """True iff the option is at a preferred location, starts at arrival,
-    spans the stay, keeps every slot within the rate cap and meets the
-    demand exactly."""
+    spans the stay, puts an allowed energy level within the rate cap in
+    every slot and meets the demand exactly."""
     rate = scenario.location(option.location_id).max_charge_rate  # raises on malformed input
+    levels = scenario.energy_levels
     return (
         option.location_id in user.preferred_locations
         and option.start == user.arrival
         and len(option.schedule) == user.window_length
-        and all(0 <= e <= rate for e in option.schedule)
+        and all(e in levels and 0 <= e <= rate for e in option.schedule)
         and math.isclose(sum(option.schedule), user.energy_demand, rel_tol=0.0, abs_tol=1e-9)
     )

@@ -8,7 +8,8 @@ the entire visit window; only the energy placement varies. Two policies:
   energy levels that meets the demand exactly (oracle-grade, small windows)
 * ``heuristic-K`` emits at most K schedules: earliest-fill, latest-fill,
   cheapest-first at the supplied slot prices (when there are any), and
-  seeded random fills for the remainder
+  seeded random fills for the remainder; a fill that puts a level the
+  scenario does not allow in some slot is dropped
 """
 
 from __future__ import annotations
@@ -143,5 +144,8 @@ def generate_options(
         else:
             prices = None if slot_prices is None else slot_prices[lid]
             schedules = _heuristic_schedules(width, demand, levels, budget, prices, rng)
-        results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
+        options = [ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules))]
+        if kind == "heuristic":
+            options = [o for o in options if option_is_feasible(o, user, scenario)]
+        results.extend(options)
     return results

@@ -3,7 +3,8 @@
 Three yardsticks, all on identical inputs:
 
 * an exact solver for the offline assignment problem (exhaustive search
-  with branch-and-bound pruning; desk-scale instances only)
+  with branch-and-bound pruning; desk-scale instances only), whose
+  optimal assignment is an ``AuctionOutcome`` ledger like the online run's
 * a capacity-relaxed upper bound (every user served independently; energy
   beyond actual solar priced at the cheapest in-window grid price)
 * the no-mechanism baseline: free first-come-first-served choice, with the
@@ -13,14 +14,12 @@ Three yardsticks, all on identical inputs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .engine import AuctionOutcome, AuctionState, operational_cost, run_in_order
+from .engine import AuctionOutcome, AuctionState, build_outcome, run_in_order
 from .model import (
     AllocationResult,
     ChargeOption,
-    DemandState,
     Scenario,
     ScenarioValidationError,
     UserType,
@@ -30,7 +29,6 @@ from .model import (
 from .options import generate_options
 
 __all__ = [
-    "OfflineSolution",
     "OracleBudgetExceeded",
     "exhaustive_options",
     "no_mechanism_baseline",
@@ -45,20 +43,6 @@ __all__ = [
 class OracleBudgetExceeded(RuntimeError):
     """The instance's search tree exceeds the configured leaf budget; use
     offline_upper_bound instead."""
-
-
-@dataclass
-class OfflineSolution:
-    """A globally optimal offline assignment.
-
-    ``assignment`` maps each user id to its (location, EVSE, option)
-    tuple, or None for unassigned users; ``demand`` is the implied final
-    demand state and ``welfare`` the objective value at actual solar.
-    """
-
-    assignment: dict[int, Optional[tuple[int, int, ChargeOption]]]
-    welfare: float
-    demand: DemandState
 
 
 def exhaustive_options(
@@ -85,9 +69,13 @@ def solve_offline_exact(
     options_by_user: Mapping[int, Sequence[ChargeOption]],
     budget: int = 10_000_000,
     prune: bool = True,
-) -> OfflineSolution:
+) -> AuctionOutcome:
     """Exact welfare-maximizing assignment by depth-first search.
 
+    Returns the optimal assignment as an outcome: its ledger has one row
+    per user in submission order (rejected ones included), totalled by
+    ``engine.build_outcome`` at actual solar, unpriced (all payments and
+    peak prices 0), with mode ``exact`` and policy ``exhaustive``.
     With ``prune`` on, subtrees that cannot beat the incumbent are cut
     (remaining users credited their best valuation for free) and EVSEs in
     identical state are collapsed; with it off the search is a naive full
@@ -201,17 +189,15 @@ def solve_offline_exact(
 
     walk(0, 0.0, 0.0)
 
-    assignment = {ordered[i].user_id: best_assign[i] for i in range(n)}
-    demand = DemandState(scenario, "exact")
-    value_total = 0.0
-    for i, user in enumerate(ordered):
-        chosen = best_assign[i]
-        if chosen is not None:
+    state = AuctionState(scenario, None)
+    for user, chosen in zip(ordered, best_assign):
+        if chosen is None:
+            state.settle(AllocationResult(user_id=user.user_id, accepted=False))
+        else:
             lid, m, opt = chosen
-            demand.apply(opt, m)
-            value_total += user.valuation_at(lid)
-    welfare = value_total - operational_cost(scenario, demand)
-    return OfflineSolution(assignment=assignment, welfare=welfare, demand=demand)
+            value = user.valuation_at(lid)
+            state.settle(AllocationResult(user.user_id, True, lid, m, opt, valuation=value))
+    return build_outcome(scenario, state.demand, tuple(state.ledger), None, "exact", "exhaustive", 0)
 
 
 def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
@@ -308,7 +294,6 @@ def _first_fit(
                         location_id=lid,
                         evse_index=m,
                         option=opt,
-                        utility=value[lid],
                         valuation=value[lid],
                     )
                 )

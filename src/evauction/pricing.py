@@ -21,18 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .model import (
-    ChargeOption,
-    GenerationPool,
-    Scenario,
-    UserType,
-    ValueBounds,
-    procurement_capacity,
-)
+from .model import GenerationPool, Scenario, ValueBounds, procurement_capacity
 
 __all__ = [
     "ConfigurationError",
@@ -40,7 +33,6 @@ __all__ = [
     "alpha_1",
     "alpha_2",
     "cable_price",
-    "compute_bounds",
     "dapr_curves",
     "energy_price",
     "exp_price",
@@ -118,45 +110,6 @@ def generation_price(
     if not 0 <= y <= cap:
         raise ValueError(f"procurement demand {y} outside [0, {cap}]")
     return procurement_price(y, cap, grid_price, bounds.generation_low, bounds.generation_high, k)
-
-
-def compute_bounds(
-    users: Sequence[UserType],
-    options_by_user: Mapping[int, Sequence[ChargeOption]],
-    scenario: Scenario,
-) -> ValueBounds:
-    """Derive value bounds from a realized population and its options.
-
-    This is experiment tooling: the online engine takes bounds as given
-    (it cannot see future users). Lower bounds divide each value by twice
-    the station-scale sum times the option's total resource use; upper
-    bounds are the largest value per unit actually requested. Every user
-    needs a key in ``options_by_user`` (an empty list for none).
-    """
-    if not users:
-        raise ValueError("cannot compute bounds from an empty user list")
-    half_scale = price_scale(scenario) / 2
-    cable_lows, cable_highs, energy_lows, energy_highs = [], [], [], []
-    for user in users:
-        for option in options_by_user[user.user_id]:
-            value = user.valuation_at(option.location_id)
-            cable_lows.append(value / (half_scale * len(option.schedule)))
-            cable_highs.append(value)  # one cable per slot
-            energy_total = sum(option.schedule)
-            if energy_total > 0:
-                energy_lows.append(value / (half_scale * energy_total))
-                energy_highs.append(max(value / e for e in option.schedule if e > 0))
-    if not energy_lows:
-        raise ValueError("no options with nonzero resource use")
-    energy_low, energy_high = min(energy_lows), max(energy_highs)
-    return ValueBounds(
-        cable_low=min(cable_lows),
-        cable_high=max(cable_highs),
-        energy_low=energy_low,
-        energy_high=energy_high,
-        generation_low=energy_low,
-        generation_high=energy_high,
-    )
 
 
 def _pools_in_use(scenario: Scenario) -> list[GenerationPool]:
@@ -285,7 +238,8 @@ def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") ->
     conjugate slope is the capacity. Procurement is checked at ``alpha_1``
     in ``exact`` mode and at ``alpha_2`` in ``conservative`` mode; its cost
     side always uses actual solar, even when the curve prices against the
-    lower band.
+    lower band. A slot without procurement capacity in ``mode`` has no
+    curve (no demand is ever sold there), so it is left out.
     """
     k = price_scale(scenario)
     cable_alpha = 2.0 * _log_ramp(k, bounds.cable_high, bounds.cable_low)
@@ -299,9 +253,11 @@ def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") ->
         curves.append((f"energy[{loc.location_id}]", _free_resource(energy, rate), energy_alpha))
     gen_alpha = alpha_1(scenario, bounds) if mode == "exact" else alpha_2(scenario, bounds)
     for pool in _pools_in_use(scenario):
+        caps = procurement_capacity(pool, mode)
         for t in range(1, scenario.slot_count + 1):
-            inputs = _procurement_inputs(pool, t, bounds, k, mode)
-            curves.append((f"generation[{pool.pool_id}]@t{t}", inputs, gen_alpha))
+            if caps[t - 1] > 0:
+                inputs = _procurement_inputs(pool, t, bounds, k, mode)
+                curves.append((f"generation[{pool.pool_id}]@t{t}", inputs, gen_alpha))
     return curves
 
 

@@ -17,14 +17,30 @@ def _gen(tmp_path, preset="s1", seed=0, extra=()):
     return out / "scenario.json", out / "users.txt"
 
 
-# sha256 of ledger.csv from gen-scenario --preset downtown9 --seed 42, then
-# simulate --seed 42 --policy <key> [--mode conservative] (the reference
-# decisions and payments)
-DOWNTOWN9_SEED42_LEDGERS = {
-    "exhaustive": "98bae1ffdb05855b5523069c7d65ed897c369fa197311d8cfb436e67f75ff62f",
-    "heuristic-3": "e3db983a2f79ee3a91ffd678874a7f615e7b2cde99fdfc048d051624cab9cfd4",
-    "exhaustive-conservative": "69877056c50145aa89c7a30842595e2d04082e6b027a26901bef2438b8754c0d",
-    "heuristic-3-conservative": "475faa23c60c2bf84e575fc77a5bac7278433f80402c0225b1d5d0bda90397e6",
+# sha256 of ledger.csv, locations.csv and summary.json from gen-scenario
+# --preset downtown9 --seed 42, then simulate --seed 42 --policy <key>
+# [--mode conservative] (the reference decisions, payments and totals)
+DOWNTOWN9_SEED42_DIGESTS = {
+    "exhaustive": (
+        "98bae1ffdb05855b5523069c7d65ed897c369fa197311d8cfb436e67f75ff62f",
+        "00267f1f18bbf5019b1b32227298301e341d1319559284f4ad6ffa6192952a4e",
+        "2783f064ef45ee78a83d90d1cd3de2b9f36358f44fc69e63142b5e0f9534c865",
+    ),
+    "heuristic-3": (
+        "e3db983a2f79ee3a91ffd678874a7f615e7b2cde99fdfc048d051624cab9cfd4",
+        "58a33ef77c9c04bdb23367dc04c08ac4790a3f9651704bfb7ccd2691904bfd87",
+        "1306b33eae8d32342c294769469066e4094ce19a0eafa1fe0c6fcad1774f80d1",
+    ),
+    "exhaustive-conservative": (
+        "69877056c50145aa89c7a30842595e2d04082e6b027a26901bef2438b8754c0d",
+        "ad02acd0fbacb3ed07062bbab3010f354d5ee11f37beef625f473de88c85712e",
+        "4bb3b4f07a26d0abd871044c050df61d385c0f92b2a392b8e94b01fc023bf159",
+    ),
+    "heuristic-3-conservative": (
+        "475faa23c60c2bf84e575fc77a5bac7278433f80402c0225b1d5d0bda90397e6",
+        "f13bd791e940271fc8a2189f887229d5c9b8faaec40a07d7509c2af283aaf1c8",
+        "0e077f710ccd947fbd7119385e65b2dd4d80de66d6a9a649a64c8e4117f77170",
+    ),
 }
 
 
@@ -161,7 +177,7 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
-@pytest.mark.parametrize("key", sorted(DOWNTOWN9_SEED42_LEDGERS))
+@pytest.mark.parametrize("key", sorted(DOWNTOWN9_SEED42_DIGESTS))
 def test_downtown9_seed42_ledger_digest(tmp_path, key):
     policy = key.removesuffix("-conservative")
     mode = "exact" if policy == key else "conservative"
@@ -179,8 +195,11 @@ def test_downtown9_seed42_ledger_digest(tmp_path, key):
         ]
     )
     assert code == 0
-    digest = hashlib.sha256((out / "ledger.csv").read_bytes()).hexdigest()
-    assert digest == DOWNTOWN9_SEED42_LEDGERS[key]
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("ledger.csv", "locations.csv", "summary.json")
+    )
+    assert digests == DOWNTOWN9_SEED42_DIGESTS[key]
 
 
 def test_summary_alphas_stand_alone(tmp_path):
@@ -203,6 +222,33 @@ def test_summary_alphas_stand_alone(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["alpha_1"] == pricing.alpha_1(loaded, loaded.bounds)
     assert summary["alpha_2"] is None
+
+
+def test_validate_dapr_skips_slots_without_capacity(tmp_path, capsys):
+    # no grid and no solar at night: those slots have no procurement curve
+    scenario, _ = _gen(
+        tmp_path,
+        preset="downtown9",
+        seed=42,
+        extra=("--set", "pool.1.grid_limit=0", "--set", "users.count=50"),
+    )
+    out = tmp_path / "dapr"
+    code = main(["validate-dapr", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 0
+    assert "DAPR holds" in capsys.readouterr().out
+    curves = {row.split(",")[0] for row in (out / "dapr.csv").read_text().splitlines()[1:]}
+    loaded = load_scenario(scenario)
+    caps = loaded.pool(1).solar_actual + loaded.pool(1).grid_limit
+    assert "generation[1]@t1" not in curves
+    assert {c for c in curves if c.startswith("generation[1]@")} == {
+        f"generation[1]@t{t}" for t in range(1, len(caps) + 1) if caps[t - 1] > 0
+    }
+    # alpha_2 is undefined without conservative capacity, so that mode still fails
+    code = main(
+        ["validate-dapr", "--scenario", str(scenario), "--mode", "conservative", "--out", str(out)]
+    )
+    assert code == 2
+    assert "no conservative capacity" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan"])

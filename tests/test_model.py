@@ -85,6 +85,18 @@ def test_non_integral_demand_flagged(s1):
     assert "whole number" in violations[0].message
 
 
+def test_unfitting_explicit_schedules_flagged(s1):
+    scenario, (user,) = s1
+    unfit = dataclasses.replace(user, explicit_schedules=((1, 0, 0), (0, 2)))  # length, level
+    violations = ev.validate_scenario(scenario, [unfit])
+    assert [v.path for v in violations] == ["users[1].explicit_schedules"]
+    with pytest.raises(ev.ScenarioValidationError):
+        ev.run_auction(scenario, [unfit], scenario.bounds)
+    # one schedule that fits somewhere is enough; the others are filtered later
+    some_fit = dataclasses.replace(user, explicit_schedules=((1, 0, 0), (0, 1)))
+    assert ev.validate_scenario(scenario, [some_fit]) == []
+
+
 def _opt(start, schedule):
     return ev.ChargeOption(location_id=1, start=start, schedule=schedule)
 
@@ -113,6 +125,11 @@ def test_option_feasibility(s1):
     sc = dataclasses.replace(scenario, locations=scenario.locations + (elsewhere,))
     not_preferred = ev.ChargeOption(location_id=2, start=1, schedule=(1, 1))
     assert not ev.option_is_feasible(not_preferred, user, sc)
+    fast = dataclasses.replace(scenario.locations[0], max_charge_rate=2.0)
+    sc = dataclasses.replace(scenario, locations=(fast,))  # levels stay (0, 1)
+    assert ev.option_is_feasible(_opt(1, (1, 1)), user, sc)
+    off_level = _opt(1, (2, 0))  # within the rate cap, but 2 is no allowed level
+    assert not ev.option_is_feasible(off_level, user, sc)
 
 
 def test_option_unknown_location_raises(s1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,8 +104,6 @@ def test_explicit_schedules_bypass_policy(s1):
 
 def test_multi_level_schedules():
     scenario, users = ev.build_preset("s1")
-    import dataclasses
-
     loc = dataclasses.replace(scenario.locations[0], max_charge_rate=2.0)
     sc = dataclasses.replace(scenario, locations=(loc,), energy_levels=(0, 1, 2))
     user = ev.UserType(
@@ -119,3 +118,15 @@ def test_multi_level_schedules():
     opts = ev.generate_options(user, sc)
     schedules = {o.schedule for o in opts}
     assert schedules == {(0, 2, 2), (1, 1, 2), (1, 2, 1), (2, 0, 2), (2, 1, 1), (2, 2, 0)}
+
+
+def test_heuristic_keeps_only_allowed_levels(s1):
+    scenario, _ = s1
+    loc = dataclasses.replace(scenario.locations[0], max_charge_rate=2.0)
+    sc = dataclasses.replace(scenario, locations=(loc,), energy_levels=(0, 2))
+    user = _user(s1, 1, 2, 3)  # 3 kWh in two slots of 0 or 2 kWh: no schedule
+    assert ev.generate_options(user, sc) == []
+    # greedy fills take min(2, remaining) and would emit (2, 1) and (1, 2)
+    assert ev.generate_options(user, sc, "heuristic-3", rng=np.random.default_rng(0)) == []
+    outcome = ev.run_auction(sc, [user], sc.bounds, option_policy="heuristic-3")
+    assert [r.accepted for r in outcome.ledger] == [False]

@@ -76,7 +76,7 @@ def test_single_user_within_solar(s1):
     opts = exhaustive_options(scenario, users)
     sol = solve_offline_exact(scenario, users, opts)
     assert sol.welfare == pytest.approx(2.0)
-    assert sol.assignment[1] is not None
+    assert [r.accepted for r in sol.ledger] == [True]
 
 
 def test_two_users_one_cable_takes_higher_value(s1):
@@ -87,7 +87,7 @@ def test_two_users_one_cable_takes_higher_value(s1):
     opts = exhaustive_options(sc, users)
     sol = solve_offline_exact(sc, users, opts)
     assert sol.welfare == pytest.approx(2.0)
-    assert sol.assignment[1] is not None and sol.assignment[2] is None
+    assert [(r.user_id, r.accepted) for r in sol.ledger] == [(1, True), (2, False)]
 
 
 def test_transformer_bound_leaves_user_unassigned(s1):
@@ -102,7 +102,7 @@ def test_transformer_bound_leaves_user_unassigned(s1):
     sc = dataclasses.replace(scenario, pools=(pool,))
     users = [_user(1, 5.0, demand=1.0)]
     sol = solve_offline_exact(sc, users, exhaustive_options(sc, users))
-    assert sol.assignment[1] is None and sol.welfare == 0.0
+    assert [r.accepted for r in sol.ledger] == [False] and sol.welfare == 0.0
 
 
 def test_budget_gate(s1):
@@ -142,8 +142,7 @@ def test_offline_solution_respects_constraints():
         assert np.all(
             sol.demand.procurement[pool.pool_id] <= pool.solar_actual + pool.grid_limit + 1e-12
         )
-    assigned = [a for a in sol.assignment.values() if a is not None]
-    assert len(assigned) == len({id(a[2]) for a in assigned})  # one option per user
+    assert sorted(r.user_id for r in sol.ledger) == sorted(u.user_id for u in users)  # one row per user
 
 
 def test_upper_bound_free_when_solar_covers(s1):

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import evauction as ev
 from evauction import pricing
 
 
@@ -76,53 +75,6 @@ def test_conservative_mode_dominates_exact(s1_parts):
         exact = pricing.generation_price(float(y), pool, 1, bounds, k, mode="exact")
         cons = pricing.generation_price(float(y), pool, 1, bounds, k, mode="conservative")
         assert cons >= exact - 1e-12
-
-
-def _one_user_setup(s1):
-    scenario, _ = s1
-    user = ev.UserType(
-        user_id=1,
-        submission_time=1,
-        arrival=1,
-        departure=2,
-        energy_demand=2.0,
-        preferred_locations=(1,),
-        valuations=(2.0,),
-    )
-    option = ev.ChargeOption(location_id=1, start=1, schedule=(1, 1))
-    return scenario, user, option
-
-
-def test_compute_bounds_single_user(s1):
-    scenario, user, option = _one_user_setup(s1)
-    b = pricing.compute_bounds([user], {1: [option]}, scenario)
-    assert b.cable_low == pytest.approx(2.0 / (2 * 1.5 * 2))
-    assert b.cable_high == pytest.approx(2.0)
-    assert b.energy_low == pytest.approx(2.0 / (2 * 1.5 * 2))
-    assert b.energy_high == pytest.approx(2.0)
-    assert b.generation_low == b.energy_low
-    assert b.generation_high == b.energy_high
-
-
-def test_compute_bounds_duplicates_idempotent(s1):
-    scenario, user, option = _one_user_setup(s1)
-    twin = dataclasses.replace(user, user_id=2)
-    single = pricing.compute_bounds([user], {1: [option]}, scenario)
-    double = pricing.compute_bounds([user, twin], {1: [option], 2: [option]}, scenario)
-    assert single == double
-
-
-def test_compute_bounds_empty_raises(s1):
-    scenario, _ = s1
-    with pytest.raises(ValueError):
-        pricing.compute_bounds([], {}, scenario)
-
-
-def test_compute_bounds_missing_key_raises(s1):
-    scenario, user, option = _one_user_setup(s1)
-    twin = dataclasses.replace(user, user_id=2)
-    with pytest.raises(KeyError):
-        pricing.compute_bounds([user, twin], {1: [option]}, scenario)
 
 
 def test_alpha_values(s1):
