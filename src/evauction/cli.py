@@ -13,16 +13,15 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import oracle, pricing
-from .engine import AuctionOutcome, run_auction
+from .engine import AuctionOutcome, LocationStats, run_auction
 from .model import Scenario, ScenarioValidationError, validate_scenario
 from .oracle import OracleBudgetExceeded
 from .scenario_io import (
     PRESET_NAMES,
-    ScenarioFormatError,
     build_preset,
     load_scenario,
     load_users,
@@ -65,16 +64,12 @@ def write_ledger_csv(outcome: AuctionOutcome, path) -> None:
 
 
 def write_locations_csv(outcome: AuctionOutcome, path) -> None:
-    lines = [
-        "location_id,evse_count,cables_per_evse,evs_served,valuation_sum,revenue,"
-        "energy_delivered,welfare,peak_cable_price,peak_generation_price"
-    ]
+    """One row per location: the ``LocationStats`` fields, in field order."""
+    names = [f.name for f in fields(LocationStats)]
+    lines = [",".join(names)]
     for s in outcome.per_location:
-        lines.append(
-            f"{s.location_id},{s.evse_count},{s.cables_per_evse},{s.evs_served},"
-            f"{_fmt(s.valuation_sum)},{_fmt(s.revenue)},{_fmt(s.energy_delivered)},"
-            f"{_fmt(s.welfare)},{_fmt(s.peak_cable_price)},{_fmt(s.peak_generation_price)}"
-        )
+        values = (getattr(s, name) for name in names)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -87,13 +82,13 @@ def _alpha(alpha, scenario: Scenario):
         return None
 
 
-def _summary(scenario_path, users_path, scenario, outcome: AuctionOutcome) -> dict:
+def _summary(args, scenario, outcome: AuctionOutcome) -> dict:
     return {
-        "scenario_digest": _digest(scenario_path),
-        "users_digest": _digest(users_path),
-        "mode": outcome.mode,
-        "policy": outcome.policy,
-        "seed": outcome.seed,
+        "scenario_digest": _digest(args.scenario),
+        "users_digest": _digest(args.users),
+        "mode": args.mode,
+        "policy": args.policy,
+        "seed": args.seed,
         "bounds": asdict(scenario.bounds),
         "alpha_1": _alpha(pricing.alpha_1, scenario),
         "alpha_2": _alpha(pricing.alpha_2, scenario),
@@ -110,14 +105,16 @@ def _write_json(data: dict, path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _require_valid(scenario: Scenario, users=()) -> None:
+    violations = validate_scenario(scenario, users)
+    if violations:
+        raise ScenarioValidationError(violations)
+
+
 def _load_and_validate(args):
     scenario = load_scenario(args.scenario)
     users = load_users(args.users)
-    violations = validate_scenario(scenario, users)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
-        raise ScenarioValidationError(violations)
+    _require_valid(scenario, users)
     return scenario, users
 
 
@@ -130,7 +127,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_ledger_csv(outcome, out / "ledger.csv")
     write_locations_csv(outcome, out / "locations.csv")
-    _write_json(_summary(args.scenario, args.users, scenario, outcome), out / "summary.json")
+    _write_json(_summary(args, scenario, outcome), out / "summary.json")
     print(
         f"simulate: {outcome.accepted_count}/{len(outcome.ledger)} accepted, "
         f"welfare={outcome.welfare:.6g} revenue={outcome.revenue:.6g} "
@@ -201,11 +198,7 @@ def cmd_compare(args) -> int:
 
 def cmd_validate_dapr(args) -> int:
     scenario = load_scenario(args.scenario)
-    violations = validate_scenario(scenario)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
+    _require_valid(scenario)
     curves = pricing.dapr_curves(scenario, scenario.bounds, args.mode)
     rows = ["curve,y,price,slack"]
     worst = (math.inf, "")
@@ -239,11 +232,7 @@ def cmd_gen_scenario(args) -> int:
         price_trace=args.price_trace,
         solar_trace=args.solar_trace,
     )
-    violations = validate_scenario(scenario, users)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
+    _require_valid(scenario, users)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario.json")
@@ -300,10 +289,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioFormatError, ScenarioValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ScenarioValidationError as exc:
+        for v in exc.violations:
+            print(f"validation: {v}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a ScenarioFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OracleBudgetExceeded as exc:

@@ -80,19 +80,21 @@ class LocationStats:
 class AuctionOutcome:
     """Everything a run produces (the online mechanism, the no-mechanism
     baseline or the exact oracle): the append-only ledger, aggregate
-    accounting, per-location statistics, and the final demand state."""
+    accounting, per-location statistics, and the final demand state (which
+    also holds the pricing mode). The inputs of the run (option policy,
+    seed) are not repeated here."""
 
     ledger: tuple[AllocationResult, ...]
     welfare: float
     revenue: float
     operational_cost: float
     user_surplus: float
-    accepted_count: int
     per_location: tuple[LocationStats, ...]
     demand: DemandState
-    mode: str
-    policy: str
-    seed: int
+
+    @property
+    def accepted_count(self) -> int:
+        return sum(r.accepted for r in self.ledger)
 
 
 class AuctionState:
@@ -224,18 +226,16 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
                 utility = value - (cable + energy + generation)
                 if utility > best_utility:
                     best_utility = utility
-                    best = (lid, m, opt, cable, energy, generation, value)
+                    best = (m, opt, cable, energy, generation, value)
 
     if best is None:
-        return state.settle(AllocationResult(user_id=user.user_id, accepted=False))
-    lid, m, opt, cable_paid, energy_paid, generation_paid, value = best
+        return state.settle(AllocationResult(user.user_id))
+    m, opt, cable_paid, energy_paid, generation_paid, value = best
     return state.settle(
         AllocationResult(
             user_id=user.user_id,
-            accepted=True,
-            location_id=lid,
-            evse_index=m,
             option=opt,
+            evse_index=m,
             cable_paid=cable_paid,
             energy_paid=energy_paid,
             generation_paid=generation_paid,
@@ -275,9 +275,9 @@ def run_in_order(
     Validates the inputs (``bounds`` too when they are not the scenario's),
     then walks the users in ``(submission_time, user_id)`` order. A user's
     options are the pinned ones (every user needs a key), or are generated
-    under ``option_policy`` with an rng drawn from ``[seed, user_id]``;
-    a heuristic policy in a priced run also gets each preferred location's
-    posted slot prices over the stay (``_price_snapshot``).
+    under ``option_policy``. A heuristic policy draws from an rng seeded
+    with ``[seed, user_id]`` and, in a priced run, also gets each preferred
+    location's posted slot prices over the stay (``_price_snapshot``).
     ``rule(state, user, options)`` decides and settles each user.
     ``bounds=None`` is an unpriced run.
     """
@@ -287,24 +287,23 @@ def run_in_order(
     if violations:
         raise ScenarioValidationError(violations)
     kind, _ = parse_policy(option_policy)
-    priced_heuristic = bounds is not None and kind == "heuristic"
     state = AuctionState(scenario, bounds, mode)
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
         if options_by_user is not None:
             opts = options_by_user[user.user_id]
         else:
-            slot_prices = None
-            if priced_heuristic:
-                w0, w1 = user.arrival - 1, user.departure
-                slot_prices = {
-                    lid: _price_snapshot(state, lid, w0, w1) for lid in user.preferred_locations
-                }
-            rng = np.random.default_rng([seed, user.user_id])
+            slot_prices = rng = None
+            if kind == "heuristic":
+                rng = np.random.default_rng([seed, user.user_id])
+                if bounds is not None:
+                    w0, w1 = user.arrival - 1, user.departure
+                    slot_prices = {
+                        lid: _price_snapshot(state, lid, w0, w1)
+                        for lid in user.preferred_locations
+                    }
             opts = generate_options(user, scenario, option_policy, slot_prices=slot_prices, rng=rng)
         rule(state, user, opts)
-    return build_outcome(
-        scenario, state.demand, tuple(state.ledger), bounds, mode, option_policy, seed
-    )
+    return build_outcome(scenario, state.demand, tuple(state.ledger), bounds)
 
 
 def run_auction(
@@ -332,11 +331,11 @@ def build_outcome(
     demand: DemandState,
     ledger: tuple[AllocationResult, ...],
     bounds: Optional[ValueBounds],
-    mode: str,
-    policy: str,
-    seed: int,
 ) -> AuctionOutcome:
     """Total a finished run: the one tally of every allocator's ledger.
+
+    ``demand`` is the state the ledger's admissions were settled into and
+    ``bounds`` the value bounds the run was priced with.
 
     Welfare is the valuation sum of admitted users minus the operational
     cost, the grid price of every kWh procured beyond actual solar
@@ -405,10 +404,6 @@ def build_outcome(
         revenue=revenue,
         operational_cost=cost,
         user_surplus=surplus,
-        accepted_count=sum(len(rows) for rows in admitted.values()),
         per_location=tuple(stats),
         demand=demand,
-        mode=mode,
-        policy=policy,
-        seed=seed,
     )

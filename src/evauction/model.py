@@ -240,22 +240,29 @@ class Scenario:
 class AllocationResult:
     """Outcome of one admission decision.
 
-    Accepted results carry the chosen (location, EVSE, option) tuple, the
-    valuation there and the posted payment's three parts (all zero for an
-    unpriced allocator); ``payment`` and ``utility`` are derived from
-    them. Rejected users pay nothing and get zero utility (auxiliary
-    parking).
+    An admission carries the chosen option (which names the location), the
+    EVSE, the valuation there and the posted payment's three parts (all
+    zero for an unpriced allocator); ``accepted``, ``location_id``,
+    ``payment`` and ``utility`` are derived from them. A rejection is
+    ``AllocationResult(user_id)``: it pays nothing and gets zero utility
+    (auxiliary parking).
     """
 
     user_id: int
-    accepted: bool
-    location_id: Optional[int] = None
-    evse_index: Optional[int] = None
     option: Optional[ChargeOption] = None
+    evse_index: Optional[int] = None
     cable_paid: float = 0.0
     energy_paid: float = 0.0
     generation_paid: float = 0.0
     valuation: float = 0.0
+
+    @property
+    def accepted(self) -> bool:
+        return self.option is not None
+
+    @property
+    def location_id(self) -> Optional[int]:
+        return None if self.option is None else self.option.location_id
 
     @property
     def payment(self) -> float:

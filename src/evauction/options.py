@@ -8,8 +8,9 @@ the entire visit window; only the energy placement varies. Two policies:
   energy levels that meets the demand exactly (oracle-grade, small windows)
 * ``heuristic-K`` emits at most K schedules: earliest-fill, latest-fill,
   cheapest-first at the supplied slot prices (when there are any), and
-  seeded random fills for the remainder; a fill that puts a level the
-  scenario does not allow in some slot is dropped
+  seeded random fills for the remainder; each slot of a fill takes the
+  largest allowed level whose remainder the later slots can still make,
+  so every fill meets the demand exactly
 """
 
 from __future__ import annotations
@@ -58,15 +59,22 @@ def _enumerate_schedules(width: int, demand: int, levels: tuple[int, ...]):
     return out
 
 
-def _greedy_fill(order, demand: int, top: int, width: int) -> tuple[int, ...]:
+def _greedy_fill(order, demand: int, descending: tuple[int, ...], reach) -> tuple[int, ...]:
+    """Fill the slots in ``order``: each takes the largest level whose
+    remainder the slots after it can make (``reach[j]`` holds the totals
+    ``j`` slots can make). ``demand`` must be in ``reach[width]``."""
+    width = len(reach) - 1
     sched = [0] * width
     remaining = demand
-    for i in order:
-        if remaining <= 0:
+    for k, i in enumerate(order):
+        if remaining == 0:
             break
-        take = min(top, remaining)
-        sched[i] = take
-        remaining -= take
+        makeable = reach[width - 1 - k]
+        for level in descending:
+            if level <= remaining and remaining - level in makeable:
+                break
+        sched[i] = level
+        remaining -= level
     return tuple(sched)
 
 
@@ -78,7 +86,12 @@ def _heuristic_schedules(
     slot_prices: Optional[Sequence[float]],
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
-    top = max(levels)
+    reach = [{0}]
+    for _ in range(width):
+        reach.append({r + v for r in reach[-1] for v in levels if r + v <= demand})
+    if demand not in reach[width]:
+        return []
+    descending = tuple(sorted(levels, reverse=True))
     picked: list[tuple[int, ...]] = []
     seen = set()
 
@@ -87,15 +100,15 @@ def _heuristic_schedules(
             seen.add(sched)
             picked.append(sched)
 
-    add(_greedy_fill(range(width), demand, top, width))
-    add(_greedy_fill(range(width - 1, -1, -1), demand, top, width))
+    add(_greedy_fill(range(width), demand, descending, reach))
+    add(_greedy_fill(range(width - 1, -1, -1), demand, descending, reach))
     if slot_prices is not None:
         order = sorted(range(width), key=lambda i: (slot_prices[i], i))
-        add(_greedy_fill(order, demand, top, width))
+        add(_greedy_fill(order, demand, descending, reach))
     attempts = 0
     while len(picked) < budget and attempts < 4 * budget:
         order = rng.permutation(width)
-        add(_greedy_fill([int(i) for i in order], demand, top, width))
+        add(_greedy_fill([int(i) for i in order], demand, descending, reach))
         attempts += 1
     return picked
 
@@ -116,11 +129,10 @@ def generate_options(
 
     ``slot_prices`` maps each preferred location id to its $/kWh per slot
     of the user's stay; the heuristic's cheapest-fill variant fills the
-    cheapest slots first.
+    cheapest slots first. The heuristic's random fills draw from ``rng``
+    (``default_rng(0)`` when none is given).
     """
     kind, budget = parse_policy(policy)
-    if rng is None:
-        rng = np.random.default_rng(0)
     width = user.window_length
     demand = integral_demand(user.energy_demand)
 
@@ -142,10 +154,9 @@ def generate_options(
         if kind == "exhaustive":
             schedules = _enumerate_schedules(width, demand, levels)
         else:
+            if rng is None:
+                rng = np.random.default_rng(0)
             prices = None if slot_prices is None else slot_prices[lid]
             schedules = _heuristic_schedules(width, demand, levels, budget, prices, rng)
-        options = [ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules))]
-        if kind == "heuristic":
-            options = [o for o in options if option_is_feasible(o, user, scenario)]
-        results.extend(options)
+        results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
     return results

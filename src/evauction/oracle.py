@@ -75,7 +75,7 @@ def solve_offline_exact(
     Returns the optimal assignment as an outcome: its ledger has one row
     per user in submission order (rejected ones included), totalled by
     ``engine.build_outcome`` at actual solar, unpriced (all payments and
-    peak prices 0), with mode ``exact`` and policy ``exhaustive``.
+    peak prices 0) in ``exact`` mode.
     With ``prune`` on, subtrees that cannot beat the incumbent are cut
     (remaining users credited their best valuation for free) and EVSEs in
     identical state are collapsed; with it off the search is a naive full
@@ -128,8 +128,8 @@ def solve_offline_exact(
         suffix_best[i] = suffix_best[i + 1] + best_v
 
     best_welfare = 0.0
-    best_assign: list[Optional[tuple[int, int, ChargeOption]]] = [None] * n
-    current: list[Optional[tuple[int, int, ChargeOption]]] = [None] * n
+    best_assign: list[Optional[tuple[int, ChargeOption]]] = [None] * n
+    current: list[Optional[tuple[int, ChargeOption]]] = [None] * n
 
     def walk(i: int, value_sum: float, cost_sum: float) -> None:
         nonlocal best_welfare, best_assign
@@ -177,7 +177,7 @@ def solve_offline_exact(
                 for t, e in e_slots:
                     row_e[t] += e
                     load[t] += e
-                current[i] = (lid, m, opt)
+                current[i] = (m, opt)
                 walk(i + 1, value_sum + value, cost_sum + delta_cost)
                 current[i] = None
                 for t in c_slots:
@@ -192,12 +192,12 @@ def solve_offline_exact(
     state = AuctionState(scenario, None)
     for user, chosen in zip(ordered, best_assign):
         if chosen is None:
-            state.settle(AllocationResult(user_id=user.user_id, accepted=False))
+            state.settle(AllocationResult(user.user_id))
         else:
-            lid, m, opt = chosen
-            value = user.valuation_at(lid)
-            state.settle(AllocationResult(user.user_id, True, lid, m, opt, valuation=value))
-    return build_outcome(scenario, state.demand, tuple(state.ledger), None, "exact", "exhaustive", 0)
+            m, opt = chosen
+            value = user.valuation_at(opt.location_id)
+            state.settle(AllocationResult(user.user_id, opt, m, valuation=value))
+    return build_outcome(scenario, state.demand, tuple(state.ledger), None)
 
 
 def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
@@ -287,17 +287,8 @@ def _first_fit(
             continue
         for m, (free, row) in enumerate(zip(cable_free, energy_rows)):
             if free and all(y + e <= rate for y, e in zip(row, sched)):
-                return state.settle(
-                    AllocationResult(
-                        user_id=user.user_id,
-                        accepted=True,
-                        location_id=lid,
-                        evse_index=m,
-                        option=opt,
-                        valuation=value[lid],
-                    )
-                )
-    return state.settle(AllocationResult(user_id=user.user_id, accepted=False))
+                return state.settle(AllocationResult(user.user_id, opt, m, valuation=value[lid]))
+    return state.settle(AllocationResult(user.user_id))
 
 
 def welfare_ratio(offline_welfare: float, online_welfare: float) -> float:

@@ -2,8 +2,13 @@
 
 File formats (this docstring is their reference):
 
-* scenario: one JSON document with ``time_grid``, ``pools``, ``locations``,
-  ``bounds``, ``energy_levels``
+* scenario: one JSON document whose objects are the records of
+  ``model``, keyed by their dataclass field names: the ``Scenario``
+  (``time_grid``, ``pools``, ``locations``, ``bounds``, ``energy_levels``)
+  holds one ``TimeGrid``, a list of ``GenerationPool`` records (each
+  series a list of floats), a list of ``Location`` records and one
+  ``ValueBounds``. A field with a default may be left out; a key that
+  names no field is an error
 * users: newline-delimited records,
   ``id,submission,arrival,departure,demand,loc:val;loc:val[,schedules=1-0|0-1]``
 * traces: CSV with a header row and (timestamp, value) columns; solar may
@@ -13,9 +18,11 @@ File formats (this docstring is their reference):
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,78 +60,62 @@ class ScenarioFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # scenario JSON
 
+def _plain(value):
+    """A record as JSON data: a dataclass becomes a dict over its fields,
+    a tuple or an array a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
+    return _plain(scenario)
+
+
+def _as_is(value):
+    return value
+
+
+def _schema(cls) -> dict:
+    """``{field: (cast, required)}`` of a model record: an int or float
+    field is cast to its type, any other value is passed as is."""
+    hints = typing.get_type_hints(cls)
     return {
-        "time_grid": {
-            "slot_count": scenario.time_grid.slot_count,
-            "slot_duration_minutes": scenario.time_grid.slot_duration_minutes,
-        },
-        "pools": [
-            {
-                "pool_id": p.pool_id,
-                "solar_actual": [float(v) for v in p.solar_actual],
-                "solar_lower": [float(v) for v in p.solar_lower],
-                "solar_upper": [float(v) for v in p.solar_upper],
-                "grid_limit": [float(v) for v in p.grid_limit],
-                "grid_price": [float(v) for v in p.grid_price],
-            }
-            for p in scenario.pools
-        ],
-        "locations": [
-            {
-                "location_id": l.location_id,
-                "evse_count": l.evse_count,
-                "cables_per_evse": l.cables_per_evse,
-                "max_charge_rate": l.max_charge_rate,
-                "pool_id": l.pool_id,
-            }
-            for l in scenario.locations
-        ],
-        "bounds": asdict(scenario.bounds),
-        "energy_levels": list(scenario.energy_levels),
+        f.name: (hints[f.name] if hints[f.name] in (int, float) else _as_is, f.default is MISSING)
+        for f in dataclasses.fields(cls)
     }
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in (Scenario, TimeGrid, GenerationPool, Location, ValueBounds)}
+
+
+def _record(cls, data: Mapping):
+    """One ``cls`` record from its JSON object; a missing required field
+    raises ``KeyError``, a key that names no field ``ValueError``."""
+    schema = _SCHEMAS[cls]
+    unknown = data.keys() - schema.keys()
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {min(unknown)!r}")
+    return cls(
+        **{name: cast(data[name]) for name, (cast, required) in schema.items() if required or name in data}
+    )
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        grid = TimeGrid(
-            slot_count=int(data["time_grid"]["slot_count"]),
-            slot_duration_minutes=int(data["time_grid"].get("slot_duration_minutes", 60)),
-        )
-        pools = tuple(
-            GenerationPool(
-                pool_id=int(p["pool_id"]),
-                solar_actual=p["solar_actual"],
-                solar_lower=p["solar_lower"],
-                solar_upper=p["solar_upper"],
-                grid_limit=p["grid_limit"],
-                grid_price=p["grid_price"],
-            )
-            for p in data["pools"]
-        )
-        locations = tuple(
-            Location(
-                location_id=int(l["location_id"]),
-                evse_count=int(l["evse_count"]),
-                cables_per_evse=int(l["cables_per_evse"]),
-                max_charge_rate=float(l["max_charge_rate"]),
-                pool_id=int(l["pool_id"]),
-            )
-            for l in data["locations"]
-        )
-        b = data["bounds"]
-        bounds = ValueBounds(
-            cable_low=float(b["cable_low"]),
-            cable_high=float(b["cable_high"]),
-            energy_low=float(b["energy_low"]),
-            energy_high=float(b["energy_high"]),
-            generation_low=float(b["generation_low"]),
-            generation_high=float(b["generation_high"]),
-        )
-        levels = tuple(int(v) for v in data.get("energy_levels", (0, 1)))
+        records = {
+            "time_grid": _record(TimeGrid, data["time_grid"]),
+            "pools": [_record(GenerationPool, p) for p in data["pools"]],
+            "locations": [_record(Location, l) for l in data["locations"]],
+            "bounds": _record(ValueBounds, data["bounds"]),
+        }
+        return _record(Scenario, {**data, **records})
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad scenario document: {exc}") from exc
-    return Scenario(time_grid=grid, pools=pools, locations=locations, bounds=bounds, energy_levels=levels)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -377,75 +368,55 @@ _DOWNTOWN_PRICES = (
 )
 
 
-def _s1_scenario_dict() -> dict:
-    return {
-        "time_grid": {"slot_count": 4, "slot_duration_minutes": 60},
-        "pools": [
-            {
-                "pool_id": 1,
-                "solar_actual": [1.0, 1.0, 1.0, 1.0],
-                "solar_lower": [0.5, 0.5, 0.5, 0.5],
-                "solar_upper": [1.0, 1.0, 1.0, 1.0],
-                "grid_limit": [2.0, 2.0, 2.0, 2.0],
-                "grid_price": [0.2, 0.2, 0.2, 0.2],
-            }
+def _s1_scenario() -> Scenario:
+    return Scenario(
+        time_grid=TimeGrid(slot_count=4),
+        pools=[
+            GenerationPool(
+                pool_id=1,
+                solar_actual=[1.0] * 4,
+                solar_lower=[0.5] * 4,
+                solar_upper=[1.0] * 4,
+                grid_limit=[2.0] * 4,
+                grid_price=[0.2] * 4,
+            )
         ],
-        "locations": [
-            {
-                "location_id": 1,
-                "evse_count": 1,
-                "cables_per_evse": 2,
-                "max_charge_rate": 1.0,
-                "pool_id": 1,
-            }
+        locations=[
+            Location(location_id=1, evse_count=1, cables_per_evse=2, max_charge_rate=1.0, pool_id=1)
         ],
-        "bounds": {
-            "cable_low": 0.05,
-            "cable_high": 3.0,
-            "energy_low": 0.5,
-            "energy_high": 3.0,
-            "generation_low": 0.5,
-            "generation_high": 3.0,
-        },
-        "energy_levels": [0, 1],
-    }
+        bounds=ValueBounds(
+            cable_low=0.05, cable_high=3.0,
+            energy_low=0.5, energy_high=3.0,
+            generation_low=0.5, generation_high=3.0,
+        ),
+    )
 
 
-def _downtown9_scenario_dict(band_fraction: float) -> dict:
+def _downtown9_scenario(band_fraction: float) -> Scenario:
     T = 24
     solar = [512.0 * math.exp(-((t - 13.0) ** 2) / 18.0) if 7 <= t <= 19 else 0.0 for t in range(1, T + 1)]
-    return {
-        "time_grid": {"slot_count": T, "slot_duration_minutes": 60},
-        "pools": [
-            {
-                "pool_id": 1,
-                "solar_actual": solar,
-                "solar_lower": [(1.0 - band_fraction) * s for s in solar],
-                "solar_upper": [(1.0 + band_fraction) * s for s in solar],
-                "grid_limit": [512.0] * T,
-                "grid_price": list(_DOWNTOWN_PRICES),
-            }
+    return Scenario(
+        time_grid=TimeGrid(slot_count=T),
+        pools=[
+            GenerationPool(
+                pool_id=1,
+                solar_actual=solar,
+                solar_lower=[(1.0 - band_fraction) * s for s in solar],
+                solar_upper=[(1.0 + band_fraction) * s for s in solar],
+                grid_limit=[512.0] * T,
+                grid_price=_DOWNTOWN_PRICES,
+            )
         ],
-        "locations": [
-            {
-                "location_id": i + 1,
-                "evse_count": m,
-                "cables_per_evse": 4,
-                "max_charge_rate": 1.0,
-                "pool_id": 1,
-            }
+        locations=[
+            Location(location_id=i + 1, evse_count=m, cables_per_evse=4, max_charge_rate=1.0, pool_id=1)
             for i, m in enumerate(_DOWNTOWN_EVSES)
         ],
-        "bounds": {
-            "cable_low": 0.002,
-            "cable_high": 7.5,
-            "energy_low": 0.3,
-            "energy_high": 7.5,
-            "generation_low": 0.3,
-            "generation_high": 7.5,
-        },
-        "energy_levels": [0, 1],
-    }
+        bounds=ValueBounds(
+            cable_low=0.002, cable_high=7.5,
+            energy_low=0.3, energy_high=7.5,
+            generation_low=0.3, generation_high=7.5,
+        ),
+    )
 
 
 def downtown9_population(seed: int, count: int = 1000) -> UserPopulationSpec:
@@ -475,17 +446,14 @@ def _apply_override(data: dict, key: str, raw: str) -> None:
     parts = key.split(".")
     try:
         if parts[0] == "bounds" and len(parts) == 2:
-            if parts[1] not in data["bounds"]:
-                raise KeyError(parts[1])
-            data["bounds"][parts[1]] = float(raw)
+            cast, _ = _SCHEMAS[ValueBounds][parts[1]]
+            data["bounds"][parts[1]] = cast(raw)
             return
         if parts[0] == "location" and len(parts) == 3:
             lid = int(parts[1])
+            cast, _ = _SCHEMAS[Location][parts[2]]
             for loc in data["locations"]:
                 if loc["location_id"] == lid:
-                    if parts[2] not in loc:
-                        raise KeyError(parts[2])
-                    cast = float if parts[2] == "max_charge_rate" else int
                     loc[parts[2]] = cast(raw)
                     return
             raise KeyError(f"location {lid}")
@@ -518,9 +486,9 @@ def build_preset(
     grid-price or solar series with data loaded from file.
     """
     if name == "s1":
-        data = _s1_scenario_dict()
+        data = scenario_to_dict(_s1_scenario())
     elif name == "downtown9":
-        data = _downtown9_scenario_dict(band_fraction)
+        data = scenario_to_dict(_downtown9_scenario(band_fraction))
     else:
         raise ValueError(f"unknown preset {name!r}")
 
@@ -535,15 +503,13 @@ def build_preset(
             _apply_override(data, key, raw)
     slot_count = int(data["time_grid"]["slot_count"])
     if price_trace is not None:
-        series = [float(v) for v in load_price_trace(price_trace, slot_count)]
+        series = load_price_trace(price_trace, slot_count)
         for pool in data["pools"]:
             pool["grid_price"] = series
     if solar_trace is not None:
         actual, lower, upper = load_solar_trace(solar_trace, band_fraction, slot_count)
         for pool in data["pools"]:
-            pool["solar_actual"] = [float(v) for v in actual]
-            pool["solar_lower"] = [float(v) for v in lower]
-            pool["solar_upper"] = [float(v) for v in upper]
+            pool["solar_actual"], pool["solar_lower"], pool["solar_upper"] = actual, lower, upper
     scenario = scenario_from_dict(data)
 
     if name == "s1":

@@ -261,3 +261,26 @@ def test_validate_dapr_rejects_bad_alpha_scale(tmp_path, capsys, scale):
     assert code == 2
     assert "alpha must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_violations_reported_once(tmp_path, capsys):
+    scenario, users = _gen(tmp_path)
+    bad = json.loads(scenario.read_text())
+    bad["locations"][0]["cables_per_evse"] = 0
+    scenario.write_text(json.dumps(bad))
+    capsys.readouterr()
+    for argv in (
+        ["simulate", "--users", str(users)],
+        ["compare", "--users", str(users)],
+        ["validate-dapr"],
+    ):
+        code = main([*argv, "--scenario", str(scenario), "--out", str(tmp_path / "z")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "validation: locations[1].cables_per_evse: cables_per_evse must be >= 1"
+        ]
+    code = main(["gen-scenario", "--preset", "s1", "--set", "bounds.cable_low=-1", "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "validation: bounds.cable: need 0 < cable_low < cable_high"
+    ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import evauction as ev
-from evauction.model import DemandState, Violation
+from evauction.model import AllocationResult, DemandState, Violation
 
 from instances import random_instance
 
@@ -178,3 +178,10 @@ def test_demand_state_consistency():
 def test_violation_str():
     v = Violation(path="locations[1].evse_count", message="must be >= 1")
     assert "locations[1].evse_count" in str(v)
+
+
+def test_rejection_is_user_id_only():
+    result = AllocationResult(7)
+    assert result.accepted is False
+    assert result.location_id is None
+    assert (result.payment, result.utility) == (0.0, 0.0)

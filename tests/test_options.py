@@ -130,3 +130,18 @@ def test_heuristic_keeps_only_allowed_levels(s1):
     assert ev.generate_options(user, sc, "heuristic-3", rng=np.random.default_rng(0)) == []
     outcome = ev.run_auction(sc, [user], sc.bounds, option_policy="heuristic-3")
     assert [r.accepted for r in outcome.ledger] == [False]
+
+
+def test_heuristic_fills_non_contiguous_levels(s1):
+    scenario, _ = s1
+    loc = dataclasses.replace(scenario.locations[0], max_charge_rate=3.0)
+    sc = dataclasses.replace(scenario, locations=(loc,), energy_levels=(0, 1, 3))
+    user = _user(s1, 1, 3, 5)  # 5 kWh in three slots of 0, 1 or 3 kWh
+    exhaustive = {o.schedule for o in ev.generate_options(user, sc)}
+    assert exhaustive == {(1, 1, 3), (1, 3, 1), (3, 1, 1)}
+    # every fill takes the largest level whose remainder the later slots can make
+    heuristic = ev.generate_options(user, sc, "heuristic-3", rng=np.random.default_rng(0))
+    assert {o.schedule for o in heuristic} == exhaustive
+    # earliest, latest and cheapest fill (3 kWh in the cheapest slot 2) need no draws
+    priced = ev.generate_options(user, sc, "heuristic-3", slot_prices={1: [0.3, 0.1, 0.2]})
+    assert {o.schedule for o in priced} == exhaustive

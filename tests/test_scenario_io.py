@@ -212,3 +212,48 @@ def test_preset_bad_override():
 def test_scenario_from_dict_rejects_garbage():
     with pytest.raises(ScenarioFormatError):
         scenario_from_dict({"time_grid": {}})
+
+
+def _s1_document():
+    return scenario_to_dict(build_preset("s1")[0])
+
+
+def test_scenario_from_dict_fills_defaults():
+    doc = _s1_document()
+    del doc["time_grid"]["slot_duration_minutes"]
+    del doc["energy_levels"]
+    scenario = scenario_from_dict(doc)
+    assert scenario.time_grid.slot_duration_minutes == 60
+    assert scenario.energy_levels == (0, 1)
+
+
+def test_scenario_from_dict_casts_numbers():
+    doc = _s1_document()
+    doc["locations"][0]["evse_count"] = "4"
+    doc["locations"][0]["max_charge_rate"] = 2
+    loc = scenario_from_dict(doc).locations[0]
+    assert loc.evse_count == 4 and type(loc.evse_count) is int
+    assert loc.max_charge_rate == 2.0 and type(loc.max_charge_rate) is float
+
+
+def test_scenario_from_dict_names_missing_field():
+    doc = _s1_document()
+    del doc["pools"][0]["pool_id"]
+    with pytest.raises(ScenarioFormatError, match="'pool_id'"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "record, key, value",
+    [
+        (lambda doc: doc, "energy_level", [0, 1, 2]),
+        (lambda doc: doc["time_grid"], "slot_minutes", 15),
+        (lambda doc: doc["locations"][0], "max_charge_rate_kw", 7),
+    ],
+    ids=["energy_level", "slot_minutes", "max_charge_rate_kw"],
+)
+def test_scenario_from_dict_rejects_unknown_keys(record, key, value):
+    doc = _s1_document()
+    record(doc)[key] = value
+    with pytest.raises(ScenarioFormatError, match=f"no field '{key}'"):
+        scenario_from_dict(doc)
