@@ -82,16 +82,24 @@ def _alpha(alpha, scenario: Scenario):
         return None
 
 
-def _summary(args, scenario, outcome: AuctionOutcome) -> dict:
+def _header(args, scenario, policy: str) -> dict:
+    """The run's inputs: the keys every ``summary.json`` starts from.
+    ``policy`` is the option policy the run actually used."""
     return {
         "scenario_digest": _digest(args.scenario),
         "users_digest": _digest(args.users),
         "mode": args.mode,
-        "policy": args.policy,
+        "policy": policy,
         "seed": args.seed,
         "bounds": asdict(scenario.bounds),
         "alpha_1": _alpha(pricing.alpha_1, scenario),
         "alpha_2": _alpha(pricing.alpha_2, scenario),
+    }
+
+
+def _summary(args, scenario, outcome: AuctionOutcome) -> dict:
+    return {
+        **_header(args, scenario, args.policy),
         "welfare": outcome.welfare,
         "revenue": outcome.revenue,
         "operational_cost": outcome.operational_cost,
@@ -175,12 +183,7 @@ def cmd_compare(args) -> int:
     (out / "welfare_by_location.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_ledger_csv(online, out / "ledger.csv")
     summary = {
-        "scenario_digest": _digest(args.scenario),
-        "users_digest": _digest(args.users),
-        "mode": args.mode,
-        "seed": args.seed,
-        "alpha_1": _alpha(pricing.alpha_1, scenario),
-        "alpha_2": _alpha(pricing.alpha_2, scenario),
+        **_header(args, scenario, policy),
         "online_welfare": online.welfare,
         "online_revenue": online.revenue,
         "baseline_welfare": baseline.welfare,

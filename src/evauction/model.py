@@ -11,8 +11,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,12 +30,26 @@ __all__ = [
     "UserType",
     "ValueBounds",
     "Violation",
+    "allowed_levels",
     "integral_demand",
     "option_is_feasible",
     "procurement_capacity",
+    "schedule_totals",
     "validate_bounds",
     "validate_scenario",
+    "whole_number",
 ]
+
+
+def whole_number(value) -> int:
+    """``value`` as an int when it names one: ``4``, ``4.0`` and ``"4"``
+    give 4; a fraction, a non-finite number or other text raises
+    ``ValueError``."""
+    if isinstance(value, str):
+        return int(value)
+    if not math.isfinite(value) or value != int(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -137,7 +152,7 @@ class UserType:
             object.__setattr__(
                 self,
                 "explicit_schedules",
-                tuple(tuple(int(e) for e in sched) for sched in self.explicit_schedules),
+                tuple(tuple(whole_number(e) for e in sched) for sched in self.explicit_schedules),
             )
 
     @property
@@ -210,7 +225,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "pools", tuple(self.pools))
         object.__setattr__(self, "locations", tuple(self.locations))
-        object.__setattr__(self, "energy_levels", tuple(sorted(set(int(v) for v in self.energy_levels))))
+        levels = sorted(set(whole_number(v) for v in self.energy_levels))
+        object.__setattr__(self, "energy_levels", tuple(levels))
 
     @property
     def slot_count(self) -> int:
@@ -339,10 +355,40 @@ def integral_demand(demand: float) -> Optional[int]:
     Energy levels and explicit schedules are integers, so only an integral
     demand can be met exactly.
     """
+    if not math.isfinite(demand):
+        return None
     rounded = round(demand)
     if abs(demand - rounded) <= 1e-9:
         return int(rounded)
     return None
+
+
+def allowed_levels(scenario: Scenario, location_id: int) -> tuple[int, ...]:
+    """The energy levels a schedule may put in one slot at ``location_id``:
+    the scenario's levels ``v`` with ``0 <= v <= max_charge_rate``, in
+    ascending order. Raises ``ValueError`` on an unknown location."""
+    return _levels_up_to(scenario.energy_levels, scenario.location(location_id).max_charge_rate)
+
+
+@functools.lru_cache(maxsize=256)
+def _levels_up_to(levels: tuple[int, ...], rate: float) -> tuple[int, ...]:
+    return tuple(v for v in levels if 0 <= v <= rate)
+
+
+@functools.lru_cache(maxsize=4096)
+def schedule_totals(levels: tuple[int, ...], width: int, demand: int) -> tuple[frozenset, ...]:
+    """Which schedules a request can use: ``reach[j]`` is the set of totals
+    up to ``demand`` that ``j`` slots, each at one of ``levels``, can make.
+
+    Some ``width``-slot schedule meets ``demand`` exactly iff ``demand in
+    reach[width]``, and a slot may take ``level`` on the way iff the slots
+    after it can still make the remainder. This is the one rule for
+    validation, option generation and population sampling.
+    """
+    reach = [frozenset((0,))]
+    for _ in range(width):
+        reach.append(frozenset(r + v for r in reach[-1] for v in levels if r + v <= demand))
+    return tuple(reach)
 
 
 def _check_series(out: list[Violation], path: str, arr: np.ndarray, T: int) -> bool:
@@ -359,6 +405,9 @@ def validate_bounds(scenario: Scenario, bounds: ValueBounds) -> list[Violation]:
     """Check value bounds for pricing ``scenario``; one entry per violation."""
     out: list[Violation] = []
     b = bounds
+    for f in fields(ValueBounds):
+        if not math.isfinite(getattr(b, f.name)):
+            out.append(Violation(f"bounds.{f.name}", "must be finite"))
     if not (0 < b.cable_low < b.cable_high):
         out.append(Violation("bounds.cable", "need 0 < cable_low < cable_high"))
     if not (0 < b.energy_low < b.energy_high):
@@ -387,9 +436,14 @@ def validate_scenario(
     """Check every type invariant; returns one entry per violation.
 
     Violations are data, not faults: an empty list means the scenario (and
-    the users and their pinned options, if given) is ready to run. A user
-    whose explicit schedules fit none of its known preferred locations
-    (``option_is_feasible``) is reported at ``users[<id>].explicit_schedules``;
+    the users and their pinned options, if given) is ready to run. Every
+    number a price or a utility is computed from must be finite. A user
+    whose demand no schedule can meet at any known preferred location (the
+    demand is not in ``schedule_totals(allowed_levels(...), width,
+    demand)[width]``, the rule option generation reads) is reported at
+    ``users[<id>].energy_demand``; a user whose explicit schedules fit none
+    of its known preferred locations (``option_is_feasible``) is reported
+    at ``users[<id>].explicit_schedules``;
     a pinned option that fails ``option_is_feasible`` is reported at
     ``options[<user_id>][<i>]``, and a user without a key or a key that
     names no user at ``options[<key>]`` (an empty list pins no options).
@@ -434,7 +488,9 @@ def validate_scenario(
             out.append(Violation(f"{path}.evse_count", "must be >= 1"))
         if loc.cables_per_evse < 1:
             out.append(Violation(f"{path}.cables_per_evse", "cables_per_evse must be >= 1"))
-        if loc.max_charge_rate <= 0:
+        if not math.isfinite(loc.max_charge_rate):
+            out.append(Violation(f"{path}.max_charge_rate", "must be finite"))
+        elif loc.max_charge_rate <= 0:
             out.append(Violation(f"{path}.max_charge_rate", "must be > 0"))
         if loc.pool_id not in pool_ids:
             out.append(Violation(f"{path}.pool_id", f"references unknown pool {loc.pool_id}"))
@@ -461,9 +517,12 @@ def validate_scenario(
             out.append(Violation(f"{path}.window", "arrival must precede departure"))
         if not (1 <= user.arrival and user.departure <= T):
             out.append(Violation(f"{path}.window", f"must lie within [1, {T}]"))
-        if user.energy_demand <= 0:
+        demand = integral_demand(user.energy_demand)
+        if not math.isfinite(user.energy_demand):
+            out.append(Violation(f"{path}.energy_demand", "must be finite"))
+        elif user.energy_demand <= 0:
             out.append(Violation(f"{path}.energy_demand", "must be > 0"))
-        elif integral_demand(user.energy_demand) is None:
+        elif demand is None:
             out.append(Violation(f"{path}.energy_demand", "must be a whole number of kWh"))
         if not user.preferred_locations:
             out.append(Violation(f"{path}.preferred_locations", "must be non-empty"))
@@ -471,20 +530,21 @@ def validate_scenario(
             out.append(Violation(f"{path}.preferred_locations", "must be distinct"))
         if len(user.valuations) != len(user.preferred_locations):
             out.append(Violation(f"{path}.valuations", "one valuation per preferred location"))
-        if any(v < 0 for v in user.valuations):
+        if not all(math.isfinite(v) for v in user.valuations):
+            out.append(Violation(f"{path}.valuations", "must be finite"))
+        elif any(v < 0 for v in user.valuations):
             out.append(Violation(f"{path}.valuations", "must be >= 0"))
         known = [lid for lid in user.preferred_locations if lid in loc_ids]
         if len(known) != len(user.preferred_locations):
             out.append(Violation(f"{path}.preferred_locations", "references unknown location"))
-        if known and user.arrival <= user.departure:
-            width = user.departure - user.arrival + 1
-            if all(
-                user.energy_demand > scenario.location(lid).max_charge_rate * width
-                for lid in known
-            ):
-                out.append(
-                    Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
-                )
+        width = user.window_length
+        if demand is not None and demand > 0 and width > 0 and known and all(
+            demand not in schedule_totals(allowed_levels(scenario, lid), width, demand)[width]
+            for lid in known
+        ):
+            out.append(
+                Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
+            )
         if user.explicit_schedules is not None and not any(
             option_is_feasible(ChargeOption(lid, user.arrival, sched), user, scenario)
             for sched in user.explicit_schedules
@@ -510,14 +570,13 @@ def validate_scenario(
 
 def option_is_feasible(option: ChargeOption, user: UserType, scenario: Scenario) -> bool:
     """True iff the option is at a preferred location, starts at arrival,
-    spans the stay, puts an allowed energy level within the rate cap in
-    every slot and meets the demand exactly."""
-    rate = scenario.location(option.location_id).max_charge_rate  # raises on malformed input
-    levels = scenario.energy_levels
+    spans the stay, puts one of ``allowed_levels`` in every slot and meets
+    the demand exactly."""
+    levels = allowed_levels(scenario, option.location_id)  # raises on malformed input
     return (
         option.location_id in user.preferred_locations
         and option.start == user.arrival
         and len(option.schedule) == user.window_length
-        and all(e in levels and 0 <= e <= rate for e in option.schedule)
-        and math.isclose(sum(option.schedule), user.energy_demand, rel_tol=0.0, abs_tol=1e-9)
+        and all(e in levels for e in option.schedule)
+        and sum(option.schedule) == integral_demand(user.energy_demand)
     )

@@ -2,7 +2,11 @@
 
 Options are defined per location: every EVSE at a location is identical,
 so the engine (not the option) picks the station. The cable is held for
-the entire visit window; only the energy placement varies. Two policies:
+the entire visit window; only the energy placement varies. Which
+schedules a request can use is decided by one rule, ``model.schedule_totals``
+over ``model.allowed_levels``: a location has options iff the demand is in
+``reach[width]``, and a slot may take a level iff the slots after it can
+still make the remainder. Two policies:
 
 * ``exhaustive`` enumerates every schedule over the allowed per-slot
   energy levels that meets the demand exactly (oracle-grade, small windows)
@@ -19,7 +23,15 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import ChargeOption, Scenario, UserType, integral_demand, option_is_feasible
+from .model import (
+    ChargeOption,
+    Scenario,
+    UserType,
+    allowed_levels,
+    integral_demand,
+    option_is_feasible,
+    schedule_totals,
+)
 
 __all__ = ["generate_options", "parse_policy"]
 
@@ -36,24 +48,24 @@ def parse_policy(policy: str) -> tuple[str, Optional[int]]:
     raise ValueError(f"unknown option policy {policy!r}")
 
 
-def _enumerate_schedules(width: int, demand: int, levels: tuple[int, ...]):
-    """All length-``width`` level sequences summing to ``demand``, in
-    lexicographic order."""
-    top = max(levels)
+def _enumerate_schedules(demand: int, levels: tuple[int, ...], reach) -> list[tuple[int, ...]]:
+    """All level sequences of ``len(reach) - 1`` slots summing to
+    ``demand``, in lexicographic order; a slot takes a level only if the
+    slots after it can make the remainder (``reach[j]`` holds the totals
+    ``j`` slots can make), so no branch is a dead end."""
+    width = len(reach) - 1
     out: list[tuple[int, ...]] = []
     prefix = [0] * width
 
     def fill(i: int, remaining: int) -> None:
         if i == width:
-            if remaining == 0:
-                out.append(tuple(prefix))
+            out.append(tuple(prefix))
             return
-        slots_left = width - i - 1
+        makeable = reach[width - 1 - i]
         for level in levels:
-            if level > remaining or remaining - level > top * slots_left:
-                continue
-            prefix[i] = level
-            fill(i + 1, remaining - level)
+            if level <= remaining and remaining - level in makeable:
+                prefix[i] = level
+                fill(i + 1, remaining - level)
 
     fill(0, demand)
     return out
@@ -79,18 +91,15 @@ def _greedy_fill(order, demand: int, descending: tuple[int, ...], reach) -> tupl
 
 
 def _heuristic_schedules(
-    width: int,
     demand: int,
     levels: tuple[int, ...],
+    reach,
     budget: int,
     slot_prices: Optional[Sequence[float]],
     rng: np.random.Generator,
 ) -> list[tuple[int, ...]]:
-    reach = [{0}]
-    for _ in range(width):
-        reach.append({r + v for r in reach[-1] for v in levels if r + v <= demand})
-    if demand not in reach[width]:
-        return []
+    """At most ``budget`` greedy fills; ``demand`` must be in ``reach[-1]``."""
+    width = len(reach) - 1
     descending = tuple(sorted(levels, reverse=True))
     picked: list[tuple[int, ...]] = []
     seen = set()
@@ -138,25 +147,24 @@ def generate_options(
 
     results: list[ChargeOption] = []
     for lid in sorted(user.preferred_locations):
-        loc = scenario.location(lid)
-        levels = tuple(v for v in scenario.energy_levels if v <= loc.max_charge_rate)
-        if not levels or max(levels) == 0:
-            continue
-
         if user.explicit_schedules is not None:
             for sched in sorted(set(user.explicit_schedules)):
                 option = ChargeOption(lid, user.arrival, sched)
                 if option_is_feasible(option, user, scenario):
                     results.append(option)
             continue
-        if demand is None or demand > max(levels) * width:
+        if demand is None:
+            continue
+        levels = allowed_levels(scenario, lid)
+        reach = schedule_totals(levels, width, demand)
+        if demand not in reach[width]:
             continue
         if kind == "exhaustive":
-            schedules = _enumerate_schedules(width, demand, levels)
+            schedules = _enumerate_schedules(demand, levels, reach)
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
             prices = None if slot_prices is None else slot_prices[lid]
-            schedules = _heuristic_schedules(width, demand, levels, budget, prices, rng)
+            schedules = _heuristic_schedules(demand, levels, reach, budget, prices, rng)
         results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
     return results

@@ -165,6 +165,10 @@ def alpha_2(scenario: Scenario, bounds: ValueBounds) -> float:
     return _generation_alpha(scenario, bounds, banded=True)
 
 
+# the smallest slack ``verify_dapr`` still counts as holding (float noise)
+DAPR_TOLERANCE = -1e-9
+
+
 @dataclass(frozen=True)
 class DaprReport:
     """Result of the numeric allocation-payment check.
@@ -176,8 +180,6 @@ class DaprReport:
 
     holds: bool
     min_slack: float
-    worst_y: float
-    alpha: float
     rows: tuple[tuple[float, float, float], ...]
 
 
@@ -188,7 +190,6 @@ def verify_dapr(
     cap: float,
     alpha: float,
     grid_points: int = 1000,
-    tolerance: float = -1e-9,
 ) -> DaprReport:
     """Numerically check the differential allocation-payment inequality.
 
@@ -198,7 +199,7 @@ def verify_dapr(
         (price(y) - cost'(y)) * dy  >=  (1/alpha) * conj'(price(y)) * dp
 
     at every interval. The check passes when no slack drops below
-    ``tolerance``. ``alpha`` must be finite and positive.
+    ``DAPR_TOLERANCE``. ``alpha`` must be finite and positive.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -209,23 +210,14 @@ def verify_dapr(
     dy = cap / (grid_points - 1)
     rows = []
     min_slack = math.inf
-    worst_y = 0.0
     for i in range(grid_points - 1):
         y = float(ys[i])
         p = prices[i]
         dp = prices[i + 1] - p
         slack = (p - cost_slope(y)) * dy - (conj_slope(p) / alpha) * dp
         rows.append((y, p, slack))
-        if slack < min_slack:
-            min_slack = slack
-            worst_y = y
-    return DaprReport(
-        holds=min_slack >= tolerance,
-        min_slack=min_slack,
-        worst_y=worst_y,
-        alpha=alpha,
-        rows=tuple(rows),
-    )
+        min_slack = min(min_slack, slack)
+    return DaprReport(holds=min_slack >= DAPR_TOLERANCE, min_slack=min_slack, rows=tuple(rows))
 
 
 def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") -> list:

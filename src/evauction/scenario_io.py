@@ -34,6 +34,9 @@ from .model import (
     TimeGrid,
     UserType,
     ValueBounds,
+    allowed_levels,
+    schedule_totals,
+    whole_number,
 )
 
 __all__ = [
@@ -80,12 +83,16 @@ def _as_is(value):
     return value
 
 
+_CASTS = {int: whole_number, float: float}
+
+
 def _schema(cls) -> dict:
-    """``{field: (cast, required)}`` of a model record: an int or float
-    field is cast to its type, any other value is passed as is."""
+    """``{field: (cast, required)}`` of a model record: an int field takes
+    a whole number (``whole_number``), a float field is cast to float, any
+    other value is passed as is."""
     hints = typing.get_type_hints(cls)
     return {
-        f.name: (hints[f.name] if hints[f.name] in (int, float) else _as_is, f.default is MISSING)
+        f.name: (_CASTS.get(hints[f.name], _as_is), f.default is MISSING)
         for f in dataclasses.fields(cls)
     }
 
@@ -323,7 +330,6 @@ def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserTyp
     if loc_w.sum() <= 0:
         raise ValueError("location_weights has no support")
     loc_w = loc_w / loc_w.sum()
-    max_level = max(scenario.energy_levels)
     lo_total, hi_total = spec.value_range
 
     rng = np.random.default_rng(spec.seed)
@@ -336,9 +342,11 @@ def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserTyp
         start = int(rng.choice(len(window_w), p=window_w / window_w.sum())) + 1
         depart = start + d - 1
         prefs = [int(x) for x in rng.choice(ids, size=k, replace=False, p=loc_w)]
-        rate_cap = max(scenario.location(lid).max_charge_rate for lid in prefs)
+        # the fastest preferred location's reach holds every other one's
+        fastest = max(prefs, key=lambda lid: scenario.location(lid).max_charge_rate)
         h = int(rng.choice(demands, p=h_weights))
-        h = max(1, min(h, d * max_level, int(d * rate_cap)))
+        reach = schedule_totals(allowed_levels(scenario, fastest), d, h)
+        h = max(1, max(reach[d], default=0))
         per_kwh = rng.uniform(lo_total / h, hi_total / h, size=k)
         vals = sorted((float(r * h) for r in per_kwh), reverse=True)
         lead = int(rng.integers(0, spec.submission_lead_max + 1))

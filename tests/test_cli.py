@@ -284,3 +284,53 @@ def test_violations_reported_once(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "validation: bounds.cable: need 0 < cable_low < cable_high"
     ]
+
+
+def test_compare_summary_records_policy(tmp_path):
+    scenario, users = _gen(tmp_path)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--scenario", str(scenario), "--users", str(users), "--out", str(out)]
+    assert main([*argv, "--policy", "heuristic-3", "--offline", "bound"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["policy"] == "heuristic-3"
+    assert summary["bounds"] == json.loads(scenario.read_text())["bounds"]
+    assert main([*argv, "--policy", "heuristic-3"]) == 0  # the exact search ran
+    assert json.loads((out / "summary.json").read_text())["policy"] == "exhaustive"
+
+
+def _levels_0_2(doc):
+    doc["energy_levels"] = [0, 2]
+    doc["locations"][0]["max_charge_rate"] = 2.0
+
+
+@pytest.mark.parametrize(
+    "overrides, edit, line, violation",
+    [
+        (
+            ("--set", "location.1.max_charge_rate=2"), None, "1,1,1,2,3.0,1:9.0",
+            "users[1].energy_demand: exceeds window capacity at every preferred location",
+        ),
+        (
+            (), _levels_0_2, "1,1,1,2,3.0,1:9.0",
+            "users[1].energy_demand: exceeds window capacity at every preferred location",
+        ),
+        ((), None, "1,1,1,2,1.0,1:nan", "users[1].valuations: must be finite"),
+        ((), None, "1,1,1,2,1.0,1:inf", "users[1].valuations: must be finite"),
+        ((), None, "1,1,1,2,inf,1:2.0", "users[1].energy_demand: must be finite"),
+        ((), None, "1,1,1,2,nan,1:2.0", "users[1].energy_demand: must be finite"),
+    ],
+    ids=["rate-2", "levels-0-2", "valuation-nan", "valuation-inf", "demand-inf", "demand-nan"],
+)
+def test_simulate_flags_unmeetable_and_non_finite_users(tmp_path, capsys, overrides, edit, line, violation):
+    scenario, users = _gen(tmp_path, extra=overrides)
+    if edit is not None:
+        doc = json.loads(scenario.read_text())
+        edit(doc)
+        scenario.write_text(json.dumps(doc))
+    users.write_text(line + "\n")
+    capsys.readouterr()
+    code = main(
+        ["simulate", "--scenario", str(scenario), "--users", str(users), "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"validation: {violation}"]

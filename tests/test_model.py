@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import evauction as ev
-from evauction.model import AllocationResult, DemandState, Violation
+from evauction.model import AllocationResult, DemandState, ValueBounds, Violation, validate_bounds
 
 from instances import random_instance
 
@@ -185,3 +186,48 @@ def test_rejection_is_user_id_only():
     assert result.accepted is False
     assert result.location_id is None
     assert (result.payment, result.utility) == (0.0, 0.0)
+
+
+def _s1_user(s1, **changes):
+    _, (user,) = s1
+    return dataclasses.replace(user, explicit_schedules=None, **changes)
+
+
+@pytest.mark.parametrize(
+    "changes, path",
+    [
+        ({"energy_demand": math.inf}, "users[1].energy_demand"),
+        ({"energy_demand": math.nan}, "users[1].energy_demand"),
+        ({"valuations": (math.nan,)}, "users[1].valuations"),
+        ({"valuations": (math.inf,)}, "users[1].valuations"),
+    ],
+    ids=["demand-inf", "demand-nan", "valuation-nan", "valuation-inf"],
+)
+def test_non_finite_user_numbers_flagged(s1, changes, path):
+    scenario, _ = s1
+    user = _s1_user(s1, **changes)
+    violations = ev.validate_scenario(scenario, [user])
+    assert [(v.path, v.message) for v in violations] == [(path, "must be finite")]
+    with pytest.raises(ev.ScenarioValidationError):
+        ev.run_auction(scenario, [user], scenario.bounds)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_rate_flagged(s1, rate):
+    scenario, _ = s1
+    loc = dataclasses.replace(scenario.locations[0], max_charge_rate=rate)
+    bad = dataclasses.replace(scenario, locations=(loc,))
+    violations = ev.validate_scenario(bad)
+    assert [(v.path, v.message) for v in violations] == [
+        ("locations[1].max_charge_rate", "must be finite")
+    ]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ValueBounds)])
+def test_non_finite_bounds_flagged(s1, name, value):
+    scenario, _ = s1
+    bounds = dataclasses.replace(scenario.bounds, **{name: value})
+    violations = validate_bounds(scenario, bounds)
+    assert (f"bounds.{name}", "must be finite") in [(v.path, v.message) for v in violations]
+

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evauction as ev
+from evauction.model import TimeGrid
 from evauction.options import parse_policy
 
 
@@ -128,8 +131,9 @@ def test_heuristic_keeps_only_allowed_levels(s1):
     assert ev.generate_options(user, sc) == []
     # greedy fills take min(2, remaining) and would emit (2, 1) and (1, 2)
     assert ev.generate_options(user, sc, "heuristic-3", rng=np.random.default_rng(0)) == []
-    outcome = ev.run_auction(sc, [user], sc.bounds, option_policy="heuristic-3")
-    assert [r.accepted for r in outcome.ledger] == [False]
+    with pytest.raises(ev.ScenarioValidationError) as err:
+        ev.run_auction(sc, [user], sc.bounds, option_policy="heuristic-3")
+    assert [v.path for v in err.value.violations] == ["users[1].energy_demand"]
 
 
 def test_heuristic_fills_non_contiguous_levels(s1):
@@ -145,3 +149,45 @@ def test_heuristic_fills_non_contiguous_levels(s1):
     # earliest, latest and cheapest fill (3 kWh in the cheapest slot 2) need no draws
     priced = ev.generate_options(user, sc, "heuristic-3", slot_prices={1: [0.3, 0.1, 0.2]})
     assert {o.schedule for o in priced} == exhaustive
+
+
+def _five_slot_scenario(scenario, levels, rate):
+    pool = dataclasses.replace(
+        scenario.pools[0],
+        solar_actual=[1.0] * 5,
+        solar_lower=[0.5] * 5,
+        solar_upper=[1.0] * 5,
+        grid_limit=[2.0] * 5,
+        grid_price=[0.2] * 5,
+    )
+    loc = dataclasses.replace(scenario.locations[0], max_charge_rate=float(rate))
+    return dataclasses.replace(
+        scenario,
+        time_grid=TimeGrid(slot_count=5),
+        pools=(pool,),
+        locations=(loc,),
+        energy_levels=levels,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.sets(st.integers(1, 3), min_size=1).map(lambda s: (0, *sorted(s))),
+    rate=st.integers(1, 3),
+    width=st.integers(1, 5),
+    demand=st.integers(1, 8),
+)
+@example(levels=(0, 2), rate=2, width=2, demand=3)
+def test_one_rule_decides_feasibility(s1, levels, rate, width, demand):
+    scenario, _ = s1
+    sc = _five_slot_scenario(scenario, levels, rate)
+    user = _user(s1, 1, width, demand)
+    exhaustive = {o.schedule for o in ev.generate_options(user, sc)}
+    flagged = "users[1].energy_demand" in [v.path for v in ev.validate_scenario(sc, [user])]
+    assert flagged == (not exhaustive)
+    for k in (1, 3, 6):
+        heuristic = ev.generate_options(
+            user, sc, f"heuristic-{k}", slot_prices={1: [0.5, 0.1, 0.4, 0.2, 0.3][:width]},
+            rng=np.random.default_rng(k),
+        )
+        assert {o.schedule for o in heuristic} <= exhaustive

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evauction as ev
+from evauction.model import whole_number
 from evauction.scenario_io import (
     ScenarioFormatError,
     UserPopulationSpec,
@@ -257,3 +258,36 @@ def test_scenario_from_dict_rejects_unknown_keys(record, key, value):
     record(doc)[key] = value
     with pytest.raises(ScenarioFormatError, match=f"no field '{key}'"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [4, 4.0, "4", np.int64(4), np.float64(4.0)])
+def test_whole_number_accepts(value):
+    assert whole_number(value) == 4 and type(whole_number(value)) is int
+
+
+@pytest.mark.parametrize("value", [2.7, "2.7", "four", float("inf"), float("nan")])
+def test_whole_number_rejects(value):
+    with pytest.raises(ValueError):
+        whole_number(value)
+
+
+@pytest.mark.parametrize(
+    "record, key, value",
+    [
+        (lambda doc: doc["locations"][0], "evse_count", 2.7),
+        (lambda doc: doc, "energy_levels", [0, 1.5]),
+    ],
+    ids=["evse_count", "energy_levels"],
+)
+def test_scenario_from_dict_rejects_fractions(record, key, value):
+    doc = _s1_document()
+    record(doc)[key] = value
+    with pytest.raises(ScenarioFormatError, match="is not a whole number"):
+        scenario_from_dict(doc)
+
+
+def test_explicit_schedule_entries_are_whole():
+    _, (user,) = build_preset("s1")
+    assert dataclasses.replace(user, explicit_schedules=((1.0, 0),)).explicit_schedules == ((1, 0),)
+    with pytest.raises(ValueError, match="is not a whole number"):
+        dataclasses.replace(user, explicit_schedules=((0.5, 0.5),))
