@@ -5,6 +5,12 @@ from current demand only. The user is admitted iff some (option, EVSE,
 location) tuple leaves strictly positive utility; the best tuple wins,
 payment is fixed at the pre-admission prices, and demand (hence prices)
 is updated. Decisions are never revoked.
+
+The mechanism needs only each user's best response to the posted prices,
+not the option set. Under the exhaustive policy, where every preferred
+location's levels are contiguous, ``admit`` finds it by a greedy fill per
+EVSE; enumerated options are quoted one by one (``_price_location``) for
+pinned options, explicit schedules, heuristic-K and level sets with a gap.
 """
 
 from __future__ import annotations
@@ -20,10 +26,14 @@ from .model import (
     AllocationResult,
     ChargeOption,
     DemandState,
+    Location,
     Scenario,
     ScenarioValidationError,
     UserType,
     ValueBounds,
+    allowed_levels,
+    integral_demand,
+    schedule_totals,
     validate_bounds,
     validate_scenario,
 )
@@ -36,6 +46,8 @@ __all__ = [
     "Quote",
     "admit",
     "build_outcome",
+    "fill_caps",
+    "fill_schedule",
     "quote",
     "run_auction",
     "run_in_order",
@@ -131,39 +143,45 @@ def _procurement_prices(
     ]
 
 
+def _evse_prices(
+    state: AuctionState, loc: Location, cable_row: list, energy_row: list
+) -> tuple[float, list[float]]:
+    """Posted prices on one EVSE over a window, at its cable and energy
+    loads there: ``(cable_pay, energy_prices)``, the cable part of every
+    schedule (one cable on every slot) and the $/kWh per slot. Prices are
+    posted at current load, so each curve is evaluated once per slot."""
+    b = state.bounds
+    k = state.k_scale
+    cable_cap = float(loc.cables_per_evse)
+    rate_cap = float(loc.max_charge_rate)
+    cable_pay = 0.0
+    for y in cable_row:
+        cable_pay += pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k)
+    energy_prices = [
+        pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in energy_row
+    ]
+    return cable_pay, energy_prices
+
+
 def _price_location(
     state: AuctionState, location_id: int, schedules: Sequence[tuple[int, ...]], w0: int, w1: int
 ) -> list[list[tuple[bool, float, float, float]]]:
     """Quote energy schedules over slots [w0, w1) (0-based) at one location
     on every EVSE; each holds a cable on every slot of that window.
 
-    Prices are posted at current load, so each curve is evaluated once per
-    (EVSE, slot) into a table and a payment is the slot-order sum of
-    quantity x table price over the slots used. The cable part and its
-    feasibility are the same for every schedule, so they are computed once
-    per EVSE. Returns ``rows[m][i] = (feasible, cable, energy, generation)``
-    for EVSE ``m`` and schedule ``i``; a pair is feasible when no used slot
-    is pushed past a capacity, and a slot without procurement capacity is
+    A payment part is the slot-order sum of quantity x posted price
+    (``_evse_prices``, ``_procurement_prices``) over the slots used.
+    Returns ``rows[m][i] = (feasible, cable, energy, generation)`` for EVSE
+    ``m`` and schedule ``i``; a pair is feasible when no used slot is
+    pushed past a capacity, and a slot without procurement capacity is
     never feasible.
     """
     loc = state.scenario.location(location_id)
-    b = state.bounds
-    k = state.k_scale
-    cable_cap = float(loc.cables_per_evse)
     rate_cap = float(loc.max_charge_rate)
     cable_load, cable_free, energy_load, pool_load, pool_cap = state.demand.window(
         location_id, w0, w1
     )
-    cable_pays = []
-    for row in cable_load:
-        cable_pay = 0.0
-        for y in row:
-            cable_pay += pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k)
-        cable_pays.append(cable_pay)
-    energy_prices = [
-        [pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in row]
-        for row in energy_load
-    ]
+    posted = [_evse_prices(state, loc, c, e) for c, e in zip(cable_load, energy_load)]
     gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
 
     rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in cable_load]
@@ -178,13 +196,13 @@ def _price_location(
         for m, row in enumerate(rows):
             ok = cable_free[m] and gen_ok
             loads = energy_load[m]
-            prices = energy_prices[m]
+            cable_pay, prices = posted[m]
             energy_pay = 0.0
             for w, e in e_used:
                 if loads[w] + e > rate_cap:
                     ok = False
                 energy_pay += e * prices[w]
-            row.append((ok, cable_pays[m], energy_pay, gen_pay))
+            row.append((ok, cable_pay, energy_pay, gen_pay))
     return rows
 
 
@@ -198,7 +216,9 @@ def quote(state: AuctionState, option: ChargeOption, evse_index: int) -> Quote:
     return Quote(cable=cable, energy=energy, generation=generation, feasible=feasible)
 
 
-def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) -> AllocationResult:
+def admit(
+    state: AuctionState, user: UserType, options: Optional[Sequence[ChargeOption]]
+) -> AllocationResult:
     """Decide one user: quote all tuples, pick the utility argmax, settle.
 
     Utility is the valuation at the option's location minus the quoted
@@ -206,27 +226,27 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
     break toward the lowest location id, then the lowest EVSE index, then
     the lexicographically smallest energy schedule, whatever order the
     options arrive in. Options must span the user's stay.
+
+    ``options=None`` stands for every schedule at every preferred location
+    (the exhaustive set; every preferred location's levels contiguous), and
+    the user's best response is found without building that set: on each
+    EVSE a fill of the cheapest slots (``_best_fills``), with the same
+    payments and tie-breaks as quoting every option.
     """
     w0 = user.arrival - 1
     w1 = user.departure
-    by_loc: dict[int, list[ChargeOption]] = {}
-    for opt in options:
-        by_loc.setdefault(opt.location_id, []).append(opt)
+    if options is None:
+        candidates = _best_fills(state, user, w0, w1)
+    else:
+        candidates = _quoted_options(state, user, options, w0, w1)
 
     best_utility = 0.0
     best = None
-    for lid in sorted(by_loc):
-        value = user.valuation_at(lid)
-        opts = sorted(by_loc[lid], key=lambda o: o.schedule)
-        rows = _price_location(state, lid, [opt.schedule for opt in opts], w0, w1)
-        for m, row in enumerate(rows):
-            for opt, (ok, cable, energy, generation) in zip(opts, row):
-                if not ok:
-                    continue
-                utility = value - (cable + energy + generation)
-                if utility > best_utility:
-                    best_utility = utility
-                    best = (m, opt, cable, energy, generation, value)
+    for m, opt, cable, energy, generation, value in candidates:
+        utility = value - (cable + energy + generation)
+        if utility > best_utility:
+            best_utility = utility
+            best = (m, opt, cable, energy, generation, value)
 
     if best is None:
         return state.settle(AllocationResult(user.user_id))
@@ -242,6 +262,117 @@ def admit(state: AuctionState, user: UserType, options: Sequence[ChargeOption]) 
             valuation=value,
         )
     )
+
+
+def _quoted_options(state, user, options, w0, w1):
+    """Every feasible (EVSE, option) tuple with its payment parts and the
+    valuation, by location, then EVSE, then schedule."""
+    by_loc: dict[int, list[ChargeOption]] = {}
+    for opt in options:
+        by_loc.setdefault(opt.location_id, []).append(opt)
+    for lid in sorted(by_loc):
+        value = user.valuation_at(lid)
+        opts = sorted(by_loc[lid], key=lambda o: o.schedule)
+        rows = _price_location(state, lid, [opt.schedule for opt in opts], w0, w1)
+        for m, row in enumerate(rows):
+            for opt, (ok, cable, energy, generation) in zip(opts, row):
+                if ok:
+                    yield m, opt, cable, energy, generation, value
+
+
+def _best_fills(state, user, w0, w1):
+    """Each EVSE's cheapest feasible schedule at the posted prices, in the
+    form and order of ``_quoted_options``.
+
+    Within the caps of ``fill_caps`` every level is allowed, so with prices
+    linear per kWh filling slots in ascending energy-plus-procurement
+    price, ties toward the later slot, gives the cheapest schedule and,
+    among equally cheap ones, the lexicographically smallest. The parts
+    are summed in slot order as ``_price_location`` sums them, so payments
+    match bit for bit.
+    """
+    demand = integral_demand(user.energy_demand)
+    for lid, (cable_load, _, energy_load, pool_load, pool_cap), evses in fill_caps(state, user):
+        loc = state.scenario.location(lid)
+        value = user.valuation_at(lid)
+        gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
+        for m, caps in evses:
+            cable_pay, prices = _evse_prices(state, loc, cable_load[m], energy_load[m])
+            cost = [p + g for p, g in zip(prices, gen_prices)]
+            order = sorted(range(w1 - w0), key=lambda w: (cost[w], -w))
+            schedule = fill_schedule(order, demand, caps)
+            energy = generation = 0.0
+            for w, e in enumerate(schedule):
+                if e > 0:
+                    e = float(e)
+                    energy += e * prices[w]
+                    generation += e * gen_prices[w]
+            option = ChargeOption(lid, user.arrival, schedule)
+            yield m, option, cable_pay, energy, generation, value
+
+
+def _best_response_applies(scenario: Scenario, user: UserType) -> bool:
+    """True when a fill finds the user's best schedule among every
+    schedule: the user carries no explicit schedules and each preferred
+    location's allowed levels are contiguous (``0..top``); over a level set
+    with a gap a fill can miss an exact sum."""
+    return user.explicit_schedules is None and all(
+        levels == tuple(range(len(levels)))
+        for levels in (allowed_levels(scenario, lid) for lid in user.preferred_locations)
+    )
+
+
+def fill_caps(state: AuctionState, user: UserType):
+    """Where a fill can meet the user's demand at the current loads.
+
+    Yields ``(location_id, window, evses)`` for each preferred location, in
+    ascending order, whose allowed levels can make the demand (the rule
+    ``generate_options`` applies) and that has such an EVSE; ``window`` is
+    ``DemandState.window`` over the stay and ``evses`` lists ``(m, caps)``,
+    by EVSE index, for each EVSE with a free cable whose caps reach the
+    demand. ``caps[w]`` is the largest level ``v`` up to the top allowed
+    one with ``load + v <= rate`` and ``pool load + v <= pool cap``: the
+    comparisons ``_price_location`` makes. Needs contiguous levels.
+    """
+    w0, w1 = user.arrival - 1, user.departure
+    width = w1 - w0
+    demand = integral_demand(user.energy_demand)
+    for lid in sorted(user.preferred_locations):
+        levels = allowed_levels(state.scenario, lid)
+        if demand not in schedule_totals(levels, width, demand)[width]:
+            continue
+        rate = state.scenario.location(lid).max_charge_rate
+        window = state.demand.window(lid, w0, w1)
+        _, cable_free, energy_load, pool_load, pool_cap = window
+        evses = []
+        for m, free in enumerate(cable_free):
+            if not free:
+                continue
+            caps = []
+            for y, p, cap in zip(energy_load[m], pool_load, pool_cap):
+                v = levels[-1]
+                while v > 0 and (y + v > rate or p + v > cap):
+                    v -= 1
+                caps.append(v)
+            if sum(caps) >= demand:
+                evses.append((m, caps))
+        if evses:
+            yield lid, window, evses
+
+
+def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tuple[int, ...]:
+    """Give the slots in ``order`` ``min(caps[w], remaining)`` each; the
+    caps must reach ``demand``. Over contiguous levels, filling in slot
+    order gives the lexicographically largest schedule within the caps."""
+    sched = [0] * len(caps)
+    remaining = demand
+    for w in order:
+        if remaining == 0:
+            break
+        take = min(caps[w], remaining)
+        sched[w] = take
+        remaining -= take
+    return tuple(sched)
 
 
 def _price_snapshot(state: AuctionState, location_id: int, w0: int, w1: int) -> list[float]:
@@ -268,18 +399,22 @@ def run_in_order(
     option_policy: str,
     seed: int,
     options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]],
-    rule: Callable[[AuctionState, UserType, Sequence[ChargeOption]], AllocationResult],
+    rule: Callable[[AuctionState, UserType, Optional[Sequence[ChargeOption]]], AllocationResult],
 ) -> AuctionOutcome:
     """The decision loop of the online run and the no-mechanism baseline.
 
     Validates the inputs (``bounds`` too when they are not the scenario's),
     then walks the users in ``(submission_time, user_id)`` order. A user's
-    options are the pinned ones (every user needs a key), or are generated
-    under ``option_policy``. A heuristic policy draws from an rng seeded
-    with ``[seed, user_id]`` and, in a priced run, also gets each preferred
-    location's posted slot prices over the stay (``_price_snapshot``).
-    ``rule(state, user, options)`` decides and settles each user.
-    ``bounds=None`` is an unpriced run.
+    options are the pinned ones (every user needs a key), or come from
+    ``option_policy``. Under ``exhaustive`` a user without explicit
+    schedules whose preferred locations all have contiguous levels gets
+    ``None``: the rule decides by
+    best response, without building the option set; any other user's
+    exhaustive set is enumerated. A heuristic policy draws from an rng
+    seeded with ``[seed, user_id]`` and, in a priced run, also gets each
+    preferred location's posted slot prices over the stay
+    (``_price_snapshot``). ``rule(state, user, options)`` decides and
+    settles each user. ``bounds=None`` is an unpriced run.
     """
     violations = validate_scenario(scenario, users, options_by_user)
     if bounds is not None and bounds != scenario.bounds:
@@ -291,6 +426,8 @@ def run_in_order(
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
         if options_by_user is not None:
             opts = options_by_user[user.user_id]
+        elif kind == "exhaustive" and _best_response_applies(scenario, user):
+            opts = None
         else:
             slot_prices = rng = None
             if kind == "heuristic":
@@ -319,9 +456,10 @@ def run_auction(
     prices built from ``bounds``.
 
     ``options_by_user`` pins the option sets (used when comparing against
-    the offline oracles on identical inputs); otherwise options are
-    generated per user under ``option_policy`` with randomness derived
-    from ``seed`` and the user id (see ``run_in_order``).
+    the offline oracles on identical inputs); otherwise each user is
+    decided under ``option_policy``: by best response over every schedule
+    (``exhaustive``), or on options generated per user with randomness
+    derived from ``seed`` and the user id (see ``run_in_order``).
     """
     return run_in_order(scenario, users, bounds, mode, option_policy, seed, options_by_user, admit)
 

@@ -8,17 +8,27 @@ over ``model.allowed_levels``: a location has options iff the demand is in
 ``reach[width]``, and a slot may take a level iff the slots after it can
 still make the remainder. Two policies:
 
-* ``exhaustive`` enumerates every schedule over the allowed per-slot
-  energy levels that meets the demand exactly (oracle-grade, small windows)
+* ``exhaustive`` stands for every schedule over the allowed per-slot
+  energy levels that meets the demand exactly. Online admission and the
+  no-mechanism baseline do not build that set when every preferred
+  location's levels are contiguous (``0..top``): they decide by best
+  response, a greedy fill of each EVSE's slots at the current loads
+  (``engine.fill_caps``, ``engine.fill_schedule``), which is exact there
+  because every price is linear per kWh. ``generate_options``
+  enumerates the set for the exact oracle, for level sets with a gap and
+  as the tests' reference.
 * ``heuristic-K`` emits at most K schedules: earliest-fill, latest-fill,
   cheapest-first at the supplied slot prices (when there are any), and
   seeded random fills for the remainder; each slot of a fill takes the
   largest allowed level whose remainder the later slots can still make,
   so every fill meets the demand exactly
+
+Pinned options and explicit schedules bypass both policies.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,15 +47,17 @@ __all__ = ["generate_options", "parse_policy"]
 
 
 def parse_policy(policy: str) -> tuple[str, Optional[int]]:
-    """Split a policy string into kind and budget: 'exhaustive' or 'heuristic-K'."""
+    """Split a policy string into kind and budget: 'exhaustive' or
+    'heuristic-K' with K written in ASCII digits."""
     if policy == "exhaustive":
         return "exhaustive", None
-    if policy.startswith("heuristic-"):
-        k = int(policy.split("-", 1)[1])
-        if k < 1:
-            raise ValueError("heuristic budget must be >= 1")
-        return "heuristic", k
-    raise ValueError(f"unknown option policy {policy!r}")
+    match = re.fullmatch(r"heuristic-([0-9]+)", policy)
+    if match is None:
+        raise ValueError(f"unknown option policy {policy!r}")
+    k = int(match.group(1))
+    if k < 1:
+        raise ValueError("heuristic budget must be >= 1")
+    return "heuristic", k
 
 
 def _enumerate_schedules(demand: int, levels: tuple[int, ...], reach) -> list[tuple[int, ...]]:

@@ -16,13 +16,21 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
-from .engine import AuctionOutcome, AuctionState, build_outcome, run_in_order
+from .engine import (
+    AuctionOutcome,
+    AuctionState,
+    build_outcome,
+    fill_caps,
+    fill_schedule,
+    run_in_order,
+)
 from .model import (
     AllocationResult,
     ChargeOption,
     Scenario,
     ScenarioValidationError,
     UserType,
+    integral_demand,
     procurement_capacity,
     validate_scenario,
 )
@@ -255,8 +263,10 @@ def no_mechanism_baseline(
     or generated from ``seed`` under ``option_policy``; see
     ``engine.run_in_order``). Each takes the first feasible option at
     their highest-value location, earliest-fill schedules first, on the
-    lowest free EVSE. Everybody pays zero and the operator absorbs the
-    procurement cost.
+    lowest free EVSE. Under ``exhaustive`` that choice is made by best
+    response, an earliest fill per EVSE, without enumerating the options
+    (where every preferred location's levels are contiguous). Everybody pays zero and the
+    operator absorbs the procurement cost.
     """
     return run_in_order(
         scenario, users, None, "exact", option_policy, seed, options_by_user, _first_fit
@@ -264,17 +274,25 @@ def no_mechanism_baseline(
 
 
 def _first_fit(
-    state: AuctionState, user: UserType, options: Sequence[ChargeOption]
+    state: AuctionState, user: UserType, options: Optional[Sequence[ChargeOption]]
 ) -> AllocationResult:
     """The baseline's choice: options ranked by valuation (highest first),
     then earliest fill, then location id; the first one that fits on some
-    EVSE (lowest index first) within every capacity is taken, for free."""
+    EVSE (lowest index first) within every capacity is taken, for free.
+
+    ``options=None`` stands for every schedule at every preferred location
+    (``engine.run_in_order`` says when); then the choice is made directly: the
+    earliest fill within an EVSE's free capacity is its lexicographically
+    largest feasible schedule, the largest of those wins at a location
+    (ties to the lowest EVSE), and locations compare by the same key."""
     value = dict(zip(user.preferred_locations, user.valuations))
+    w0, w1 = user.arrival - 1, user.departure
+    if options is None:
+        return state.settle(_earliest_fill(state, user, value, w0, w1))
     ranked = sorted(
         options,
         key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
     )
-    w0, w1 = user.arrival - 1, user.departure
     windows = {}
     for opt in ranked:
         lid = opt.location_id
@@ -289,6 +307,23 @@ def _first_fit(
             if free and all(y + e <= rate for y, e in zip(row, sched)):
                 return state.settle(AllocationResult(user.user_id, opt, m, valuation=value[lid]))
     return state.settle(AllocationResult(user.user_id))
+
+
+def _earliest_fill(state, user, value, w0, w1) -> AllocationResult:
+    """``_first_fit`` over every schedule, by an earliest fill per EVSE."""
+    demand = integral_demand(user.energy_demand)
+    best_key = best = None
+    for lid, _, evses in fill_caps(state, user):
+        for m, caps in evses:
+            schedule = fill_schedule(range(w1 - w0), demand, caps)
+            key = (-value[lid], tuple(-e for e in schedule), lid)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (m, ChargeOption(lid, user.arrival, schedule))
+    if best is None:
+        return AllocationResult(user.user_id)
+    m, option = best
+    return AllocationResult(user.user_id, option, m, valuation=value[option.location_id])
 
 
 def welfare_ratio(offline_welfare: float, online_welfare: float) -> float:

@@ -506,9 +506,14 @@ def build_preset(
         if not raw:
             raise ValueError(f"override {item!r} is not key=value")
         if key == "users.count":
-            count_override = int(raw)
+            try:
+                count_override = int(raw)
+            except ValueError as exc:
+                raise ValueError(f"bad override {item}: {exc}") from exc
         else:
             _apply_override(data, key, raw)
+    if count_override is not None and count_override < 0:
+        raise ValueError(f"users.count must be >= 0, got {count_override}")
     slot_count = int(data["time_grid"]["slot_count"])
     if price_trace is not None:
         series = load_price_trace(price_trace, slot_count)
@@ -536,6 +541,6 @@ def build_preset(
         if count_override is not None:
             users = users[:count_override]
     else:
-        spec = downtown9_population(seed, count_override or 1000)
+        spec = downtown9_population(seed, 1000 if count_override is None else count_override)
         users = generate_users(spec, scenario)
     return scenario, users

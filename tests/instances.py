@@ -15,8 +15,11 @@ from evauction.model import (
 from evauction.oracle import exhaustive_options, search_budget
 
 
-def random_instance(seed: int, max_users: int = 500):
-    """A 3-location instance for capacity/rationality sweeps."""
+def random_instance(seed: int, max_users: int = 500, levels: tuple = (0, 1)):
+    """A 3-location instance for capacity/rationality sweeps.
+
+    ``levels`` are the scenario's energy levels; each location's rate is
+    drawn from 1 to ``max(2, top level)``."""
     rng = np.random.default_rng(seed)
     T = 12
     pool_count = int(rng.integers(1, 3))
@@ -44,7 +47,7 @@ def random_instance(seed: int, max_users: int = 500):
                 location_id=lid,
                 evse_count=int(rng.integers(1, 4)),
                 cables_per_evse=int(rng.integers(1, 5)),
-                max_charge_rate=float(rng.integers(1, 3)),
+                max_charge_rate=float(rng.integers(1, max(2, max(levels)) + 1)),
                 pool_id=int(rng.integers(1, pool_count + 1)),
             )
         )
@@ -62,7 +65,7 @@ def random_instance(seed: int, max_users: int = 500):
         pools=tuple(pools),
         locations=tuple(locations),
         bounds=bounds,
-        energy_levels=(0, 1),
+        energy_levels=levels,
     )
     n = int(rng.integers(30, max_users + 1))
     users = []

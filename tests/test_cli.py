@@ -5,7 +5,7 @@ import pytest
 
 from evauction import pricing
 from evauction.cli import main
-from evauction.scenario_io import load_scenario
+from evauction.scenario_io import load_scenario, load_users
 
 
 def _gen(tmp_path, preset="s1", seed=0, extra=()):
@@ -96,6 +96,18 @@ def test_gen_scenario_override_reflected(tmp_path):
     scenario, _ = _gen(tmp_path, extra=("--set", "location.1.evse_count=10"))
     data = json.loads(scenario.read_text())
     assert data["locations"][0]["evse_count"] == 10
+
+
+@pytest.mark.parametrize("preset", ["s1", "downtown9"])
+def test_gen_scenario_users_count(tmp_path, capsys, preset):
+    _, users = _gen(tmp_path, preset=preset, extra=("--set", "users.count=0"))
+    assert load_users(users) == []
+    capsys.readouterr()
+    out = tmp_path / "negative"
+    code = main(["gen-scenario", "--preset", preset, "--set", "users.count=-3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: users.count must be >= 0, got -3"]
+    assert not out.exists()
 
 
 def test_compare_s1(tmp_path, capsys):

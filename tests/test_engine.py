@@ -223,7 +223,8 @@ def test_admit_tie_break_ignores_option_order(s1):
     pinned = [_option(1, (0, 1)), _option(1, (1, 0))]  # both quote 0.35 at the empty state
     forward = run_auction(scenario, [user], scenario.bounds, options_by_user={1: pinned})
     reverse = run_auction(scenario, [user], scenario.bounds, options_by_user={1: pinned[::-1]})
-    assert forward.ledger == reverse.ledger
+    best_response = run_auction(scenario, [user], scenario.bounds)
+    assert forward.ledger == reverse.ledger == best_response.ledger
     assert forward.ledger[0].option.schedule == (0, 1)
 
 
@@ -309,6 +310,40 @@ def test_argmax_consistency_replay():
             state.demand.apply(result.option, result.evse_index)
         else:
             assert best <= 1e-12
+
+
+def _best_response_against_enumeration(seed, mode, levels):
+    """The online run and the baseline decided by best response equal the
+    same runs on the enumerated exhaustive options, ledger row for ledger
+    row (decisions and every payment part, exactly); the online ledger."""
+    scenario, users, _ = random_instance(seed, max_users=60, levels=levels)
+    options = exhaustive_options(scenario, users)
+    online = run_auction(scenario, users, scenario.bounds, mode=mode)
+    reference = run_auction(scenario, users, scenario.bounds, mode=mode, options_by_user=options)
+    assert online.ledger == reference.ledger
+    baseline = no_mechanism_baseline(scenario, users)
+    assert baseline.ledger == no_mechanism_baseline(scenario, users, options_by_user=options).ledger
+    return online.ledger
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(["exact", "conservative"]),
+    levels=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3)]),
+)
+def test_best_response_matches_enumeration(seed, mode, levels):
+    """Levels (0, 1, 3) have a gap at the rate-3 locations, whose users are
+    enumerated; the other users are decided by best response."""
+    _best_response_against_enumeration(seed, mode, levels)
+
+
+@pytest.mark.parametrize("levels", [(0, 1, 2), (0, 1, 3)])
+def test_best_response_admits_top_level_slots(levels):
+    """Some admitted schedule has a slot at the top level: a multi-level
+    fill for (0, 1, 2), an enumerated gapped set for (0, 1, 3)."""
+    ledger = _best_response_against_enumeration(4, "exact", levels)
+    assert any(r.accepted and max(r.option.schedule) == levels[-1] for r in ledger)
 
 
 def _capacity_violations(scenario, demand, mode):

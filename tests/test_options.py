@@ -29,8 +29,9 @@ def test_parse_policy():
     assert parse_policy("heuristic-5") == ("heuristic", 5)
     with pytest.raises(ValueError):
         parse_policy("heuristic-0")
-    with pytest.raises(ValueError):
-        parse_policy("greedy")
+    for bad in ("greedy", "heuristic-x", "heuristic- 3", "heuristic-+3", "heuristic-"):
+        with pytest.raises(ValueError, match="unknown option policy"):
+            parse_policy(bad)
 
 
 def test_exhaustive_three_slot_window(s1):
