@@ -6,15 +6,23 @@ location) tuple leaves strictly positive utility; the best tuple wins,
 payment is fixed at the pre-admission prices, and demand (hence prices)
 is updated. Decisions are never revoked.
 
-The mechanism needs only each user's best response to the posted prices,
-not the option set. Under the exhaustive policy, where every preferred
-location's levels are contiguous, ``admit`` finds it by a greedy fill per
-EVSE; enumerated options are quoted one by one (``_price_location``) for
-pinned options, explicit schedules, heuristic-K and level sets with a gap.
+The mechanism needs only each user's response to the posted prices, not
+the option set. ``fill_caps`` says where a fill can land: a schedule is
+feasible on an EVSE only if it has a free cable and every level stays
+within that EVSE's caps. Under the exhaustive policy, where every
+preferred location's levels are contiguous, ``admit`` finds the best
+response by a greedy fill per such EVSE (``_best_fills``). Under
+heuristic-K it generates the schedules location by location and quotes
+them only on those EVSEs (``_heuristic_fills``). Pinned options, explicit
+schedules and the enumerated options of exhaustive level sets with a gap
+are quoted one by one on every EVSE with a free cable
+(``_quoted_options``). All three price through one payment loop,
+``_price_location``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -37,7 +45,7 @@ from .model import (
     validate_bounds,
     validate_scenario,
 )
-from .options import generate_options, parse_policy
+from .options import generate_options, location_schedules, parse_policy
 
 __all__ = [
     "AuctionOutcome",
@@ -110,14 +118,25 @@ class AuctionOutcome:
 
 
 class AuctionState:
-    """Mutable state of one run: demand, ledger and the price scale."""
+    """Mutable state of one run: demand, ledger and the price scale, and
+    the run's option policy (``budget`` is K under heuristic-K, None under
+    exhaustive) and seed."""
 
-    def __init__(self, scenario: Scenario, bounds: Optional[ValueBounds], mode: str = "exact"):
+    def __init__(
+        self,
+        scenario: Scenario,
+        bounds: Optional[ValueBounds],
+        mode: str = "exact",
+        option_policy: str = "exhaustive",
+        seed: int = 0,
+    ):
         self.scenario = scenario
         self.bounds = bounds
         self.demand = DemandState(scenario, mode)
         self.ledger: list[AllocationResult] = []
         self.k_scale = pricing.price_scale(scenario)
+        self.budget = parse_policy(option_policy)[1]
+        self.seed = seed
 
     def settle(self, result: AllocationResult) -> AllocationResult:
         """Record a decision; an admission adds its option to demand."""
@@ -164,27 +183,30 @@ def _evse_prices(
 
 
 def _price_location(
-    state: AuctionState, location_id: int, schedules: Sequence[tuple[int, ...]], w0: int, w1: int
+    state: AuctionState,
+    loc: Location,
+    window: tuple,
+    gen_prices: Sequence[float],
+    evses: Sequence[int],
+    schedules: Sequence[tuple[int, ...]],
 ) -> list[list[tuple[bool, float, float, float]]]:
-    """Quote energy schedules over slots [w0, w1) (0-based) at one location
-    on every EVSE; each holds a cable on every slot of that window.
+    """Quote energy schedules at one location on the EVSEs ``evses``; each
+    holds a cable on every slot of the window.
 
-    A payment part is the slot-order sum of quantity x posted price
-    (``_evse_prices``, ``_procurement_prices``) over the slots used.
-    Returns ``rows[m][i] = (feasible, cable, energy, generation)`` for EVSE
-    ``m`` and schedule ``i``; a pair is feasible when no used slot is
+    ``window`` is ``DemandState.window`` over the schedules' slots and
+    ``gen_prices`` the ``_procurement_prices`` there. A payment part is the
+    slot-order sum of quantity x posted price (``_evse_prices``,
+    ``gen_prices``) over the slots used. Returns ``rows[j][i] = (feasible,
+    cable, energy, generation)`` for EVSE ``evses[j]`` and schedule ``i``; a
+    pair is feasible when the EVSE has a free cable and no used slot is
     pushed past a capacity, and a slot without procurement capacity is
     never feasible.
     """
-    loc = state.scenario.location(location_id)
     rate_cap = float(loc.max_charge_rate)
-    cable_load, cable_free, energy_load, pool_load, pool_cap = state.demand.window(
-        location_id, w0, w1
-    )
-    posted = [_evse_prices(state, loc, c, e) for c, e in zip(cable_load, energy_load)]
-    gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
+    cable_load, cable_free, energy_load, pool_load, pool_cap = window
+    posted = [_evse_prices(state, loc, cable_load[m], energy_load[m]) for m in evses]
 
-    rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in cable_load]
+    rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in evses]
     for schedule in schedules:
         e_used = [(w, float(e)) for w, e in enumerate(schedule) if e > 0]  # float-only sums are faster
         gen_ok = True
@@ -193,10 +215,9 @@ def _price_location(
             if pool_load[w] + e > pool_cap[w]:
                 gen_ok = False
             gen_pay += e * gen_prices[w]
-        for m, row in enumerate(rows):
+        for m, row, (cable_pay, prices) in zip(evses, rows, posted):
             ok = cable_free[m] and gen_ok
             loads = energy_load[m]
-            cable_pay, prices = posted[m]
             energy_pay = 0.0
             for w, e in e_used:
                 if loads[w] + e > rate_cap:
@@ -206,13 +227,23 @@ def _price_location(
     return rows
 
 
+def _read_location(state: AuctionState, location_id: int, w0: int, w1: int):
+    """``(loc, window, gen_prices)`` over slots [w0, w1) (0-based) at one
+    location: its record, ``DemandState.window`` and the procurement
+    prices there."""
+    loc = state.scenario.location(location_id)
+    window = state.demand.window(location_id, w0, w1)
+    return loc, window, _procurement_prices(state, loc.pool_id, window[3], window[4], w0, w1)
+
+
 def quote(state: AuctionState, option: ChargeOption, evse_index: int) -> Quote:
     """Payment for ``option`` on one EVSE at current (pre-update) prices."""
     w0 = option.start - 1
-    rows = _price_location(
-        state, option.location_id, (option.schedule,), w0, w0 + len(option.schedule)
+    loc, window, gen_prices = _read_location(
+        state, option.location_id, w0, w0 + len(option.schedule)
     )
-    feasible, cable, energy, generation = rows[evse_index][0]
+    ((row,),) = _price_location(state, loc, window, gen_prices, (evse_index,), (option.schedule,))
+    feasible, cable, energy, generation = row
     return Quote(cable=cable, energy=energy, generation=generation, feasible=feasible)
 
 
@@ -227,18 +258,22 @@ def admit(
     the lexicographically smallest energy schedule, whatever order the
     options arrive in. Options must span the user's stay.
 
-    ``options=None`` stands for every schedule at every preferred location
-    (the exhaustive set; every preferred location's levels contiguous), and
-    the user's best response is found without building that set: on each
-    EVSE a fill of the cheapest slots (``_best_fills``), with the same
-    payments and tie-breaks as quoting every option.
+    ``options=None`` stands for the user's options under the run's policy
+    (``state.budget``), decided without building them as records and with
+    the same payments and tie-breaks as quoting them all. Exhaustive (every
+    preferred location's levels contiguous): the best response, on each
+    EVSE a fill of the cheapest slots (``_best_fills``). Heuristic-K: the
+    schedules ``generate_options`` would give at the posted slot prices,
+    quoted only on the EVSEs ``fill_caps`` lists (``_heuristic_fills``).
     """
     w0 = user.arrival - 1
     w1 = user.departure
-    if options is None:
+    if options is not None:
+        candidates = _quoted_options(state, user, options, w0, w1)
+    elif state.budget is None:
         candidates = _best_fills(state, user, w0, w1)
     else:
-        candidates = _quoted_options(state, user, options, w0, w1)
+        candidates = _heuristic_fills(state, user, w0, w1)
 
     best_utility = 0.0
     best = None
@@ -266,18 +301,57 @@ def admit(
 
 def _quoted_options(state, user, options, w0, w1):
     """Every feasible (EVSE, option) tuple with its payment parts and the
-    valuation, by location, then EVSE, then schedule."""
+    valuation, by location, then EVSE, then schedule. Only EVSEs with a
+    free cable are quoted; no other pair is feasible."""
     by_loc: dict[int, list[ChargeOption]] = {}
     for opt in options:
         by_loc.setdefault(opt.location_id, []).append(opt)
     for lid in sorted(by_loc):
-        value = user.valuation_at(lid)
+        loc, window, gen_prices = _read_location(state, lid, w0, w1)
+        free = [m for m, ok in enumerate(window[1]) if ok]
         opts = sorted(by_loc[lid], key=lambda o: o.schedule)
-        rows = _price_location(state, lid, [opt.schedule for opt in opts], w0, w1)
-        for m, row in enumerate(rows):
-            for opt, (ok, cable, energy, generation) in zip(opts, row):
-                if ok:
-                    yield m, opt, cable, energy, generation, value
+        yield from _quoted(state, user, loc, window, gen_prices, free, opts)
+
+
+def _quoted(state, user, loc, window, gen_prices, evses, opts):
+    """The feasible tuples of ``opts`` (one location, sorted by schedule)
+    on ``evses``, in the form and order of ``_quoted_options``."""
+    value = user.valuation_at(loc.location_id)
+    rows = _price_location(state, loc, window, gen_prices, evses, [o.schedule for o in opts])
+    for m, row in zip(evses, rows):
+        for opt, (ok, cable, energy, generation) in zip(opts, row):
+            if ok:
+                yield m, opt, cable, energy, generation, value
+
+
+def _heuristic_fills(state, user, w0, w1):
+    """Heuristic-K's feasible tuples, quoted, in the form and order of
+    ``_quoted_options`` over the options ``generate_options`` gives at the
+    posted slot prices (``_price_snapshot``) and rng
+    ``default_rng([seed, user_id])``.
+
+    A schedule feasible on an EVSE needs a free cable and every level
+    within that EVSE's caps, so the caps sum to at least the demand: only
+    the EVSEs ``fill_caps`` lists are quoted, and a user with none is
+    rejected without generating anything. Every location up to the last
+    one with such an EVSE is generated, in ascending order from one rng
+    (built at its first random fill), so each sees the random draws it
+    sees in ``generate_options``. Each location's window is read once, in
+    ``fill_caps``, for the slot prices and the quotes.
+    """
+    located = list(fill_caps(state, user))
+    fillable = [i for i, (_, _, evses) in enumerate(located) if evses]
+    if not fillable:
+        return
+    rng = functools.cache(lambda: np.random.default_rng([state.seed, user.user_id]))
+    for lid, window, evses in located[: fillable[-1] + 1]:
+        loc = state.scenario.location(lid)
+        gen_prices = _procurement_prices(state, loc.pool_id, window[3], window[4], w0, w1)
+        slot_prices = _price_snapshot(state, loc, window[2], gen_prices)
+        schedules = location_schedules(user, state.scenario, lid, state.budget, slot_prices, rng)
+        if evses:
+            opts = [ChargeOption(lid, user.arrival, s) for s in schedules]
+            yield from _quoted(state, user, loc, window, gen_prices, [m for m, _ in evses], opts)
 
 
 def _best_fills(state, user, w0, w1):
@@ -293,6 +367,8 @@ def _best_fills(state, user, w0, w1):
     """
     demand = integral_demand(user.energy_demand)
     for lid, (cable_load, _, energy_load, pool_load, pool_cap), evses in fill_caps(state, user):
+        if not evses:
+            continue
         loc = state.scenario.location(lid)
         value = user.valuation_at(lid)
         gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
@@ -311,12 +387,11 @@ def _best_fills(state, user, w0, w1):
             yield m, option, cable_pay, energy, generation, value
 
 
-def _best_response_applies(scenario: Scenario, user: UserType) -> bool:
-    """True when a fill finds the user's best schedule among every
-    schedule: the user carries no explicit schedules and each preferred
-    location's allowed levels are contiguous (``0..top``); over a level set
-    with a gap a fill can miss an exact sum."""
-    return user.explicit_schedules is None and all(
+def _contiguous_levels(scenario: Scenario, user: UserType) -> bool:
+    """True when each preferred location's allowed levels are contiguous
+    (``0..top``), so a fill finds the user's best schedule among every
+    schedule; over a level set with a gap a fill can miss an exact sum."""
+    return all(
         levels == tuple(range(len(levels)))
         for levels in (allowed_levels(scenario, lid) for lid in user.preferred_locations)
     )
@@ -327,12 +402,14 @@ def fill_caps(state: AuctionState, user: UserType):
 
     Yields ``(location_id, window, evses)`` for each preferred location, in
     ascending order, whose allowed levels can make the demand (the rule
-    ``generate_options`` applies) and that has such an EVSE; ``window`` is
-    ``DemandState.window`` over the stay and ``evses`` lists ``(m, caps)``,
-    by EVSE index, for each EVSE with a free cable whose caps reach the
-    demand. ``caps[w]`` is the largest level ``v`` up to the top allowed
-    one with ``load + v <= rate`` and ``pool load + v <= pool cap``: the
-    comparisons ``_price_location`` makes. Needs contiguous levels.
+    ``generate_options`` applies); ``window`` is ``DemandState.window`` over
+    the stay and ``evses`` lists ``(m, caps)``, by EVSE index, for each EVSE
+    with a free cable whose caps reach the demand (possibly none).
+    ``caps[w]`` is the largest whole ``v`` up to the top allowed level with
+    ``load + v <= rate`` and ``pool load + v <= pool cap``: the comparisons
+    ``_price_location`` makes. So every feasible schedule on EVSE ``m`` stays
+    within its caps, over any level set; over contiguous levels every
+    schedule within the caps is feasible.
     """
     w0, w1 = user.arrival - 1, user.departure
     width = w1 - w0
@@ -356,8 +433,7 @@ def fill_caps(state: AuctionState, user: UserType):
                 caps.append(v)
             if sum(caps) >= demand:
                 evses.append((m, caps))
-        if evses:
-            yield lid, window, evses
+        yield lid, window, evses
 
 
 def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tuple[int, ...]:
@@ -375,16 +451,16 @@ def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tup
     return tuple(sched)
 
 
-def _price_snapshot(state: AuctionState, location_id: int, w0: int, w1: int) -> list[float]:
-    """Per-slot $/kWh over slots [w0, w1) (0-based) at one location: the
-    energy price at the least-loaded EVSE plus the procurement price, as
-    ``_price_location`` posts them. The heuristic option policy ranks
-    slots by it."""
-    loc = state.scenario.location(location_id)
+def _price_snapshot(
+    state: AuctionState, loc: Location, energy_load: list, gen_prices: Sequence[float]
+) -> list[float]:
+    """Per-slot $/kWh over a window at one location: the energy price at
+    the least-loaded EVSE plus the procurement price, as ``_price_location``
+    posts them, from the window's energy rows (``DemandState.window``) and
+    its ``_procurement_prices``. The heuristic option policy ranks slots
+    by it."""
     b = state.bounds
     rate_cap = float(loc.max_charge_rate)
-    _, _, energy_load, pool_load, pool_cap = state.demand.window(location_id, w0, w1)
-    gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
     return [
         pricing.exp_price(min(ys), rate_cap, b.energy_low, b.energy_high, state.k_scale) + p
         for ys, p in zip(zip(*energy_load), gen_prices)
@@ -406,39 +482,34 @@ def run_in_order(
     Validates the inputs (``bounds`` too when they are not the scenario's),
     then walks the users in ``(submission_time, user_id)`` order. A user's
     options are the pinned ones (every user needs a key), or come from
-    ``option_policy``. Under ``exhaustive`` a user without explicit
-    schedules whose preferred locations all have contiguous levels gets
-    ``None``: the rule decides by
-    best response, without building the option set; any other user's
-    exhaustive set is enumerated. A heuristic policy draws from an rng
-    seeded with ``[seed, user_id]`` and, in a priced run, also gets each
-    preferred location's posted slot prices over the stay
-    (``_price_snapshot``). ``rule(state, user, options)`` decides and
-    settles each user. ``bounds=None`` is an unpriced run.
+    ``option_policy``. A user without explicit schedules gets ``None``,
+    and the rule decides on the state's policy without an option set
+    (``admit`` says how), under ``exhaustive`` when the preferred
+    locations all have contiguous levels and under a heuristic policy in
+    a priced run. Any other user's options are generated
+    (``generate_options``): the exhaustive set is enumerated, and a
+    heuristic policy in an unpriced run draws from an rng seeded with
+    ``[seed, user_id]`` and has no slot prices. ``rule(state, user,
+    options)`` decides and settles each user. ``bounds=None`` is an
+    unpriced run.
     """
     violations = validate_scenario(scenario, users, options_by_user)
     if bounds is not None and bounds != scenario.bounds:
         violations += validate_bounds(scenario, bounds)
     if violations:
         raise ScenarioValidationError(violations)
-    kind, _ = parse_policy(option_policy)
-    state = AuctionState(scenario, bounds, mode)
+    state = AuctionState(scenario, bounds, mode, option_policy, seed)
+    heuristic = state.budget is not None
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
         if options_by_user is not None:
             opts = options_by_user[user.user_id]
-        elif kind == "exhaustive" and _best_response_applies(scenario, user):
+        elif user.explicit_schedules is None and (
+            bounds is not None if heuristic else _contiguous_levels(scenario, user)
+        ):
             opts = None
         else:
-            slot_prices = rng = None
-            if kind == "heuristic":
-                rng = np.random.default_rng([seed, user.user_id])
-                if bounds is not None:
-                    w0, w1 = user.arrival - 1, user.departure
-                    slot_prices = {
-                        lid: _price_snapshot(state, lid, w0, w1)
-                        for lid in user.preferred_locations
-                    }
-            opts = generate_options(user, scenario, option_policy, slot_prices=slot_prices, rng=rng)
+            rng = np.random.default_rng([seed, user.user_id]) if heuristic else None
+            opts = generate_options(user, scenario, option_policy, rng=rng)
         rule(state, user, opts)
     return build_outcome(scenario, state.demand, tuple(state.ledger), bounds)
 

@@ -21,15 +21,22 @@ still make the remainder. Two policies:
   cheapest-first at the supplied slot prices (when there are any), and
   seeded random fills for the remainder; each slot of a fill takes the
   largest allowed level whose remainder the later slots can still make,
-  so every fill meets the demand exactly
+  so every fill meets the demand exactly. Priced online admission does
+  not build this set for a user without explicit schedules: it takes the
+  schedules of each location from ``location_schedules``, the
+  per-location body of ``generate_options``, at the posted slot prices
+  and with the same rng, up to the last location where some EVSE can
+  take a fill (``engine.fill_caps``), and quotes them only there. The
+  unpriced baseline gets its heuristic options from ``generate_options``.
 
 Pinned options and explicit schedules bypass both policies.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from .model import (
     schedule_totals,
 )
 
-__all__ = ["generate_options", "parse_policy"]
+__all__ = ["generate_options", "location_schedules", "parse_policy"]
 
 
 def parse_policy(policy: str) -> tuple[str, Optional[int]]:
@@ -108,9 +115,10 @@ def _heuristic_schedules(
     reach,
     budget: int,
     slot_prices: Optional[Sequence[float]],
-    rng: np.random.Generator,
+    rng: Callable[[], np.random.Generator],
 ) -> list[tuple[int, ...]]:
-    """At most ``budget`` greedy fills; ``demand`` must be in ``reach[-1]``."""
+    """At most ``budget`` greedy fills; ``demand`` must be in ``reach[-1]``.
+    The random fills draw from ``rng()``."""
     width = len(reach) - 1
     descending = tuple(sorted(levels, reverse=True))
     picked: list[tuple[int, ...]] = []
@@ -128,10 +136,41 @@ def _heuristic_schedules(
         add(_greedy_fill(order, demand, descending, reach))
     attempts = 0
     while len(picked) < budget and attempts < 4 * budget:
-        order = rng.permutation(width)
+        order = rng().permutation(width)
         add(_greedy_fill([int(i) for i in order], demand, descending, reach))
         attempts += 1
     return picked
+
+
+def location_schedules(
+    user: UserType,
+    scenario: Scenario,
+    location_id: int,
+    budget: Optional[int],
+    slot_prices: Optional[Sequence[float]],
+    rng: Callable[[], np.random.Generator],
+) -> list[tuple[int, ...]]:
+    """The schedules ``user`` can take at one preferred location, in
+    lexicographic order: the per-location body of ``generate_options``.
+
+    ``budget=None`` gives every schedule that meets the demand (the
+    exhaustive policy), otherwise at most ``budget`` heuristic fills; none
+    when the demand cannot be met there. ``slot_prices`` are the location's
+    $/kWh per slot of the stay, for the cheapest-first fill (``None``: no
+    such fill). ``rng()`` returns the random generator; it is called at the
+    first random fill only.
+    """
+    demand = integral_demand(user.energy_demand)
+    if demand is None:
+        return []
+    levels = allowed_levels(scenario, location_id)
+    width = user.window_length
+    reach = schedule_totals(levels, width, demand)
+    if demand not in reach[width]:
+        return []
+    if budget is None:
+        return _enumerate_schedules(demand, levels, reach)
+    return sorted(_heuristic_schedules(demand, levels, reach, budget, slot_prices, rng))
 
 
 def generate_options(
@@ -150,33 +189,20 @@ def generate_options(
 
     ``slot_prices`` maps each preferred location id to its $/kWh per slot
     of the user's stay; the heuristic's cheapest-fill variant fills the
-    cheapest slots first. The heuristic's random fills draw from ``rng``
-    (``default_rng(0)`` when none is given).
+    cheapest slots first. The heuristic's random fills draw from ``rng``,
+    shared across the locations in ascending order (``default_rng(0)``
+    when none is given).
     """
-    kind, budget = parse_policy(policy)
-    width = user.window_length
-    demand = integral_demand(user.energy_demand)
-
+    _, budget = parse_policy(policy)
+    locations = sorted(user.preferred_locations)
+    if user.explicit_schedules is not None:
+        schedules = sorted(set(user.explicit_schedules))
+        explicit = [ChargeOption(lid, user.arrival, s) for lid in locations for s in schedules]
+        return [option for option in explicit if option_is_feasible(option, user, scenario)]
+    draw = (lambda: rng) if rng is not None else functools.cache(lambda: np.random.default_rng(0))
     results: list[ChargeOption] = []
-    for lid in sorted(user.preferred_locations):
-        if user.explicit_schedules is not None:
-            for sched in sorted(set(user.explicit_schedules)):
-                option = ChargeOption(lid, user.arrival, sched)
-                if option_is_feasible(option, user, scenario):
-                    results.append(option)
-            continue
-        if demand is None:
-            continue
-        levels = allowed_levels(scenario, lid)
-        reach = schedule_totals(levels, width, demand)
-        if demand not in reach[width]:
-            continue
-        if kind == "exhaustive":
-            schedules = _enumerate_schedules(demand, levels, reach)
-        else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            prices = None if slot_prices is None else slot_prices[lid]
-            schedules = _heuristic_schedules(demand, levels, reach, budget, prices, rng)
-        results.extend(ChargeOption(lid, user.arrival, s) for s in sorted(set(schedules)))
+    for lid in locations:
+        prices = None if slot_prices is None else slot_prices[lid]
+        schedules = location_schedules(user, scenario, lid, budget, prices, draw)
+        results.extend(ChargeOption(lid, user.arrival, s) for s in schedules)
     return results

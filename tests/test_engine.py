@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import pricing
-from evauction.engine import AuctionState, _price_snapshot, admit, quote, run_auction
+from evauction.engine import (
+    AuctionState,
+    _price_snapshot,
+    _procurement_prices,
+    admit,
+    quote,
+    run_auction,
+    run_in_order,
+)
 from evauction.model import procurement_capacity
+from evauction.options import generate_options
 from evauction.oracle import exhaustive_options, no_mechanism_baseline
 
 from instances import random_instance
@@ -162,7 +171,9 @@ def test_heuristic_ranks_slots_by_posted_prices(s1, data):
     w0 = data.draw(st.integers(0, T - 1))
     w1 = data.draw(st.integers(w0 + 1, T))
 
-    series = _price_snapshot(state, 1, w0, w1)
+    _, _, energy_rows, pool_rows, cap_rows = state.demand.window(1, w0, w1)
+    gen_prices = _procurement_prices(state, pool.pool_id, pool_rows, cap_rows, w0, w1)
+    series = _price_snapshot(state, loc, energy_rows, gen_prices)
 
     k = pricing.price_scale(sc)
     b = sc.bounds
@@ -344,6 +355,59 @@ def test_best_response_admits_top_level_slots(levels):
     fill for (0, 1, 2), an enumerated gapped set for (0, 1, 3)."""
     ledger = _best_response_against_enumeration(4, "exact", levels)
     assert any(r.accepted and max(r.option.schedule) == levels[-1] for r in ledger)
+
+
+def _heuristic_reference(policy, seed):
+    """A rule deciding each user as ``generate_options`` and ``admit`` do:
+    slot prices from ``pricing`` at the current loads for every preferred
+    location, options from rng ``default_rng([seed, user_id])``, every one
+    quoted."""
+
+    def rule(state, user, _options):
+        sc, b, mode = state.scenario, state.bounds, state.demand.mode
+        k = pricing.price_scale(sc)
+        slot_prices = {}
+        for lid in user.preferred_locations:
+            loc = sc.location(lid)
+            pool = sc.pool(loc.pool_id)
+            caps = procurement_capacity(pool, mode)
+            load = state.demand.procurement[pool.pool_id]
+            prices = []
+            for t in range(user.arrival - 1, user.departure):
+                least = float(state.demand.energy[lid][:, t].min())
+                gen = math.inf
+                if caps[t] > 0:
+                    gen = pricing.generation_price(float(load[t]), pool, t + 1, b, k, mode)
+                prices.append(pricing.energy_price(least, loc.max_charge_rate, b, k) + gen)
+            slot_prices[lid] = prices
+        rng = np.random.default_rng([seed, user.user_id])
+        options = generate_options(user, sc, policy, slot_prices=slot_prices, rng=rng)
+        return admit(state, user, options)
+
+    return rule
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=1, mode="exact", levels=(0, 1, 3), budget=4)
+@given(
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(["exact", "conservative"]),
+    levels=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3)]),
+    budget=st.sampled_from([1, 3, 4]),
+)
+def test_heuristic_matches_generated_options(seed, mode, levels, budget):
+    """A priced heuristic-K run, which generates and quotes only where a
+    fill can land, equals the run that generates every option at every
+    preferred location and quotes them all: decisions and every payment
+    part, exactly."""
+    scenario, users, _ = random_instance(seed, max_users=60, levels=levels)
+    policy = f"heuristic-{budget}"
+    online = run_auction(scenario, users, scenario.bounds, mode, policy, seed)
+    reference = run_in_order(
+        scenario, users, scenario.bounds, mode, policy, seed, None,
+        _heuristic_reference(policy, seed),
+    )
+    assert online.ledger == reference.ledger
 
 
 def _capacity_violations(scenario, demand, mode):
