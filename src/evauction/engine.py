@@ -6,18 +6,17 @@ location) tuple leaves strictly positive utility; the best tuple wins,
 payment is fixed at the pre-admission prices, and demand (hence prices)
 is updated. Decisions are never revoked.
 
-The mechanism needs only each user's response to the posted prices, not
-the option set. ``fill_caps`` says where a fill can land: a schedule is
-feasible on an EVSE only if it has a free cable and every level stays
-within that EVSE's caps. Under the exhaustive policy, where every
-preferred location's levels are contiguous, ``admit`` finds the best
-response by a greedy fill per such EVSE (``_best_fills``). Under
-heuristic-K it generates the schedules location by location and quotes
-them only on those EVSEs (``_heuristic_fills``). Pinned options, explicit
-schedules and the enumerated options of exhaustive level sets with a gap
-are quoted one by one on every EVSE with a free cable
-(``_quoted_options``). All three price through one payment loop,
-``_price_location``.
+The mechanism needs only each user's response to the posted prices, so
+option sets exist only when a caller pins them. Every other user is
+decided from one walk over the preferred locations, ``located_schedules``:
+it lists the EVSEs a schedule can fit on (a free cable, and caps per slot
+that reach the demand) and, unless the exhaustive policy meets contiguous
+levels, the schedules the run's policy gives there. ``admit`` quotes
+those schedules on those EVSEs, or fills each EVSE's cheapest slots (the
+best response over every schedule); the baseline takes its earliest fill
+from the same walk. Pinned options are quoted one by one on every EVSE
+with a free cable (``_quoted_options``). All price through one payment
+loop, ``_price_location``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .model import (
     validate_bounds,
     validate_scenario,
 )
-from .options import generate_options, location_schedules, parse_policy
+from .options import location_schedules, parse_policy
 
 __all__ = [
     "AuctionOutcome",
@@ -54,8 +53,8 @@ __all__ = [
     "Quote",
     "admit",
     "build_outcome",
-    "fill_caps",
     "fill_schedule",
+    "located_schedules",
     "quote",
     "run_auction",
     "run_in_order",
@@ -252,44 +251,36 @@ def admit(
 ) -> AllocationResult:
     """Decide one user: quote all tuples, pick the utility argmax, settle.
 
-    Utility is the valuation at the option's location minus the quoted
-    payment; zero utility (or no feasible tuple) means rejection. Ties
-    break toward the lowest location id, then the lowest EVSE index, then
-    the lexicographically smallest energy schedule, whatever order the
-    options arrive in. Options must span the user's stay.
+    Utility is the valuation at the location minus the quoted payment;
+    zero utility (or no feasible tuple) means rejection. Ties break toward
+    the lowest location id, then the lowest EVSE index, then the
+    lexicographically smallest energy schedule, whatever order the options
+    arrive in.
 
-    ``options=None`` stands for the user's options under the run's policy
-    (``state.budget``), decided without building them as records and with
-    the same payments and tie-breaks as quoting them all. Exhaustive (every
-    preferred location's levels contiguous): the best response, on each
-    EVSE a fill of the cheapest slots (``_best_fills``). Heuristic-K: the
-    schedules ``generate_options`` would give at the posted slot prices,
-    quoted only on the EVSEs ``fill_caps`` lists (``_heuristic_fills``).
+    ``options`` is a pinned option set, each option spanning the stay,
+    quoted on every EVSE with a free cable (``_quoted_options``). ``None``
+    decides the user under the run's policy without an option set, with
+    the payments and tie-breaks of quoting every option it stands for
+    (``_placed``). Only the admitted tuple becomes a ``ChargeOption``.
     """
-    w0 = user.arrival - 1
-    w1 = user.departure
-    if options is not None:
-        candidates = _quoted_options(state, user, options, w0, w1)
-    elif state.budget is None:
-        candidates = _best_fills(state, user, w0, w1)
-    else:
-        candidates = _heuristic_fills(state, user, w0, w1)
+    candidates = _placed(state, user) if options is None else _quoted_options(state, user, options)
 
     best_utility = 0.0
     best = None
-    for m, opt, cable, energy, generation, value in candidates:
+    for candidate in candidates:
+        _, _, _, cable, energy, generation, value = candidate
         utility = value - (cable + energy + generation)
         if utility > best_utility:
             best_utility = utility
-            best = (m, opt, cable, energy, generation, value)
+            best = candidate
 
     if best is None:
         return state.settle(AllocationResult(user.user_id))
-    m, opt, cable_paid, energy_paid, generation_paid, value = best
+    m, lid, schedule, cable_paid, energy_paid, generation_paid, value = best
     return state.settle(
         AllocationResult(
             user_id=user.user_id,
-            option=opt,
+            option=ChargeOption(lid, user.arrival, schedule),
             evse_index=m,
             cable_paid=cable_paid,
             energy_paid=energy_paid,
@@ -299,83 +290,58 @@ def admit(
     )
 
 
-def _quoted_options(state, user, options, w0, w1):
-    """Every feasible (EVSE, option) tuple with its payment parts and the
-    valuation, by location, then EVSE, then schedule. Only EVSEs with a
-    free cable are quoted; no other pair is feasible."""
-    by_loc: dict[int, list[ChargeOption]] = {}
+def _quoted_options(state, user, options):
+    """Every feasible (EVSE, location, schedule) tuple of pinned options
+    with its payment parts and the valuation, by location, then EVSE, then
+    schedule. Only EVSEs with a free cable are quoted; no other pair is
+    feasible."""
+    w0, w1 = user.arrival - 1, user.departure
+    by_loc: dict[int, list[tuple[int, ...]]] = {}
     for opt in options:
-        by_loc.setdefault(opt.location_id, []).append(opt)
+        by_loc.setdefault(opt.location_id, []).append(opt.schedule)
     for lid in sorted(by_loc):
         loc, window, gen_prices = _read_location(state, lid, w0, w1)
         free = [m for m, ok in enumerate(window[1]) if ok]
-        opts = sorted(by_loc[lid], key=lambda o: o.schedule)
-        yield from _quoted(state, user, loc, window, gen_prices, free, opts)
+        yield from _quoted(state, user, loc, window, gen_prices, free, sorted(by_loc[lid]))
 
 
-def _quoted(state, user, loc, window, gen_prices, evses, opts):
-    """The feasible tuples of ``opts`` (one location, sorted by schedule)
-    on ``evses``, in the form and order of ``_quoted_options``."""
-    value = user.valuation_at(loc.location_id)
-    rows = _price_location(state, loc, window, gen_prices, evses, [o.schedule for o in opts])
+def _quoted(state, user, loc, window, gen_prices, evses, schedules):
+    """The feasible tuples of ``schedules`` (one location, sorted) on
+    ``evses``, in the form and order of ``_quoted_options``."""
+    lid = loc.location_id
+    value = user.valuation_at(lid)
+    rows = _price_location(state, loc, window, gen_prices, evses, schedules)
     for m, row in zip(evses, rows):
-        for opt, (ok, cable, energy, generation) in zip(opts, row):
+        for schedule, (ok, cable, energy, generation) in zip(schedules, row):
             if ok:
-                yield m, opt, cable, energy, generation, value
+                yield m, lid, schedule, cable, energy, generation, value
 
 
-def _heuristic_fills(state, user, w0, w1):
-    """Heuristic-K's feasible tuples, quoted, in the form and order of
-    ``_quoted_options`` over the options ``generate_options`` gives at the
-    posted slot prices (``_price_snapshot``) and rng
-    ``default_rng([seed, user_id])``.
+def _placed(state, user):
+    """The feasible tuples of the user's schedules under the run's policy,
+    in the form and order of ``_quoted_options`` over the options they
+    stand for: listed schedules are quoted on the listed EVSEs.
 
-    A schedule feasible on an EVSE needs a free cable and every level
-    within that EVSE's caps, so the caps sum to at least the demand: only
-    the EVSEs ``fill_caps`` lists are quoted, and a user with none is
-    rejected without generating anything. Every location up to the last
-    one with such an EVSE is generated, in ascending order from one rng
-    (built at its first random fill), so each sees the random draws it
-    sees in ``generate_options``. Each location's window is read once, in
-    ``fill_caps``, for the slot prices and the quotes.
-    """
-    located = list(fill_caps(state, user))
-    fillable = [i for i, (_, _, evses) in enumerate(located) if evses]
-    if not fillable:
-        return
-    rng = functools.cache(lambda: np.random.default_rng([state.seed, user.user_id]))
-    for lid, window, evses in located[: fillable[-1] + 1]:
-        loc = state.scenario.location(lid)
-        gen_prices = _procurement_prices(state, loc.pool_id, window[3], window[4], w0, w1)
-        slot_prices = _price_snapshot(state, loc, window[2], gen_prices)
-        schedules = location_schedules(user, state.scenario, lid, state.budget, slot_prices, rng)
-        if evses:
-            opts = [ChargeOption(lid, user.arrival, s) for s in schedules]
-            yield from _quoted(state, user, loc, window, gen_prices, [m for m, _ in evses], opts)
-
-
-def _best_fills(state, user, w0, w1):
-    """Each EVSE's cheapest feasible schedule at the posted prices, in the
-    form and order of ``_quoted_options``.
-
-    Within the caps of ``fill_caps`` every level is allowed, so with prices
-    linear per kWh filling slots in ascending energy-plus-procurement
-    price, ties toward the later slot, gives the cheapest schedule and,
-    among equally cheap ones, the lexicographically smallest. The parts
-    are summed in slot order as ``_price_location`` sums them, so payments
-    match bit for bit.
+    Where ``located_schedules`` lists no schedules, every schedule within
+    an EVSE's caps is feasible. With prices linear per kWh, filling slots
+    in ascending energy-plus-procurement price, ties toward the later slot,
+    gives the cheapest schedule and, among equally cheap ones, the
+    lexicographically smallest. The parts are summed in slot order as
+    ``_price_location`` sums them, so payments match bit for bit.
     """
     demand = integral_demand(user.energy_demand)
-    for lid, (cable_load, _, energy_load, pool_load, pool_cap), evses in fill_caps(state, user):
-        if not evses:
+    for loc, window, gen_prices, evses, schedules in located_schedules(state, user):
+        if schedules is not None:
+            listed = [m for m, _ in evses]
+            yield from _quoted(state, user, loc, window, gen_prices, listed, schedules)
             continue
-        loc = state.scenario.location(lid)
+        lid = loc.location_id
         value = user.valuation_at(lid)
-        gen_prices = _procurement_prices(state, loc.pool_id, pool_load, pool_cap, w0, w1)
+        cable_load, _, energy_load, _, _ = window
         for m, caps in evses:
             cable_pay, prices = _evse_prices(state, loc, cable_load[m], energy_load[m])
             cost = [p + g for p, g in zip(prices, gen_prices)]
-            order = sorted(range(w1 - w0), key=lambda w: (cost[w], -w))
+            order = sorted(range(len(caps)), key=lambda w: (cost[w], -w))
             schedule = fill_schedule(order, demand, caps)
             energy = generation = 0.0
             for w, e in enumerate(schedule):
@@ -383,42 +349,44 @@ def _best_fills(state, user, w0, w1):
                     e = float(e)
                     energy += e * prices[w]
                     generation += e * gen_prices[w]
-            option = ChargeOption(lid, user.arrival, schedule)
-            yield m, option, cable_pay, energy, generation, value
+            yield m, lid, schedule, cable_pay, energy, generation, value
 
 
-def _contiguous_levels(scenario: Scenario, user: UserType) -> bool:
-    """True when each preferred location's allowed levels are contiguous
-    (``0..top``), so a fill finds the user's best schedule among every
-    schedule; over a level set with a gap a fill can miss an exact sum."""
-    return all(
-        levels == tuple(range(len(levels)))
-        for levels in (allowed_levels(scenario, lid) for lid in user.preferred_locations)
-    )
+def located_schedules(state: AuctionState, user: UserType):
+    """Where the user's schedules under the run's policy can land at the
+    current loads: the one walk behind every decision without pinned
+    options.
 
+    Yields ``(loc, window, gen_prices, evses, schedules)``, ascending, for
+    each preferred location with an EVSE listed in ``evses``. ``window`` is
+    ``DemandState.window`` over the stay and ``gen_prices`` its
+    ``_procurement_prices`` (None when unpriced). ``evses`` lists ``(m,
+    caps)`` for each EVSE with a free cable whose caps reach the demand:
+    ``caps[w]`` is the largest whole ``v`` up to the top level with ``load
+    + v <= rate`` and ``pool load + v <= pool cap``, the comparisons
+    ``_price_location`` makes, so an allowed level fits a slot iff it is
+    within the slot's cap.
 
-def fill_caps(state: AuctionState, user: UserType):
-    """Where a fill can meet the user's demand at the current loads.
-
-    Yields ``(location_id, window, evses)`` for each preferred location, in
-    ascending order, whose allowed levels can make the demand (the rule
-    ``generate_options`` applies); ``window`` is ``DemandState.window`` over
-    the stay and ``evses`` lists ``(m, caps)``, by EVSE index, for each EVSE
-    with a free cable whose caps reach the demand (possibly none).
-    ``caps[w]`` is the largest whole ``v`` up to the top allowed level with
-    ``load + v <= rate`` and ``pool load + v <= pool cap``: the comparisons
-    ``_price_location`` makes. So every feasible schedule on EVSE ``m`` stays
-    within its caps, over any level set; over contiguous levels every
-    schedule within the caps is feasible.
+    ``schedules`` is None where the exhaustive policy meets contiguous
+    levels (``0..top``): every schedule within the caps is feasible there.
+    Elsewhere it is ``options.location_schedules`` under the run's policy,
+    with one rng ``default_rng([seed, user_id])`` built at its first draw
+    and, in a priced heuristic run without explicit schedules, the
+    ``_price_snapshot`` slot prices. A heuristic also generates at the
+    locations without a listed EVSE before the last one yielded, so each
+    location keeps the draws it makes when all are generated.
     """
+    scenario = state.scenario
     w0, w1 = user.arrival - 1, user.departure
     width = w1 - w0
     demand = integral_demand(user.energy_demand)
+    located = []
     for lid in sorted(user.preferred_locations):
-        levels = allowed_levels(state.scenario, lid)
+        levels = allowed_levels(scenario, lid)
         if demand not in schedule_totals(levels, width, demand)[width]:
             continue
-        rate = state.scenario.location(lid).max_charge_rate
+        loc = scenario.location(lid)
+        rate = loc.max_charge_rate
         window = state.demand.window(lid, w0, w1)
         _, cable_free, energy_load, pool_load, pool_cap = window
         evses = []
@@ -433,7 +401,28 @@ def fill_caps(state: AuctionState, user: UserType):
                 caps.append(v)
             if sum(caps) >= demand:
                 evses.append((m, caps))
-        yield lid, window, evses
+        located.append((loc, levels, window, evses))
+
+    last = max((i for i, (_, _, _, evses) in enumerate(located) if evses), default=-1)
+    explicit = user.explicit_schedules is not None
+    listed = state.budget is not None or explicit
+    rng = None
+    for loc, levels, window, evses in located[: last + 1]:
+        if not evses and state.budget is None:
+            continue  # no heuristic draws to keep
+        gen_prices = schedules = slot_prices = None
+        if state.bounds is not None:
+            gen_prices = _procurement_prices(state, loc.pool_id, window[3], window[4], w0, w1)
+        if listed or levels != tuple(range(len(levels))):
+            if rng is None:
+                rng = functools.cache(lambda: np.random.default_rng([state.seed, user.user_id]))
+            if state.budget is not None and gen_prices is not None and not explicit:
+                slot_prices = _price_snapshot(state, loc, window[2], gen_prices)
+            schedules = location_schedules(
+                user, scenario, loc.location_id, state.budget, slot_prices, rng
+            )
+        if evses:
+            yield loc, window, gen_prices, evses, schedules
 
 
 def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tuple[int, ...]:
@@ -480,18 +469,13 @@ def run_in_order(
     """The decision loop of the online run and the no-mechanism baseline.
 
     Validates the inputs (``bounds`` too when they are not the scenario's),
-    then walks the users in ``(submission_time, user_id)`` order. A user's
-    options are the pinned ones (every user needs a key), or come from
-    ``option_policy``. A user without explicit schedules gets ``None``,
-    and the rule decides on the state's policy without an option set
-    (``admit`` says how), under ``exhaustive`` when the preferred
-    locations all have contiguous levels and under a heuristic policy in
-    a priced run. Any other user's options are generated
-    (``generate_options``): the exhaustive set is enumerated, and a
-    heuristic policy in an unpriced run draws from an rng seeded with
-    ``[seed, user_id]`` and has no slot prices. ``rule(state, user,
-    options)`` decides and settles each user. ``bounds=None`` is an
-    unpriced run.
+    then walks the users in ``(submission_time, user_id)`` order and calls
+    ``rule(state, user, options)`` to decide and settle each one.
+    ``options`` is the user's pinned option set when ``options_by_user``
+    is given (every user needs a key), and None otherwise: the rule then
+    decides the user under ``option_policy`` without an option set, from
+    ``located_schedules`` (``seed`` seeds its heuristic draws).
+    ``bounds=None`` is an unpriced run.
     """
     violations = validate_scenario(scenario, users, options_by_user)
     if bounds is not None and bounds != scenario.bounds:
@@ -499,18 +483,8 @@ def run_in_order(
     if violations:
         raise ScenarioValidationError(violations)
     state = AuctionState(scenario, bounds, mode, option_policy, seed)
-    heuristic = state.budget is not None
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
-        if options_by_user is not None:
-            opts = options_by_user[user.user_id]
-        elif user.explicit_schedules is None and (
-            bounds is not None if heuristic else _contiguous_levels(scenario, user)
-        ):
-            opts = None
-        else:
-            rng = np.random.default_rng([seed, user.user_id]) if heuristic else None
-            opts = generate_options(user, scenario, option_policy, rng=rng)
-        rule(state, user, opts)
+        rule(state, user, None if options_by_user is None else options_by_user[user.user_id])
     return build_outcome(scenario, state.demand, tuple(state.ledger), bounds)
 
 
@@ -527,10 +501,11 @@ def run_auction(
     prices built from ``bounds``.
 
     ``options_by_user`` pins the option sets (used when comparing against
-    the offline oracles on identical inputs); otherwise each user is
-    decided under ``option_policy``: by best response over every schedule
-    (``exhaustive``), or on options generated per user with randomness
-    derived from ``seed`` and the user id (see ``run_in_order``).
+    the offline oracles on identical inputs). Otherwise no option set is
+    built: each user is decided under ``option_policy``, by best response
+    over every schedule (``exhaustive``) or over at most K schedules per
+    location (``heuristic-K``, randomness derived from ``seed`` and the
+    user id); ``admit`` says how.
     """
     return run_in_order(scenario, users, bounds, mode, option_policy, seed, options_by_user, admit)
 

@@ -1,42 +1,37 @@
-"""Build the feasible charge-schedule options for a request.
+"""Decide which charge schedules a request can use.
 
 Options are defined per location: every EVSE at a location is identical,
 so the engine (not the option) picks the station. The cable is held for
 the entire visit window; only the energy placement varies. Which
 schedules a request can use is decided by one rule, ``model.schedule_totals``
-over ``model.allowed_levels``: a location has options iff the demand is in
-``reach[width]``, and a slot may take a level iff the slots after it can
-still make the remainder. Two policies:
+over ``model.allowed_levels``: a location has schedules iff the demand is
+in ``reach[width]``, and a slot may take a level iff the slots after it
+can still make the remainder. ``location_schedules`` gives a user's
+schedules at one location under every policy:
 
-* ``exhaustive`` stands for every schedule over the allowed per-slot
-  energy levels that meets the demand exactly. Online admission and the
-  no-mechanism baseline do not build that set when every preferred
-  location's levels are contiguous (``0..top``): they decide by best
-  response, a greedy fill of each EVSE's slots at the current loads
-  (``engine.fill_caps``, ``engine.fill_schedule``), which is exact there
-  because every price is linear per kWh. ``generate_options``
-  enumerates the set for the exact oracle, for level sets with a gap and
-  as the tests' reference.
-* ``heuristic-K`` emits at most K schedules: earliest-fill, latest-fill,
+* explicit schedules, when the user carries them, are used verbatim
+  where they fit and bypass the policy;
+* ``exhaustive`` is every schedule over the allowed per-slot energy
+  levels that meets the demand exactly;
+* ``heuristic-K`` is at most K schedules: earliest-fill, latest-fill,
   cheapest-first at the supplied slot prices (when there are any), and
   seeded random fills for the remainder; each slot of a fill takes the
   largest allowed level whose remainder the later slots can still make,
-  so every fill meets the demand exactly. Priced online admission does
-  not build this set for a user without explicit schedules: it takes the
-  schedules of each location from ``location_schedules``, the
-  per-location body of ``generate_options``, at the posted slot prices
-  and with the same rng, up to the last location where some EVSE can
-  take a fill (``engine.fill_caps``), and quotes them only there. The
-  unpriced baseline gets its heuristic options from ``generate_options``.
+  so every fill meets the demand exactly.
 
-Pinned options and explicit schedules bypass both policies.
+Option sets exist only when a caller pins them. The online run and the
+no-mechanism baseline ask for schedules location by location
+(``engine.located_schedules``), and under ``exhaustive`` over contiguous
+levels (``0..top``) not even that: a greedy fill of each EVSE's slots is
+exact there because every price is linear per kWh. ``generate_options``
+builds the exhaustive set for the exact oracle and as the tests'
+reference.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -148,21 +143,27 @@ def location_schedules(
     location_id: int,
     budget: Optional[int],
     slot_prices: Optional[Sequence[float]],
-    rng: Callable[[], np.random.Generator],
+    rng: Optional[Callable[[], np.random.Generator]],
 ) -> list[tuple[int, ...]]:
     """The schedules ``user`` can take at one preferred location, in
-    lexicographic order: the per-location body of ``generate_options``.
+    lexicographic order, under every policy.
 
+    A user with explicit schedules gets those that fit the location
+    (``model.option_is_feasible``), whatever the policy. Otherwise
     ``budget=None`` gives every schedule that meets the demand (the
-    exhaustive policy), otherwise at most ``budget`` heuristic fills; none
-    when the demand cannot be met there. ``slot_prices`` are the location's
+    exhaustive policy), and a budget K at most K heuristic fills; none when
+    the demand cannot be met there. ``slot_prices`` are the location's
     $/kWh per slot of the stay, for the cheapest-first fill (``None``: no
     such fill). ``rng()`` returns the random generator; it is called at the
-    first random fill only.
+    first random fill only, so it may be None without a budget.
     """
     demand = integral_demand(user.energy_demand)
     if demand is None:
         return []
+    if user.explicit_schedules is not None:
+        schedules = set(user.explicit_schedules)
+        explicit = (ChargeOption(location_id, user.arrival, s) for s in schedules)
+        return sorted(o.schedule for o in explicit if option_is_feasible(o, user, scenario))
     levels = allowed_levels(scenario, location_id)
     width = user.window_length
     reach = schedule_totals(levels, width, demand)
@@ -173,36 +174,17 @@ def location_schedules(
     return sorted(_heuristic_schedules(demand, levels, reach, budget, slot_prices, rng))
 
 
-def generate_options(
-    user: UserType,
-    scenario: Scenario,
-    policy: str = "exhaustive",
-    slot_prices: Optional[Mapping[int, Sequence[float]]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> list[ChargeOption]:
-    """Feasible options for ``user``, sorted by (location, schedule).
-
-    Returns an empty list when the demand fits no preferred location
-    (the caller then sends the user to auxiliary parking). When the user
-    carries explicit schedules those are used verbatim (where they fit)
-    and the policy machinery is bypassed.
-
-    ``slot_prices`` maps each preferred location id to its $/kWh per slot
-    of the user's stay; the heuristic's cheapest-fill variant fills the
-    cheapest slots first. The heuristic's random fills draw from ``rng``,
-    shared across the locations in ascending order (``default_rng(0)``
-    when none is given).
+def generate_options(user: UserType, scenario: Scenario) -> list[ChargeOption]:
+    """Every option of ``user`` under the exhaustive policy (or its
+    explicit schedules), sorted by (location, schedule):
+    ``location_schedules`` at each preferred location. Empty when the
+    demand fits no preferred location (the caller then sends the user to
+    auxiliary parking). The exact oracle's input
+    (``oracle.exhaustive_options``) and the tests' reference; the online
+    run and the baseline never build it.
     """
-    _, budget = parse_policy(policy)
-    locations = sorted(user.preferred_locations)
-    if user.explicit_schedules is not None:
-        schedules = sorted(set(user.explicit_schedules))
-        explicit = [ChargeOption(lid, user.arrival, s) for lid in locations for s in schedules]
-        return [option for option in explicit if option_is_feasible(option, user, scenario)]
-    draw = (lambda: rng) if rng is not None else functools.cache(lambda: np.random.default_rng(0))
-    results: list[ChargeOption] = []
-    for lid in locations:
-        prices = None if slot_prices is None else slot_prices[lid]
-        schedules = location_schedules(user, scenario, lid, budget, prices, draw)
-        results.extend(ChargeOption(lid, user.arrival, s) for s in schedules)
-    return results
+    return [
+        ChargeOption(lid, user.arrival, s)
+        for lid in sorted(user.preferred_locations)
+        for s in location_schedules(user, scenario, lid, None, None, None)
+    ]

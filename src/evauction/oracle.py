@@ -9,19 +9,24 @@ Three yardsticks, all on identical inputs:
   beyond actual solar priced at the cheapest in-window grid price)
 * the no-mechanism baseline: free first-come-first-served choice, with the
   operator absorbing procurement costs
+
+Option sets exist only when a caller pins them: the exact solver searches
+pinned sets (``exhaustive_options`` builds the canonical one), and the
+baseline otherwise decides from ``engine.located_schedules``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, Optional, Sequence
 
 from .engine import (
     AuctionOutcome,
     AuctionState,
     build_outcome,
-    fill_caps,
     fill_schedule,
+    located_schedules,
     run_in_order,
 )
 from .model import (
@@ -57,13 +62,15 @@ def exhaustive_options(
     scenario: Scenario, users: Sequence[UserType]
 ) -> dict[int, list[ChargeOption]]:
     """All options for every user; the canonical oracle input."""
-    return {u.user_id: generate_options(u, scenario, policy="exhaustive") for u in users}
+    return {u.user_id: generate_options(u, scenario) for u in users}
 
 
 def search_budget(
     scenario: Scenario, users: Sequence[UserType], options_by_user: Mapping[int, Sequence[ChargeOption]]
 ) -> int:
-    """Leaf count of the full search tree (reject branch included)."""
+    """An upper bound on the leaf count of the full search tree (reject
+    branch included): each option counts every EVSE of every location,
+    where the search tries only the EVSEs of the option's location."""
     total_evse = sum(loc.evse_count for loc in scenario.locations)
     leaves = 1
     for user in users:
@@ -259,14 +266,12 @@ def no_mechanism_baseline(
 ) -> AuctionOutcome:
     """First-come-first-served world without prices.
 
-    Users are taken in the online run's order on the same options (pinned,
-    or generated from ``seed`` under ``option_policy``; see
-    ``engine.run_in_order``). Each takes the first feasible option at
-    their highest-value location, earliest-fill schedules first, on the
-    lowest free EVSE. Under ``exhaustive`` that choice is made by best
-    response, an earliest fill per EVSE, without enumerating the options
-    (where every preferred location's levels are contiguous). Everybody pays zero and the
-    operator absorbs the procurement cost.
+    Users are taken in the online run's order on the pinned options or,
+    with no option set built, on the schedules ``option_policy`` gives
+    them (draws seeded from ``seed``; see ``engine.run_in_order``). Each
+    takes the first schedule that fits at their highest-value location,
+    earliest fills first, on the lowest free EVSE (``_first_fit``).
+    Everybody pays zero and the operator absorbs the procurement cost.
     """
     return run_in_order(
         scenario, users, None, "exact", option_policy, seed, options_by_user, _first_fit
@@ -280,15 +285,14 @@ def _first_fit(
     then earliest fill, then location id; the first one that fits on some
     EVSE (lowest index first) within every capacity is taken, for free.
 
-    ``options=None`` stands for every schedule at every preferred location
-    (``engine.run_in_order`` says when); then the choice is made directly: the
-    earliest fill within an EVSE's free capacity is its lexicographically
-    largest feasible schedule, the largest of those wins at a location
-    (ties to the lowest EVSE), and locations compare by the same key."""
+    ``options`` is a pinned option set, ranked as above. ``None`` stands
+    for the user's schedules under the run's policy, and the same choice
+    is made from ``engine.located_schedules`` without an option set
+    (``_earliest_fill``)."""
     value = dict(zip(user.preferred_locations, user.valuations))
-    w0, w1 = user.arrival - 1, user.departure
     if options is None:
-        return state.settle(_earliest_fill(state, user, value, w0, w1))
+        return state.settle(_earliest_fill(state, user, value))
+    w0, w1 = user.arrival - 1, user.departure
     ranked = sorted(
         options,
         key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
@@ -309,13 +313,24 @@ def _first_fit(
     return state.settle(AllocationResult(user.user_id))
 
 
-def _earliest_fill(state, user, value, w0, w1) -> AllocationResult:
-    """``_first_fit`` over every schedule, by an earliest fill per EVSE."""
+def _earliest_fill(state, user, value) -> AllocationResult:
+    """``_first_fit`` without an option set: on each EVSE that
+    ``located_schedules`` lists, its lexicographically largest feasible
+    schedule, the earliest fill within its caps or else the largest listed
+    schedule within them; the best by ``_first_fit``'s key wins, ties to
+    the first EVSE walked."""
     demand = integral_demand(user.energy_demand)
     best_key = best = None
-    for lid, _, evses in fill_caps(state, user):
+    for loc, _, _, evses, schedules in located_schedules(state, user):
+        lid = loc.location_id
         for m, caps in evses:
-            schedule = fill_schedule(range(w1 - w0), demand, caps)
+            if schedules is None:
+                schedule = fill_schedule(range(len(caps)), demand, caps)
+            else:
+                fitting = (s for s in reversed(schedules) if all(map(operator.le, s, caps)))
+                schedule = next(fitting, None)
+                if schedule is None:
+                    continue
             key = (-value[lid], tuple(-e for e in schedule), lid)
             if best_key is None or key < best_key:
                 best_key = key

@@ -18,7 +18,7 @@ from evauction.engine import (
     run_in_order,
 )
 from evauction.model import procurement_capacity
-from evauction.options import generate_options
+from evauction.options import generate_options, location_schedules
 from evauction.oracle import exhaustive_options, no_mechanism_baseline
 
 from instances import random_instance
@@ -323,11 +323,29 @@ def test_argmax_consistency_replay():
             assert best <= 1e-12
 
 
-def _best_response_against_enumeration(seed, mode, levels):
-    """The online run and the baseline decided by best response equal the
-    same runs on the enumerated exhaustive options, ledger row for ledger
-    row (decisions and every payment part, exactly); the online ledger."""
+def _with_explicit_schedules(scenario, users, seed):
+    """The users, about half of them carrying one to three explicit
+    schedules drawn from their exhaustive set."""
+    rng = np.random.default_rng([seed, 1])
+    out = []
+    for user in users:
+        schedules = sorted({o.schedule for o in generate_options(user, scenario)})
+        if schedules and rng.random() < 0.5:
+            picked = rng.choice(len(schedules), size=min(3, len(schedules)), replace=False)
+            explicit = tuple(schedules[int(i)] for i in picked)
+            user = dataclasses.replace(user, explicit_schedules=explicit)
+        out.append(user)
+    return out
+
+
+def _best_response_against_enumeration(seed, mode, levels, explicit=False):
+    """The online run and the baseline decided without option sets equal
+    the same runs on the pinned exhaustive options (explicit schedules for
+    a user who carries them), ledger row for ledger row (decisions and
+    every payment part, exactly); the online ledger."""
     scenario, users, _ = random_instance(seed, max_users=60, levels=levels)
+    if explicit:
+        users = _with_explicit_schedules(scenario, users, seed)
     options = exhaustive_options(scenario, users)
     online = run_auction(scenario, users, scenario.bounds, mode=mode)
     reference = run_auction(scenario, users, scenario.bounds, mode=mode, options_by_user=options)
@@ -342,11 +360,13 @@ def _best_response_against_enumeration(seed, mode, levels):
     seed=st.integers(0, 10_000),
     mode=st.sampled_from(["exact", "conservative"]),
     levels=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3)]),
+    explicit=st.booleans(),
 )
-def test_best_response_matches_enumeration(seed, mode, levels):
-    """Levels (0, 1, 3) have a gap at the rate-3 locations, whose users are
-    enumerated; the other users are decided by best response."""
-    _best_response_against_enumeration(seed, mode, levels)
+def test_best_response_matches_enumeration(seed, mode, levels, explicit):
+    """Levels (0, 1, 3) have a gap at the rate-3 locations, whose schedules
+    are enumerated; the other locations are decided by best response.
+    Explicit schedules are quoted wherever they fit."""
+    _best_response_against_enumeration(seed, mode, levels, explicit)
 
 
 @pytest.mark.parametrize("levels", [(0, 1, 2), (0, 1, 3)])
@@ -357,9 +377,23 @@ def test_best_response_admits_top_level_slots(levels):
     assert any(r.accepted and max(r.option.schedule) == levels[-1] for r in ledger)
 
 
-def _heuristic_reference(policy, seed):
-    """A rule deciding each user as ``generate_options`` and ``admit`` do:
-    slot prices from ``pricing`` at the current loads for every preferred
+def _heuristic_options(user, scenario, budget, rng, slot_prices=None):
+    """Heuristic-``budget`` options at every preferred location, in
+    ascending order, drawn from ``rng`` and ranked by ``slot_prices[lid]``
+    (none: no cheapest-first fill)."""
+    return [
+        ev.ChargeOption(lid, user.arrival, s)
+        for lid in sorted(user.preferred_locations)
+        for s in location_schedules(
+            user, scenario, lid, budget, None if slot_prices is None else slot_prices[lid],
+            lambda: rng,
+        )
+    ]
+
+
+def _heuristic_reference(budget, seed):
+    """A rule deciding each user on an option set and ``admit``: slot
+    prices from ``pricing`` at the current loads for every preferred
     location, options from rng ``default_rng([seed, user_id])``, every one
     quoted."""
 
@@ -381,8 +415,7 @@ def _heuristic_reference(policy, seed):
                 prices.append(pricing.energy_price(least, loc.max_charge_rate, b, k) + gen)
             slot_prices[lid] = prices
         rng = np.random.default_rng([seed, user.user_id])
-        options = generate_options(user, sc, policy, slot_prices=slot_prices, rng=rng)
-        return admit(state, user, options)
+        return admit(state, user, _heuristic_options(user, sc, budget, rng, slot_prices))
 
     return rule
 
@@ -399,15 +432,22 @@ def test_heuristic_matches_generated_options(seed, mode, levels, budget):
     """A priced heuristic-K run, which generates and quotes only where a
     fill can land, equals the run that generates every option at every
     preferred location and quotes them all: decisions and every payment
-    part, exactly."""
+    part, exactly. The unpriced baseline equals the baseline on the
+    options generated without slot prices."""
     scenario, users, _ = random_instance(seed, max_users=60, levels=levels)
     policy = f"heuristic-{budget}"
     online = run_auction(scenario, users, scenario.bounds, mode, policy, seed)
     reference = run_in_order(
         scenario, users, scenario.bounds, mode, policy, seed, None,
-        _heuristic_reference(policy, seed),
+        _heuristic_reference(budget, seed),
     )
     assert online.ledger == reference.ledger
+    pinned = {
+        u.user_id: _heuristic_options(u, scenario, budget, np.random.default_rng([seed, u.user_id]))
+        for u in users
+    }
+    baseline = no_mechanism_baseline(scenario, users, seed=seed, option_policy=policy)
+    assert baseline.ledger == no_mechanism_baseline(scenario, users, options_by_user=pinned).ledger
 
 
 def _capacity_violations(scenario, demand, mode):

@@ -6,6 +6,7 @@ import pytest
 
 import evauction as ev
 from evauction.model import AllocationResult, DemandState, ValueBounds, Violation, validate_bounds
+from evauction.options import location_schedules
 
 from instances import random_instance
 
@@ -149,11 +150,20 @@ def test_option_unknown_location_raises(s1):
         ev.option_is_feasible(ghost, user, scenario)
 
 
+def _heuristic_3_options(user, scenario):
+    """Heuristic-3 options at every preferred location, drawn from one
+    ``default_rng(0)`` shared across the locations in ascending order."""
+    rng = np.random.default_rng(0)
+    return [
+        ev.ChargeOption(lid, user.arrival, s)
+        for lid in sorted(user.preferred_locations)
+        for s in location_schedules(user, scenario, lid, 3, None, lambda: rng)
+    ]
+
+
 def test_demand_state_consistency():
     scenario, users, mode = random_instance(3, max_users=60)
-    options = {
-        u.user_id: ev.generate_options(u, scenario, policy="heuristic-3") for u in users
-    }
+    options = {u.user_id: _heuristic_3_options(u, scenario) for u in users}
     state = DemandState(scenario, mode)
     rng = np.random.default_rng(0)
     for u in users:

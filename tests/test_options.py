@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction.model import TimeGrid
-from evauction.options import parse_policy
+from evauction.options import location_schedules, parse_policy
 
 
 def _user(s1, arrival, departure, demand, explicit=None):
@@ -22,6 +22,12 @@ def _user(s1, arrival, departure, demand, explicit=None):
         valuations=(2.0,),
         explicit_schedules=explicit,
     )
+
+
+def _heuristic(user, scenario, k, slot_prices=None, seed=0):
+    """Heuristic-``k`` schedules at location 1, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return location_schedules(user, scenario, 1, k, slot_prices, lambda: rng)
 
 
 def test_parse_policy():
@@ -73,29 +79,25 @@ def test_heuristic_subset_of_exhaustive(s1):
     user = _user(s1, 1, 4, 2)
     full = {o.schedule for o in ev.generate_options(user, scenario)}
     for k in (1, 2, 3, 6):
-        rng = np.random.default_rng(11)
-        subset = ev.generate_options(user, scenario, policy=f"heuristic-{k}", rng=rng)
+        subset = _heuristic(user, scenario, k, seed=11)
         assert len(subset) <= k
-        assert {o.schedule for o in subset} <= full
+        assert set(subset) <= full
 
 
 def test_heuristic_deterministic_under_rng(s1):
     scenario, _ = s1
     user = _user(s1, 1, 4, 2)
-    a = ev.generate_options(user, scenario, "heuristic-6", rng=np.random.default_rng(5))
-    b = ev.generate_options(user, scenario, "heuristic-6", rng=np.random.default_rng(5))
-    assert [o.option_id for o in a] == [o.option_id for o in b]
+    a = _heuristic(user, scenario, 6, seed=5)
+    b = _heuristic(user, scenario, 6, seed=5)
+    assert a == b
 
 
 def test_heuristic_cheapest_uses_snapshot(s1):
     scenario, _ = s1
     user = _user(s1, 1, 4, 1)
     # slot 3 is by far the cheapest; the cheapest-fill schedule must use it
-    prices = {1: [5.0, 5.0, 0.01, 5.0]}
-    opts = ev.generate_options(
-        user, scenario, "heuristic-3", slot_prices=prices, rng=np.random.default_rng(0)
-    )
-    assert (0, 0, 1, 0) in {o.schedule for o in opts}
+    schedules = _heuristic(user, scenario, 3, slot_prices=[5.0, 5.0, 0.01, 5.0], seed=0)
+    assert (0, 0, 1, 0) in schedules
 
 
 def test_explicit_schedules_bypass_policy(s1):
@@ -131,7 +133,7 @@ def test_heuristic_keeps_only_allowed_levels(s1):
     user = _user(s1, 1, 2, 3)  # 3 kWh in two slots of 0 or 2 kWh: no schedule
     assert ev.generate_options(user, sc) == []
     # greedy fills take min(2, remaining) and would emit (2, 1) and (1, 2)
-    assert ev.generate_options(user, sc, "heuristic-3", rng=np.random.default_rng(0)) == []
+    assert _heuristic(user, sc, 3, seed=0) == []
     with pytest.raises(ev.ScenarioValidationError) as err:
         ev.run_auction(sc, [user], sc.bounds, option_policy="heuristic-3")
     assert [v.path for v in err.value.violations] == ["users[1].energy_demand"]
@@ -145,11 +147,11 @@ def test_heuristic_fills_non_contiguous_levels(s1):
     exhaustive = {o.schedule for o in ev.generate_options(user, sc)}
     assert exhaustive == {(1, 1, 3), (1, 3, 1), (3, 1, 1)}
     # every fill takes the largest level whose remainder the later slots can make
-    heuristic = ev.generate_options(user, sc, "heuristic-3", rng=np.random.default_rng(0))
-    assert {o.schedule for o in heuristic} == exhaustive
+    heuristic = _heuristic(user, sc, 3, seed=0)
+    assert set(heuristic) == exhaustive
     # earliest, latest and cheapest fill (3 kWh in the cheapest slot 2) need no draws
-    priced = ev.generate_options(user, sc, "heuristic-3", slot_prices={1: [0.3, 0.1, 0.2]})
-    assert {o.schedule for o in priced} == exhaustive
+    priced = _heuristic(user, sc, 3, slot_prices=[0.3, 0.1, 0.2], seed=0)
+    assert set(priced) == exhaustive
 
 
 def _five_slot_scenario(scenario, levels, rate):
@@ -187,8 +189,5 @@ def test_one_rule_decides_feasibility(s1, levels, rate, width, demand):
     flagged = "users[1].energy_demand" in [v.path for v in ev.validate_scenario(sc, [user])]
     assert flagged == (not exhaustive)
     for k in (1, 3, 6):
-        heuristic = ev.generate_options(
-            user, sc, f"heuristic-{k}", slot_prices={1: [0.5, 0.1, 0.4, 0.2, 0.3][:width]},
-            rng=np.random.default_rng(k),
-        )
-        assert {o.schedule for o in heuristic} <= exhaustive
+        heuristic = _heuristic(user, sc, k, slot_prices=[0.5, 0.1, 0.4, 0.2, 0.3][:width], seed=k)
+        assert set(heuristic) <= exhaustive
