@@ -2,9 +2,11 @@
 
 Three yardsticks, all on identical inputs:
 
-* an exact solver for the offline assignment problem (exhaustive search
-  with branch-and-bound pruning; desk-scale instances only), whose
-  optimal assignment is an ``AuctionOutcome`` ledger like the online run's
+* an exact solver for the offline assignment problem (depth-first search
+  with three cuts: a value bound, a collapse of EVSEs whose whole rows are
+  identical, and one EVSE per option at a slack location; desk-scale
+  instances only), whose optimal assignment is an ``AuctionOutcome``
+  ledger like the online run's, the same ledger as a naive enumeration's
 * a capacity-relaxed upper bound (every user served independently; energy
   beyond actual solar priced at the cheapest in-window grid price)
 * the no-mechanism baseline: free first-come-first-served choice, with the
@@ -91,12 +93,27 @@ def solve_offline_exact(
     per user in submission order (rejected ones included), totalled by
     ``engine.build_outcome`` at actual solar, unpriced (all payments and
     peak prices 0) in ``exact`` mode.
-    With ``prune`` on, subtrees that cannot beat the incumbent are cut
-    (remaining users credited their best valuation for free) and EVSEs in
-    identical state are collapsed; with it off the search is a naive full
-    enumeration. Both return the same welfare. A tree of more than
-    ``budget`` leaves raises ``OracleBudgetExceeded`` before the inputs are
-    validated, unless a user has no key (a validation violation).
+
+    Users are walked in ``(submission_time, user_id)`` order, each trying
+    its options as given, EVSEs ascending, then the reject branch; a leaf
+    replaces the incumbent only when strictly better. With ``prune`` off
+    the search is a naive full enumeration. With it on, three cuts skip
+    subtrees that hold no strictly better leaf than one visited before:
+
+    * the value bound: a subtree is cut when crediting every remaining
+      user their best valuation for free cannot beat the incumbent;
+    * the identical-EVSE collapse: of the EVSEs whose whole cable and
+      energy rows are equal, only the first is tried (the subtrees are
+      relabellings of each other);
+    * the slack location: where every user could share one EVSE (per slot,
+      one cable per user with an option there holding it, and each user's
+      largest energy there, stay within one EVSE's caps), no EVSE cap can
+      bind, so only the first EVSE that fits is tried.
+
+    So the pruned search returns the naive search's ledger, the first
+    optimal leaf in DFS order. A tree of more than ``budget`` leaves raises
+    ``OracleBudgetExceeded`` before the inputs are validated, unless a user
+    has no key (a validation violation).
     """
     # the leaf count needs only the option counts; the per-option checks
     # would dominate on an instance this large
@@ -136,6 +153,29 @@ def solve_offline_exact(
             e_slots = [(w0 + i, float(e)) for i, e in enumerate(opt.schedule) if e > 0]
             rows.append((user.valuation_at(lid), lid, loc_cap[lid][3], opt, c_slots, e_slots))
         choices.append(rows)
+
+    # a location is slack when every user could share one of its EVSEs:
+    # per slot, one cable for each user with an option there holding the
+    # slot, plus the largest energy any of those options draws, fit one
+    # EVSE's caps, so no EVSE choice there can make a later one infeasible
+    need_c = {lid: [0.0] * T for lid in loc_cap}
+    need_e = {lid: [0.0] * T for lid in loc_cap}
+    for rows in choices:
+        held = {}
+        for _, lid, _, _, c_slots, e_slots in rows:
+            slots, peak = held.setdefault(lid, (set(), [0.0] * T))
+            slots.update(c_slots)
+            for t, e in e_slots:
+                peak[t] = max(peak[t], e)
+        for lid, (slots, peak) in held.items():
+            for t in slots:
+                need_c[lid][t] += 1.0
+            for t, e in enumerate(peak):
+                need_e[lid][t] += e
+    slack = {
+        lid: max(need_c[lid]) <= c_cap and max(need_e[lid]) <= e_cap
+        for lid, (c_cap, e_cap, _, _) in loc_cap.items()
+    }
 
     suffix_best = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -180,10 +220,7 @@ def solve_offline_exact(
                 if any(row_e[t] + e > e_cap for t, e in e_slots):
                     continue
                 if seen_states is not None:
-                    key = (
-                        tuple(row_c[t] for t in c_slots),
-                        tuple(row_e[t] for t, _ in e_slots),
-                    )
+                    key = (tuple(row_c), tuple(row_e))
                     if key in seen_states:
                         continue
                     seen_states.add(key)
@@ -200,6 +237,8 @@ def solve_offline_exact(
                 for t, e in e_slots:
                     row_e[t] -= e
                     load[t] -= e
+                if prune and slack[lid]:
+                    break
         walk(i + 1, value_sum, cost_sum)  # reject branch, tried last
 
     walk(0, 0.0, 0.0)

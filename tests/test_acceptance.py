@@ -60,8 +60,8 @@ def micro_sweep():
     rows = []
     for seed in range(1000, 1100):
         scenario, users, options, _ = micro_instance(seed)
-        exact = solve_offline_exact(scenario, users, options, prune=True).welfare
-        naive = solve_offline_exact(scenario, users, options, prune=False).welfare
+        exact = solve_offline_exact(scenario, users, options, prune=True)
+        naive = solve_offline_exact(scenario, users, options, prune=False)
         online = run_auction(scenario, users, scenario.bounds, options_by_user=options)
         rerun = run_auction(scenario, users, scenario.bounds, options_by_user=options)
         baseline = no_mechanism_baseline(scenario, users, options_by_user=options).welfare
@@ -72,8 +72,9 @@ def micro_sweep():
                 "scenario": scenario,
                 "options": options,
                 "users": len(users),
-                "exact": exact,
-                "naive": naive,
+                "exact": exact.welfare,
+                "naive": naive.welfare,
+                "naive_ledger_equal": exact.ledger == naive.ledger,
                 "online": online.welfare,
                 "rerun_identical": rerun.ledger == online.ledger,
                 "baseline": baseline,
@@ -232,6 +233,8 @@ def test_c6_oracle_sandwich(micro_sweep):
             bad.append((row["seed"], "sandwich"))
         if abs(row["exact"] - row["naive"]) > TOL:
             bad.append((row["seed"], "naive mismatch"))
+        if not row["naive_ledger_equal"]:
+            bad.append((row["seed"], "naive ledger mismatch"))
         if row["exact"] < row["baseline"] - TOL:
             bad.append((row["seed"], "baseline above exact"))
         if not row["rerun_identical"]:

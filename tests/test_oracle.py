@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import oracle, pricing
+from evauction.model import GenerationPool, Location, Scenario, TimeGrid, UserType, ValueBounds
 from evauction.oracle import (
     OracleBudgetExceeded,
     exhaustive_options,
@@ -129,7 +132,127 @@ def test_pruned_equals_naive_small():
         options = {u.user_id: options[u.user_id] for u in users}
         fast = solve_offline_exact(scenario, users, options, prune=True)
         slow = solve_offline_exact(scenario, users, options, prune=False)
-        assert fast.welfare == pytest.approx(slow.welfare, abs=1e-9)
+        assert fast.ledger == slow.ledger
+
+
+def _one_location(T, evse_count, cables, rate, requests, solar=5.0, grid_limit=10.0):
+    """One location on one pool at grid price 0.01, levels (0, 1). Each
+    request ``(arrival, width, value, demand)`` is a user with submission
+    time 1 and a window of ``width`` slots (moved earlier to end by T), ids
+    in request order."""
+    pool = GenerationPool(
+        pool_id=1,
+        solar_actual=np.full(T, solar),
+        solar_lower=np.full(T, solar),
+        solar_upper=np.full(T, solar),
+        grid_limit=np.full(T, grid_limit),
+        grid_price=np.full(T, 0.01),
+    )
+    loc = Location(
+        location_id=1,
+        evse_count=evse_count,
+        cables_per_evse=cables,
+        max_charge_rate=float(rate),
+        pool_id=1,
+    )
+    scenario = Scenario(
+        time_grid=TimeGrid(slot_count=T),
+        pools=(pool,),
+        locations=(loc,),
+        bounds=ValueBounds(
+            cable_low=0.02,
+            cable_high=12.0,
+            energy_low=0.05,
+            energy_high=12.0,
+            generation_low=0.05,
+            generation_high=12.0,
+        ),
+        energy_levels=(0, 1),
+    )
+    users = []
+    for uid, (arrival, width, value, demand) in enumerate(requests, 1):
+        arrival = min(arrival, T - width + 1)
+        users.append(
+            UserType(
+                user_id=uid,
+                submission_time=1,
+                arrival=arrival,
+                departure=arrival + width - 1,
+                energy_demand=float(demand),
+                preferred_locations=(1,),
+                valuations=(float(value),),
+            )
+        )
+    return scenario, users
+
+
+def _assert_pruned_returns_naive_ledger(scenario, users):
+    options = exhaustive_options(scenario, users)
+    fast = solve_offline_exact(scenario, users, options, prune=True)
+    slow = solve_offline_exact(scenario, users, options, prune=False)
+    assert fast.ledger == slow.ledger
+    return fast
+
+
+PINNED = [(4, 2, 2, 1), (1, 2, 2, 1), (3, 2, 7, 1), (1, 3, 6, 1)]
+
+
+@pytest.mark.parametrize("rate", [1, 4])
+def test_collapse_keeps_evses_that_differ_off_the_option(rate):
+    """EVSE 0 holds user 1 on slots 4-5 and EVSE 1 holds user 3 on slots
+    3-4: both are free on slots 1-2, where user 2 asks, but only EVSE 0 is
+    free on slot 3, which user 4 needs later. Collapsing them on user 2's
+    slots alone cut the optimum (15.0, user 2 rejected). At rate 4 only
+    the single cable binds, so the location is not slack either."""
+    scenario, users = _one_location(5, 2, 1, rate, PINNED)
+    sol = _assert_pruned_returns_naive_ledger(scenario, users)
+    assert sol.welfare == 17.0
+    assert all(r.accepted for r in sol.ledger)
+
+
+def _requests(max_users, max_demand):
+    return st.lists(
+        st.tuples(st.integers(1, 5), st.integers(2, 3), st.integers(1, 8), st.integers(1, max_demand)),
+        min_size=3,
+        max_size=max_users,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@example(T=5, evse_count=2, requests=PINNED)
+@given(T=st.integers(5, 6), evse_count=st.integers(2, 3), requests=_requests(6, 1))
+def test_pruned_returns_naive_ledger(T, evse_count, requests):
+    """Single-cable, rate-1 EVSEs: the EVSE caps bind, and only EVSEs in
+    identical state may be collapsed."""
+    _assert_pruned_returns_naive_ledger(*_one_location(T, evse_count, 1, 1, requests))
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    T=5,
+    evse_count=2,
+    requests=[(3, 3, 1, 1), (2, 2, 8, 2), (3, 3, 2, 2), (3, 2, 7, 2)],
+    rate=1,
+    solar=2,
+    grid_limit=2,
+)
+@given(
+    T=st.integers(5, 6),
+    evse_count=st.integers(2, 3),
+    requests=_requests(5, 2),  # no cable cap cuts the naive tree here
+    rate=st.integers(1, 3),
+    solar=st.integers(0, 2),
+    grid_limit=st.integers(0, 2),
+)
+def test_pruned_returns_naive_ledger_with_a_cable_per_user(
+    T, evse_count, requests, rate, solar, grid_limit
+):
+    """As many cables per EVSE as users: the location is slack, and the
+    search tries one EVSE per option, unless the rate can bind (a user
+    drawing 2 kWh on two slots can block a later one on one EVSE only)."""
+    cables = len(requests)
+    scenario, users = _one_location(T, evse_count, cables, rate, requests, solar, grid_limit)
+    _assert_pruned_returns_naive_ledger(scenario, users)
 
 
 def test_offline_solution_respects_constraints():
