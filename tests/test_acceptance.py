@@ -5,6 +5,7 @@ lines on passing runs as well.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -27,6 +28,28 @@ from instances import is_small_bid, micro_instance, random_instance
 
 HOT_LOCATIONS = (3, 4, 6)
 TOL = 1e-9
+
+# sha256 of ``_ledger_digest`` over the C4/C5 sweep's heuristic-3 ledgers
+# and over the C6 micro sweep's online ledgers on pinned options
+SWEEP_DIGEST = "58f198d1f626a7a174ba0d68d337f1e9379d77f32f37202069a199f47f2a3d2a"
+MICRO_SWEEP_DIGEST = "0b4d6a1f87b357e1b9ad0350b87163385b7fe4eade8aedd0832b5b317ba170d9"
+
+
+def _ledger_digest(ledgers):
+    """sha256 over ledgers: per row the decision fingerprint (user,
+    accepted, location, EVSE, schedule) and the three payment parts as
+    ``float.hex``, a blank line after each ledger."""
+    digest = hashlib.sha256()
+    for ledger in ledgers:
+        for r in ledger:
+            schedule = r.option.schedule_text() if r.accepted else ""
+            row = (
+                r.user_id, int(r.accepted), r.location_id, r.evse_index, schedule,
+                r.cable_paid.hex(), r.energy_paid.hex(), r.generation_paid.hex(),
+            )
+            digest.update((",".join(map(str, row)) + "\n").encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def _verdict(name, ok, detail):
@@ -76,6 +99,7 @@ def micro_sweep():
                 "naive": naive.welfare,
                 "naive_ledger_equal": exact.ledger == naive.ledger,
                 "online": online.welfare,
+                "online_ledger": online.ledger,
                 "rerun_identical": rerun.ledger == online.ledger,
                 "baseline": baseline,
                 "bound": bound,
@@ -223,6 +247,15 @@ def test_c5_rationality_and_cost_recovery(sweep):
         ir_bad == 0 and recovery_bad == 0,
         f"{ir_bad} rationality breaches, {recovery_bad} cost-recovery breaches (shared sweep)",
     )
+
+
+def test_sweep_ledgers_are_pinned(sweep, micro_sweep):
+    """The C4/C5 sweep and the C6 micro sweep decide and charge every user
+    as recorded: decisions and payments bit for bit."""
+    runs, _ = sweep
+    rows, _ = micro_sweep
+    assert _ledger_digest(outcome.ledger for _, outcome in runs) == SWEEP_DIGEST
+    assert _ledger_digest(row["online_ledger"] for row in rows) == MICRO_SWEEP_DIGEST
 
 
 def test_c6_oracle_sandwich(micro_sweep):
