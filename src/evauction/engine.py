@@ -6,6 +6,11 @@ location) tuple leaves strictly positive utility; the best tuple wins,
 payment is fixed at the pre-admission prices, and demand (hence prices)
 is updated. Decisions are never revoked.
 
+Prices depend only on load, and load changes only at an admission, so
+``AuctionState`` posts them once per admission: ``settle`` refreshes the
+price and room tables over the admitted slots, and every quote reads
+those tables instead of the loads.
+
 The mechanism needs only each user's response to the posted prices, so
 option sets exist only when a caller pins them. Every other user is
 decided from one walk over the preferred locations, ``located_schedules``:
@@ -40,6 +45,7 @@ from .model import (
     ValueBounds,
     allowed_levels,
     integral_demand,
+    procurement_capacity,
     schedule_totals,
     validate_bounds,
     validate_scenario,
@@ -117,9 +123,22 @@ class AuctionOutcome:
 
 
 class AuctionState:
-    """Mutable state of one run: demand, ledger and the price scale, and
-    the run's option policy (``budget`` is K under heuristic-K, None under
-    exhaustive) and seed."""
+    """Mutable state of one run: demand, ledger and the price scale, the
+    run's option policy (``budget`` is K under heuristic-K, None under
+    exhaustive) and seed, and the posted state every quote reads.
+
+    The posted state is what the loads in ``demand`` imply, as plain
+    lists: per location and EVSE, per slot, ``evse_room`` (the largest
+    whole ``v >= 0`` with ``energy load + v <= max_charge_rate``, or 0),
+    ``cable_free`` (``cable load + 1 <= cables_per_evse``) and, when
+    priced, ``cable_price`` and ``energy_price``; per pool, per slot,
+    ``pool_room`` under the mode's procurement cap and, when priced,
+    ``gen_price`` (``math.inf`` where the cap is not positive). An
+    allowed energy ``e`` fits a slot iff ``e <= room``, the float
+    comparison ``load + e <= cap`` being monotone in ``e``. Loads change
+    only at an admission, so ``settle`` re-posts only the admitted slots
+    (``refresh``).
+    """
 
     def __init__(
         self,
@@ -136,74 +155,132 @@ class AuctionState:
         self.k_scale = pricing.price_scale(scenario)
         self.budget = parse_policy(option_policy)[1]
         self.seed = seed
+        # at zero load every slot of every EVSE of a location is posted alike
+        T = scenario.slot_count
+        self.evse_room, self.cable_free, self.cable_price, self.energy_price = {}, {}, {}, {}
+        for loc in scenario.locations:
+            lid, rows = loc.location_id, range(loc.evse_count)
+            room, free = _room(0.0, float(loc.max_charge_rate)), 1.0 <= loc.cables_per_evse
+            self.evse_room[lid] = [[room] * T for _ in rows]
+            self.cable_free[lid] = [[free] * T for _ in rows]
+            if bounds is not None:
+                cable, energy = self._cable_price(loc, 0.0), self._energy_price(loc, 0.0)
+                self.cable_price[lid] = [[cable] * T for _ in rows]
+                self.energy_price[lid] = [[energy] * T for _ in rows]
+        self._pool_caps, self._grid_prices, self.pool_room, self.gen_price = {}, {}, {}, {}
+        for pool in scenario.pools:
+            pid = pool.pool_id
+            caps = self._pool_caps[pid] = procurement_capacity(pool, mode).tolist()
+            self.pool_room[pid] = [_room(0.0, cap) for cap in caps]
+            if bounds is not None:
+                self._grid_prices[pid] = pool.grid_price.tolist()
+                self.gen_price[pid] = [self._gen_price(pid, t, 0.0) for t in range(T)]
 
     def settle(self, result: AllocationResult) -> AllocationResult:
-        """Record a decision; an admission adds its option to demand."""
+        """Record a decision; an admission adds its option to demand and
+        re-posts the slots it holds."""
         if result.accepted:
-            self.demand.apply(result.option, result.evse_index)
+            option, m = result.option, result.evse_index
+            self.demand.apply(option, m)
+            w0 = option.start - 1
+            charged = [t for t, e in enumerate(option.schedule, w0) if e > 0]
+            self.refresh(option.location_id, m, w0, w0 + len(option.schedule), charged)
         self.ledger.append(result)
         return result
 
+    def refresh(
+        self, location_id: int, evse_index: int, w0: int, w1: int, charged: Sequence[int]
+    ) -> None:
+        """Re-post one EVSE and its pool from the loads in ``demand``,
+        whatever they are: the cable over slots [w0, w1) (0-based), the
+        energy and the pool over the slots ``charged`` (an admission
+        changes them only where it charges)."""
+        loc = self.scenario.location(location_id)
+        lid, m, pid = location_id, evse_index, loc.pool_id
+        priced = self.bounds is not None
+        cable_load = self.demand.cable[lid][m].tolist()
+        energy_load = self.demand.energy[lid][m].tolist()
+        pool_load = self.demand.procurement[pid].tolist()
+        for t in range(w0, w1):
+            self.cable_free[lid][m][t] = cable_load[t] + 1.0 <= loc.cables_per_evse
+            if priced:
+                self.cable_price[lid][m][t] = self._cable_price(loc, cable_load[t])
+        for t in charged:
+            self.evse_room[lid][m][t] = _room(energy_load[t], float(loc.max_charge_rate))
+            self.pool_room[pid][t] = _room(pool_load[t], self._pool_caps[pid][t])
+            if priced:
+                self.energy_price[lid][m][t] = self._energy_price(loc, energy_load[t])
+                self.gen_price[pid][t] = self._gen_price(pid, t, pool_load[t])
 
-def _procurement_prices(
-    state: AuctionState, pool_id: int, pool_load: list, pool_cap: list, w0: int, w1: int
-) -> list[float]:
-    """Posted $/kWh of pool procurement over slots [w0, w1) (0-based) at
-    the given loads and caps; a slot without procurement capacity is
-    priced ``math.inf``, so no energy ever fits there."""
-    b = state.bounds
-    grid_price = state.scenario.pool(pool_id).grid_price[w0:w1].tolist()
-    return [
-        pricing.procurement_price(y, cap, pi, b.generation_low, b.generation_high, state.k_scale)
-        if cap > 0.0
-        else math.inf
-        for y, cap, pi in zip(pool_load, pool_cap, grid_price)
-    ]
+    def _cable_price(self, loc: Location, load: float) -> float:
+        b, cap = self.bounds, float(loc.cables_per_evse)
+        return pricing.exp_price(load, cap, b.cable_low, b.cable_high, self.k_scale)
+
+    def _energy_price(self, loc: Location, load: float) -> float:
+        b, cap = self.bounds, float(loc.max_charge_rate)
+        return pricing.exp_price(load, cap, b.energy_low, b.energy_high, self.k_scale)
+
+    def _gen_price(self, pool_id: int, t: int, load: float) -> float:
+        """The posted procurement $/kWh of a pool at slot ``t`` (0-based);
+        ``math.inf`` where the slot has no procurement capacity."""
+        cap = self._pool_caps[pool_id][t]
+        if not cap > 0.0:
+            return math.inf
+        b = self.bounds
+        grid_price = self._grid_prices[pool_id][t]
+        return pricing.procurement_price(
+            load, cap, grid_price, b.generation_low, b.generation_high, self.k_scale
+        )
 
 
-def _evse_prices(
-    state: AuctionState, loc: Location, cable_row: list, energy_row: list
-) -> tuple[float, list[float]]:
-    """Posted prices on one EVSE over a window, at its cable and energy
-    loads there: ``(cable_pay, energy_prices)``, the cable part of every
-    schedule (one cable on every slot) and the $/kWh per slot. Prices are
-    posted at current load, so each curve is evaluated once per slot."""
-    b = state.bounds
-    k = state.k_scale
-    cable_cap = float(loc.cables_per_evse)
-    rate_cap = float(loc.max_charge_rate)
-    cable_pay = 0.0
-    for y in cable_row:
-        cable_pay += pricing.exp_price(y, cable_cap, b.cable_low, b.cable_high, k)
-    energy_prices = [
-        pricing.exp_price(y, rate_cap, b.energy_low, b.energy_high, k) for y in energy_row
-    ]
-    return cable_pay, energy_prices
+_EXACT = 1 << 52  # below this every whole number is a float, one apart
+
+
+def _room(load: float, cap: float) -> int:
+    """The largest whole ``v >= 0`` with ``load + v <= cap`` (float
+    addition), or 0. A room of ``2**52`` or more is ``floor(cap - load)``."""
+    v = math.floor(cap - load)
+    if v < _EXACT:
+        if load + v > cap:
+            while v > 0 and load + v > cap:
+                v -= 1
+        else:
+            while load + (v + 1) <= cap:
+                v += 1
+    return v if v > 0 else 0
 
 
 def _price_location(
     state: AuctionState,
     loc: Location,
-    window: tuple,
-    gen_prices: Sequence[float],
+    w0: int,
+    w1: int,
     evses: Sequence[int],
     schedules: Sequence[tuple[int, ...]],
 ) -> list[list[tuple[bool, float, float, float]]]:
-    """Quote energy schedules at one location on the EVSEs ``evses``; each
-    holds a cable on every slot of the window.
+    """Quote energy schedules over slots [w0, w1) (0-based) at one location
+    on the EVSEs ``evses``; each holds a cable on every slot of the window.
 
-    ``window`` is ``DemandState.window`` over the schedules' slots and
-    ``gen_prices`` the ``_procurement_prices`` there. A payment part is the
-    slot-order sum of quantity x posted price (``_evse_prices``,
-    ``gen_prices``) over the slots used. Returns ``rows[j][i] = (feasible,
-    cable, energy, generation)`` for EVSE ``evses[j]`` and schedule ``i``; a
-    pair is feasible when the EVSE has a free cable and no used slot is
-    pushed past a capacity, and a slot without procurement capacity is
-    never feasible.
+    A payment part is the slot-order sum of quantity x posted price
+    (``AuctionState.cable_price``, ``energy_price``, ``gen_price``) over
+    the slots used. Returns ``rows[j][i] = (fits, cable, energy,
+    generation)`` for EVSE ``evses[j]`` and schedule ``i``; a pair fits
+    when every used slot's energy is within the EVSE's and the pool's
+    room, so a slot without procurement capacity never fits. A pair is
+    feasible when it fits and the EVSE has a free cable on every slot,
+    which the callers check.
     """
-    rate_cap = float(loc.max_charge_rate)
-    cable_load, cable_free, energy_load, pool_load, pool_cap = window
-    posted = [_evse_prices(state, loc, cable_load[m], energy_load[m]) for m in evses]
+    lid, pid = loc.location_id, loc.pool_id
+    pool_room = state.pool_room[pid][w0:w1]
+    gen_prices = state.gen_price[pid][w0:w1]
+    posted = [
+        (
+            _cable_pay(state, lid, m, w0, w1),
+            state.energy_price[lid][m][w0:w1],
+            state.evse_room[lid][m][w0:w1],
+        )
+        for m in evses
+    ]
 
     rows: list[list[tuple[bool, float, float, float]]] = [[] for _ in evses]
     for schedule in schedules:
@@ -211,38 +288,44 @@ def _price_location(
         gen_ok = True
         gen_pay = 0.0
         for w, e in e_used:
-            if pool_load[w] + e > pool_cap[w]:
+            if e > pool_room[w]:
                 gen_ok = False
             gen_pay += e * gen_prices[w]
-        for m, row, (cable_pay, prices) in zip(evses, rows, posted):
-            ok = cable_free[m] and gen_ok
-            loads = energy_load[m]
+        for row, (cable_pay, prices, room) in zip(rows, posted):
+            ok = gen_ok
             energy_pay = 0.0
             for w, e in e_used:
-                if loads[w] + e > rate_cap:
+                if e > room[w]:
                     ok = False
                 energy_pay += e * prices[w]
             row.append((ok, cable_pay, energy_pay, gen_pay))
     return rows
 
 
-def _read_location(state: AuctionState, location_id: int, w0: int, w1: int):
-    """``(loc, window, gen_prices)`` over slots [w0, w1) (0-based) at one
-    location: its record, ``DemandState.window`` and the procurement
-    prices there."""
-    loc = state.scenario.location(location_id)
-    window = state.demand.window(location_id, w0, w1)
-    return loc, window, _procurement_prices(state, loc.pool_id, window[3], window[4], w0, w1)
+def _cable_pay(state: AuctionState, location_id: int, m: int, w0: int, w1: int) -> float:
+    """The cable part of every schedule on EVSE ``m`` over slots [w0, w1):
+    its posted cable prices summed in slot order."""
+    pay = 0.0
+    for p in state.cable_price[location_id][m][w0:w1]:
+        pay += p
+    return pay
+
+
+def _free_cables(state: AuctionState, location_id: int, w0: int, w1: int) -> list[int]:
+    """The EVSEs of a location with a free cable on every slot of [w0, w1)."""
+    return [m for m, free in enumerate(state.cable_free[location_id]) if all(free[w0:w1])]
 
 
 def quote(state: AuctionState, option: ChargeOption, evse_index: int) -> Quote:
-    """Payment for ``option`` on one EVSE at current (pre-update) prices."""
+    """Payment for ``option`` on one EVSE at the posted (pre-update)
+    prices."""
+    lid = option.location_id
     w0 = option.start - 1
-    loc, window, gen_prices = _read_location(
-        state, option.location_id, w0, w0 + len(option.schedule)
-    )
-    ((row,),) = _price_location(state, loc, window, gen_prices, (evse_index,), (option.schedule,))
-    feasible, cable, energy, generation = row
+    w1 = w0 + len(option.schedule)
+    loc = state.scenario.location(lid)
+    ((row,),) = _price_location(state, loc, w0, w1, (evse_index,), (option.schedule,))
+    fits, cable, energy, generation = row
+    feasible = fits and all(state.cable_free[lid][evse_index][w0:w1])
     return Quote(cable=cable, energy=energy, generation=generation, feasible=feasible)
 
 
@@ -300,17 +383,18 @@ def _quoted_options(state, user, options):
     for opt in options:
         by_loc.setdefault(opt.location_id, []).append(opt.schedule)
     for lid in sorted(by_loc):
-        loc, window, gen_prices = _read_location(state, lid, w0, w1)
-        free = [m for m, ok in enumerate(window[1]) if ok]
-        yield from _quoted(state, user, loc, window, gen_prices, free, sorted(by_loc[lid]))
+        free = _free_cables(state, lid, w0, w1)
+        loc = state.scenario.location(lid)
+        yield from _quoted(state, user, loc, free, sorted(by_loc[lid]))
 
 
-def _quoted(state, user, loc, window, gen_prices, evses, schedules):
-    """The feasible tuples of ``schedules`` (one location, sorted) on
-    ``evses``, in the form and order of ``_quoted_options``."""
+def _quoted(state, user, loc, evses, schedules):
+    """The feasible tuples of ``schedules`` (one location, sorted, over the
+    stay) on ``evses`` (each with a free cable), in the form and order of
+    ``_quoted_options``."""
     lid = loc.location_id
     value = user.valuation_at(lid)
-    rows = _price_location(state, loc, window, gen_prices, evses, schedules)
+    rows = _price_location(state, loc, user.arrival - 1, user.departure, evses, schedules)
     for m, row in zip(evses, rows):
         for schedule, (ok, cable, energy, generation) in zip(schedules, row):
             if ok:
@@ -329,17 +413,18 @@ def _placed(state, user):
     lexicographically smallest. The parts are summed in slot order as
     ``_price_location`` sums them, so payments match bit for bit.
     """
+    w0, w1 = user.arrival - 1, user.departure
     demand = integral_demand(user.energy_demand)
-    for loc, window, gen_prices, evses, schedules in located_schedules(state, user):
+    for loc, evses, schedules in located_schedules(state, user):
         if schedules is not None:
-            listed = [m for m, _ in evses]
-            yield from _quoted(state, user, loc, window, gen_prices, listed, schedules)
+            yield from _quoted(state, user, loc, [m for m, _ in evses], schedules)
             continue
         lid = loc.location_id
         value = user.valuation_at(lid)
-        cable_load, _, energy_load, _, _ = window
+        gen_prices = state.gen_price[loc.pool_id][w0:w1]
         for m, caps in evses:
-            cable_pay, prices = _evse_prices(state, loc, cable_load[m], energy_load[m])
+            cable_pay = _cable_pay(state, lid, m, w0, w1)
+            prices = state.energy_price[lid][m][w0:w1]
             cost = [p + g for p, g in zip(prices, gen_prices)]
             order = sorted(range(len(caps)), key=lambda w: (cost[w], -w))
             schedule = fill_schedule(order, demand, caps)
@@ -354,18 +439,16 @@ def _placed(state, user):
 
 def located_schedules(state: AuctionState, user: UserType):
     """Where the user's schedules under the run's policy can land at the
-    current loads: the one walk behind every decision without pinned
+    posted state: the one walk behind every decision without pinned
     options.
 
-    Yields ``(loc, window, gen_prices, evses, schedules)``, ascending, for
-    each preferred location with an EVSE listed in ``evses``. ``window`` is
-    ``DemandState.window`` over the stay and ``gen_prices`` its
-    ``_procurement_prices`` (None when unpriced). ``evses`` lists ``(m,
-    caps)`` for each EVSE with a free cable whose caps reach the demand:
-    ``caps[w]`` is the largest whole ``v`` up to the top level with ``load
-    + v <= rate`` and ``pool load + v <= pool cap``, the comparisons
-    ``_price_location`` makes, so an allowed level fits a slot iff it is
-    within the slot's cap.
+    Yields ``(loc, evses, schedules)``, ascending, for each preferred
+    location with an EVSE listed in ``evses``. ``evses`` lists ``(m,
+    caps)`` for each EVSE with a free cable on every slot of the stay whose
+    caps reach the demand: ``caps[w] = min(top level, evse_room,
+    pool_room)`` (``AuctionState``), the largest whole ``v`` up to the top
+    level that ``_price_location`` finds feasible, so an allowed level fits
+    a slot iff it is within the slot's cap.
 
     ``schedules`` is None where the exhaustive policy meets contiguous
     levels (``0..top``): every schedule within the caps is feasible there.
@@ -386,43 +469,34 @@ def located_schedules(state: AuctionState, user: UserType):
         if demand not in schedule_totals(levels, width, demand)[width]:
             continue
         loc = scenario.location(lid)
-        rate = loc.max_charge_rate
-        window = state.demand.window(lid, w0, w1)
-        _, cable_free, energy_load, pool_load, pool_cap = window
+        top = levels[-1]
+        pool_caps = [r if r < top else top for r in state.pool_room[loc.pool_id][w0:w1]]
         evses = []
-        for m, free in enumerate(cable_free):
-            if not free:
-                continue
-            caps = []
-            for y, p, cap in zip(energy_load[m], pool_load, pool_cap):
-                v = levels[-1]
-                while v > 0 and (y + v > rate or p + v > cap):
-                    v -= 1
-                caps.append(v)
+        rooms = state.evse_room[lid]
+        for m in _free_cables(state, lid, w0, w1):
+            caps = [r if r < p else p for r, p in zip(rooms[m][w0:w1], pool_caps)]
             if sum(caps) >= demand:
                 evses.append((m, caps))
-        located.append((loc, levels, window, evses))
+        located.append((loc, levels, evses))
 
-    last = max((i for i, (_, _, _, evses) in enumerate(located) if evses), default=-1)
+    last = max((i for i, (_, _, evses) in enumerate(located) if evses), default=-1)
     explicit = user.explicit_schedules is not None
     listed = state.budget is not None or explicit
     rng = None
-    for loc, levels, window, evses in located[: last + 1]:
+    for loc, levels, evses in located[: last + 1]:
         if not evses and state.budget is None:
             continue  # no heuristic draws to keep
-        gen_prices = schedules = slot_prices = None
-        if state.bounds is not None:
-            gen_prices = _procurement_prices(state, loc.pool_id, window[3], window[4], w0, w1)
+        schedules = slot_prices = None
         if listed or levels != tuple(range(len(levels))):
             if rng is None:
                 rng = functools.cache(lambda: np.random.default_rng([state.seed, user.user_id]))
-            if state.budget is not None and gen_prices is not None and not explicit:
-                slot_prices = _price_snapshot(state, loc, window[2], gen_prices)
+            if state.budget is not None and state.bounds is not None and not explicit:
+                slot_prices = _price_snapshot(state, loc, w0, w1)
             schedules = location_schedules(
                 user, scenario, loc.location_id, state.budget, slot_prices, rng
             )
         if evses:
-            yield loc, window, gen_prices, evses, schedules
+            yield loc, evses, schedules
 
 
 def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tuple[int, ...]:
@@ -440,20 +514,14 @@ def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tup
     return tuple(sched)
 
 
-def _price_snapshot(
-    state: AuctionState, loc: Location, energy_load: list, gen_prices: Sequence[float]
-) -> list[float]:
-    """Per-slot $/kWh over a window at one location: the energy price at
-    the least-loaded EVSE plus the procurement price, as ``_price_location``
-    posts them, from the window's energy rows (``DemandState.window``) and
-    its ``_procurement_prices``. The heuristic option policy ranks slots
-    by it."""
-    b = state.bounds
-    rate_cap = float(loc.max_charge_rate)
-    return [
-        pricing.exp_price(min(ys), rate_cap, b.energy_low, b.energy_high, state.k_scale) + p
-        for ys, p in zip(zip(*energy_load), gen_prices)
-    ]
+def _price_snapshot(state: AuctionState, loc: Location, w0: int, w1: int) -> list[float]:
+    """Per-slot $/kWh over slots [w0, w1) (0-based) at one location: the
+    least posted energy price over its EVSEs plus the posted procurement
+    price. The least price is the price at the least-loaded EVSE because
+    the energy curve increases with load. The heuristic option policy
+    ranks slots by it."""
+    rows = [row[w0:w1] for row in state.energy_price[loc.location_id]]
+    return [min(col) + g for col, g in zip(zip(*rows), state.gen_price[loc.pool_id][w0:w1])]
 
 
 def run_in_order(

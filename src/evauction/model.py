@@ -6,7 +6,9 @@ Conventions used throughout the package:
   are 0-based and length ``T``
 * energies are kWh, money is $, charge rates are kWh per slot
 * all types here are immutable value data once constructed; the one
-  exception is :class:`DemandState`, which only the auction engine mutates
+  exception is :class:`DemandState`, the numpy record of allocated loads,
+  which only the auction engine mutates (its ``AuctionState`` posts prices
+  and rooms from it at each admission)
 """
 
 from __future__ import annotations
@@ -227,6 +229,15 @@ class Scenario:
         object.__setattr__(self, "locations", tuple(self.locations))
         levels = sorted(set(whole_number(v) for v in self.energy_levels))
         object.__setattr__(self, "energy_levels", tuple(levels))
+        # lookup indexes, not fields: equality and serialization ignore them;
+        # the first of duplicate ids wins, as a scan would find it
+        by_location, by_pool = {}, {}
+        for loc in self.locations:
+            by_location.setdefault(loc.location_id, loc)
+        for pool in self.pools:
+            by_pool.setdefault(pool.pool_id, pool)
+        object.__setattr__(self, "_location_by_id", by_location)
+        object.__setattr__(self, "_pool_by_id", by_pool)
 
     @property
     def slot_count(self) -> int:
@@ -237,16 +248,16 @@ class Scenario:
         return tuple(sorted(loc.location_id for loc in self.locations))
 
     def location(self, location_id: int) -> Location:
-        for loc in self.locations:
-            if loc.location_id == location_id:
-                return loc
-        raise ValueError(f"unknown location_id {location_id}")
+        try:
+            return self._location_by_id[location_id]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown location_id {location_id}") from None
 
     def pool(self, pool_id: int) -> GenerationPool:
-        for pool in self.pools:
-            if pool.pool_id == pool_id:
-                return pool
-        raise ValueError(f"unknown pool_id {pool_id}")
+        try:
+            return self._pool_by_id[pool_id]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown pool_id {pool_id}") from None
 
     def pool_of(self, location_id: int) -> GenerationPool:
         return self.pool(self.location(location_id).pool_id)
@@ -300,11 +311,14 @@ def procurement_capacity(pool: GenerationPool, mode: str) -> np.ndarray:
 
 
 class DemandState:
-    """Running allocated quantities; the sole input to price quotes.
+    """Running allocated quantities, the record a run settles into.
 
     ``cable[lid]`` and ``energy[lid]`` are (evse_count, T) arrays of
     cable-slots and kWh; ``procurement[pid]`` is the pool-aggregate kWh per
     slot. ``mode`` selects the procurement ceiling (``procurement_capacity``).
+    Prices are not read from here per quote: the engine's ``AuctionState``
+    posts what these loads imply at each admission. ``engine.build_outcome``
+    totals a finished run from these arrays.
     """
 
     def __init__(self, scenario: Scenario, mode: str = "exact"):
@@ -320,23 +334,6 @@ class DemandState:
             loc.location_id: np.zeros((loc.evse_count, T)) for loc in scenario.locations
         }
         self.procurement = {pool.pool_id: np.zeros(T) for pool in scenario.pools}
-        self._caps = {pool.pool_id: procurement_capacity(pool, mode) for pool in scenario.pools}
-
-    def window(self, location_id: int, w0: int, w1: int) -> tuple:
-        """Loads and caps over slots [w0, w1) (0-based) at one location, in
-        plain floats: ``(cable_rows, cable_free, energy_rows, pool_load,
-        pool_cap)``. The rows hold one list per EVSE; ``cable_free[m]`` is
-        True when EVSE ``m`` has a free cable on every slot of the window."""
-        loc = self.scenario.location(location_id)
-        cable_rows = self.cable[location_id][:, w0:w1].tolist()
-        cable_cap = float(loc.cables_per_evse)
-        return (
-            cable_rows,
-            [all(y + 1.0 <= cable_cap for y in row) for row in cable_rows],
-            self.energy[location_id][:, w0:w1].tolist(),
-            self.procurement[loc.pool_id][w0:w1].tolist(),
-            self._caps[loc.pool_id][w0:w1].tolist(),
-        )
 
     def apply(self, option: ChargeOption, evse_index: int) -> None:
         lid = option.location_id
@@ -346,7 +343,6 @@ class DemandState:
         self.cable[lid][evse_index, window] += 1.0
         self.energy[lid][evse_index, window] += energy
         self.procurement[pid][window] += energy
-
 
 
 def integral_demand(demand: float) -> Optional[int]:

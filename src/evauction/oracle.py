@@ -26,6 +26,7 @@ from typing import Mapping, Optional, Sequence
 from .engine import (
     AuctionOutcome,
     AuctionState,
+    _free_cables,
     build_outcome,
     fill_schedule,
     located_schedules,
@@ -34,6 +35,7 @@ from .engine import (
 from .model import (
     AllocationResult,
     ChargeOption,
+    DemandState,
     Scenario,
     ScenarioValidationError,
     UserType,
@@ -243,15 +245,17 @@ def solve_offline_exact(
 
     walk(0, 0.0, 0.0)
 
-    state = AuctionState(scenario, None)
+    demand = DemandState(scenario)
+    ledger = []
     for user, chosen in zip(ordered, best_assign):
         if chosen is None:
-            state.settle(AllocationResult(user.user_id))
+            ledger.append(AllocationResult(user.user_id))
         else:
             m, opt = chosen
             value = user.valuation_at(opt.location_id)
-            state.settle(AllocationResult(user.user_id, opt, m, valuation=value))
-    return build_outcome(scenario, state.demand, tuple(state.ledger), None)
+            demand.apply(opt, m)
+            ledger.append(AllocationResult(user.user_id, opt, m, valuation=value))
+    return build_outcome(scenario, demand, tuple(ledger), None)
 
 
 def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
@@ -336,18 +340,20 @@ def _first_fit(
         options,
         key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
     )
-    windows = {}
+    posted = {}
     for opt in ranked:
         lid = opt.location_id
-        if lid not in windows:
-            rate = state.scenario.location(lid).max_charge_rate
-            windows[lid] = (rate, *state.demand.window(lid, w0, w1))
-        rate, _, cable_free, energy_rows, pool_load, pool_cap = windows[lid]
+        if lid not in posted:
+            pid = state.scenario.location(lid).pool_id
+            rooms = state.evse_room[lid]
+            free = [(m, rooms[m][w0:w1]) for m in _free_cables(state, lid, w0, w1)]
+            posted[lid] = (state.pool_room[pid][w0:w1], free)
+        pool_room, free = posted[lid]
         sched = opt.schedule
-        if not all(y + e <= cap for y, e, cap in zip(pool_load, sched, pool_cap)):
+        if not all(map(operator.le, sched, pool_room)):
             continue
-        for m, (free, row) in enumerate(zip(cable_free, energy_rows)):
-            if free and all(y + e <= rate for y, e in zip(row, sched)):
+        for m, room in free:
+            if all(map(operator.le, sched, room)):
                 return state.settle(AllocationResult(user.user_id, opt, m, valuation=value[lid]))
     return state.settle(AllocationResult(user.user_id))
 
@@ -360,7 +366,7 @@ def _earliest_fill(state, user, value) -> AllocationResult:
     the first EVSE walked."""
     demand = integral_demand(user.energy_demand)
     best_key = best = None
-    for loc, _, _, evses, schedules in located_schedules(state, user):
+    for loc, evses, schedules in located_schedules(state, user):
         lid = loc.location_id
         for m, caps in evses:
             if schedules is None:

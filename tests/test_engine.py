@@ -11,15 +11,14 @@ from evauction import pricing
 from evauction.engine import (
     AuctionState,
     _price_snapshot,
-    _procurement_prices,
     admit,
     quote,
     run_auction,
     run_in_order,
 )
-from evauction.model import procurement_capacity
+from evauction.model import AllocationResult, procurement_capacity
 from evauction.options import generate_options, location_schedules
-from evauction.oracle import exhaustive_options, no_mechanism_baseline
+from evauction.oracle import _first_fit, exhaustive_options, no_mechanism_baseline
 
 from instances import random_instance
 
@@ -63,7 +62,7 @@ def test_quote_flags_capacity_overflow(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
     opt = _option(1, (1, 0))
-    state.demand.apply(opt, 0)  # energy slot 1 now at rate cap
+    state.settle(AllocationResult(1, opt, 0))  # energy slot 1 now at rate cap
     q = quote(state, opt, 0)
     assert not q.feasible
 
@@ -74,8 +73,18 @@ def test_cable_overflow_is_infeasible(s1):
     sc = dataclasses.replace(scenario, locations=(loc,))
     state = AuctionState(sc, sc.bounds)
     state.demand.cable[1][0, :2] = 1.0  # EVSE 0's only cable is taken
+    state.refresh(1, 0, 0, 2, range(2))
     opt = _option(1, (1, 0))
     assert [quote(state, opt, m).feasible for m in range(2)] == [False, True]
+
+
+def test_huge_procurement_capacity(s1):
+    """A procurement cap far beyond every whole number a float holds
+    exactly still posts a room and admits."""
+    scenario, _ = s1
+    pool = dataclasses.replace(scenario.pools[0], grid_limit=[1e300] * scenario.slot_count)
+    sc = dataclasses.replace(scenario, pools=(pool,))
+    assert run_auction(sc, [_user(value=2.0)], sc.bounds).accepted_count == 1
 
 
 def test_zero_procurement_capacity_is_infeasible(s1):
@@ -117,6 +126,8 @@ def test_price_is_linear_in_the_option(s1, data):
     state.demand.cable[1][:] = cable_load
     state.demand.energy[1][:] = energy_load
     state.demand.procurement[pool.pool_id][:] = pool_load
+    for m in range(loc.evse_count):
+        state.refresh(1, m, 0, T, range(T))
     start = data.draw(st.integers(1, T))
     width = data.draw(st.integers(1, T - start + 1))
     schedule = tuple(data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))
@@ -168,12 +179,12 @@ def test_heuristic_ranks_slots_by_posted_prices(s1, data):
     pool_load = [data.draw(st.floats(0.0, float(cap))) for cap in caps]
     state.demand.energy[1][:] = energy_load
     state.demand.procurement[pool.pool_id][:] = pool_load
+    for m in range(loc.evse_count):
+        state.refresh(1, m, 0, T, range(T))
     w0 = data.draw(st.integers(0, T - 1))
     w1 = data.draw(st.integers(w0 + 1, T))
 
-    _, _, energy_rows, pool_rows, cap_rows = state.demand.window(1, w0, w1)
-    gen_prices = _procurement_prices(state, pool.pool_id, pool_rows, cap_rows, w0, w1)
-    series = _price_snapshot(state, loc, energy_rows, gen_prices)
+    series = _price_snapshot(state, loc, w0, w1)
 
     k = pricing.price_scale(sc)
     b = sc.bounds
@@ -218,7 +229,7 @@ def test_admit_prefers_cheaper_tuple(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
     first = _option(1, (1, 0))
-    state.demand.apply(first, 0)
+    state.settle(AllocationResult(1, first, 0))
     # slot 1 energy is taken on EVSE 0; an option charging at slot 2 is cheaper
     # than re-using slot 1 (which is now at capacity and infeasible anyway)
     o_a = _option(1, (0, 1))
@@ -318,7 +329,7 @@ def test_argmax_consistency_replay():
                     best = max(best, value - q.total)
         if result.accepted:
             assert result.utility == pytest.approx(best, abs=1e-9)
-            state.demand.apply(result.option, result.evse_index)
+            state.settle(result)
         else:
             assert best <= 1e-12
 
@@ -448,6 +459,88 @@ def test_heuristic_matches_generated_options(seed, mode, levels, budget):
     }
     baseline = no_mechanism_baseline(scenario, users, seed=seed, option_policy=policy)
     assert baseline.ledger == no_mechanism_baseline(scenario, users, options_by_user=pinned).ledger
+
+
+def _posted_from_scratch(state):
+    """Every table ``AuctionState`` posts, recomputed from the loads in
+    ``state.demand`` by the pricing functions; floats as ``float.hex``."""
+    sc, b, mode = state.scenario, state.bounds, state.demand.mode
+    k = pricing.price_scale(sc)
+
+    def room(y, cap):
+        v = 0
+        while y + (v + 1) <= cap:
+            v += 1
+        return v
+
+    posted = {name: {} for name in ("evse_room", "cable_free", "cable_price", "energy_price")}
+    for loc in sc.locations:
+        lid = loc.location_id
+        cable = state.demand.cable[lid].tolist()
+        energy = state.demand.energy[lid].tolist()
+        posted["evse_room"][lid] = [[room(y, loc.max_charge_rate) for y in row] for row in energy]
+        posted["cable_free"][lid] = [[y + 1.0 <= loc.cables_per_evse for y in row] for row in cable]
+        if b is not None:
+            posted["cable_price"][lid] = [
+                [pricing.cable_price(y, loc.cables_per_evse, b, k).hex() for y in row]
+                for row in cable
+            ]
+            posted["energy_price"][lid] = [
+                [pricing.energy_price(y, loc.max_charge_rate, b, k).hex() for y in row]
+                for row in energy
+            ]
+    posted["pool_room"], posted["gen_price"] = {}, {}
+    for pool in sc.pools:
+        pid = pool.pool_id
+        caps = procurement_capacity(pool, mode).tolist()
+        loads = state.demand.procurement[pid].tolist()
+        posted["pool_room"][pid] = [room(y, cap) for y, cap in zip(loads, caps)]
+        if b is not None:
+            posted["gen_price"][pid] = [
+                pricing.generation_price(y, pool, t, b, k, mode).hex() if cap > 0 else math.inf.hex()
+                for t, (y, cap) in enumerate(zip(loads, caps), 1)
+            ]
+    return posted
+
+
+def _posted(state):
+    """The tables ``state`` posts, floats as ``float.hex``."""
+    hexed = lambda rows: [[p.hex() for p in row] for row in rows]  # noqa: E731
+    return {
+        "evse_room": state.evse_room,
+        "cable_free": state.cable_free,
+        "cable_price": {lid: hexed(rows) for lid, rows in state.cable_price.items()},
+        "energy_price": {lid: hexed(rows) for lid, rows in state.energy_price.items()},
+        "pool_room": state.pool_room,
+        "gen_price": {pid: [p.hex() for p in row] for pid, row in state.gen_price.items()},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(["exact", "conservative"]),
+    levels=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3)]),
+    priced=st.booleans(),
+    policy=st.sampled_from(["exhaustive", "heuristic-3"]),
+    explicit=st.booleans(),
+    pinned_share=st.sampled_from([0.0, 0.5]),
+)
+def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, explicit, pinned_share):
+    """After a run of settles (priced ``admit`` or unpriced ``_first_fit``,
+    some users on pinned options, some carrying explicit schedules), every
+    posted room, cable flag and price equals its recomputation from the
+    loads in ``DemandState``, bit for bit."""
+    scenario, users, _ = random_instance(seed, max_users=40, levels=levels)
+    if explicit:
+        users = _with_explicit_schedules(scenario, users, seed)
+    rng = np.random.default_rng([seed, 2])
+    pinned = {u.user_id: generate_options(u, scenario) for u in users if rng.random() < pinned_share}
+    state = AuctionState(scenario, scenario.bounds if priced else None, mode, policy, seed)
+    rule = admit if priced else _first_fit
+    for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
+        rule(state, user, pinned.get(user.user_id))
+    assert _posted(state) == _posted_from_scratch(state)
 
 
 def _capacity_violations(scenario, demand, mode):

@@ -7,6 +7,7 @@ import pytest
 import evauction as ev
 from evauction.model import AllocationResult, DemandState, ValueBounds, Violation, validate_bounds
 from evauction.options import location_schedules
+from evauction.scenario_io import scenario_to_dict
 
 from instances import random_instance
 
@@ -241,3 +242,24 @@ def test_non_finite_bounds_flagged(s1, name, value):
     violations = validate_bounds(scenario, bounds)
     assert (f"bounds.{name}", "must be finite") in [(v.path, v.message) for v in violations]
 
+
+
+def test_scenario_lookups_by_id(s1):
+    """``location`` and ``pool`` find records by id without being fields:
+    the first of duplicate ids wins, an unknown id is a ``ValueError``, and
+    the document (``scenario_to_dict``) and equality are unchanged."""
+    scenario, _ = s1
+    loc, pool = scenario.locations[0], scenario.pools[0]
+    assert scenario.location(loc.location_id) is loc and scenario.pool(pool.pool_id) is pool
+    names = [f.name for f in dataclasses.fields(scenario)]
+    assert names == ["time_grid", "pools", "locations", "bounds", "energy_levels"]
+    twin = dataclasses.replace(loc, evse_count=loc.evse_count + 1)
+    assert dataclasses.replace(scenario, locations=(loc, twin)).location(loc.location_id) is loc
+    copy = dataclasses.replace(scenario)
+    assert copy == scenario and scenario_to_dict(copy) == scenario_to_dict(scenario)
+    with pytest.raises(ValueError, match="unknown location_id 99"):
+        scenario.location(99)
+    with pytest.raises(ValueError, match="unknown pool_id 99"):
+        scenario.pool(99)
+    with pytest.raises(ValueError, match=r"unknown location_id \[1\]"):
+        scenario.location([1])
