@@ -340,20 +340,14 @@ def _first_fit(
         options,
         key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
     )
-    posted = {}
     for opt in ranked:
         lid = opt.location_id
-        if lid not in posted:
-            pid = state.scenario.location(lid).pool_id
-            rooms = state.evse_room[lid]
-            free = [(m, rooms[m][w0:w1]) for m in _free_cables(state, lid, w0, w1)]
-            posted[lid] = (state.pool_room[pid][w0:w1], free)
-        pool_room, free = posted[lid]
         sched = opt.schedule
-        if not all(map(operator.le, sched, pool_room)):
+        pool_room = state.pool_room[state.scenario.location(lid).pool_id]
+        if not all(map(operator.le, sched, pool_room[w0:w1])):
             continue
-        for m, room in free:
-            if all(map(operator.le, sched, room)):
+        for m in _free_cables(state, lid, w0, w1):
+            if all(map(operator.le, sched, state.evse_room[lid][m][w0:w1])):
                 return state.settle(AllocationResult(user.user_id, opt, m, valuation=value[lid]))
     return state.settle(AllocationResult(user.user_id))
 
