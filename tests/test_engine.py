@@ -505,7 +505,10 @@ def _posted_from_scratch(state):
 
 def _posted(state):
     """The tables ``state`` posts, floats as ``float.hex``."""
-    hexed = lambda rows: [[p.hex() for p in row] for row in rows]  # noqa: E731
+
+    def hexed(rows):
+        return [[p.hex() for p in row] for row in rows]
+
     return {
         "evse_room": state.evse_room,
         "cable_free": state.cable_free,
