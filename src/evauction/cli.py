@@ -146,29 +146,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario, users = _load_and_validate(args)
-    # the online run and the baseline see the exact oracle's exhaustive
-    # options when it ran; otherwise they generate their own under --policy
-    pinned = None
+    # when the exact oracle ran, the online run and the baseline decide
+    # under the exhaustive policy, the option set the oracle searched;
+    # otherwise under --policy
+    offline_welfare = None
     if args.offline != "bound":
         opts = oracle.exhaustive_options(scenario, users)
         try:
             offline_welfare = oracle.solve_offline_exact(
                 scenario, users, opts, budget=args.budget
             ).welfare
-            pinned = opts
         except OracleBudgetExceeded:
             if args.offline == "exact":
                 raise
-    if pinned is None:
+    exact = offline_welfare is not None
+    if not exact:
         offline_welfare = oracle.offline_upper_bound(scenario, users)
-    offline_kind = "upper_bound" if pinned is None else "exact"
-    policy = args.policy if pinned is None else "exhaustive"
-    online = run_auction(
-        scenario, users, scenario.bounds, args.mode, policy, args.seed, options_by_user=pinned
-    )
-    baseline = oracle.no_mechanism_baseline(
-        scenario, users, seed=args.seed, option_policy=policy, options_by_user=pinned
-    )
+    offline_kind = "exact" if exact else "upper_bound"
+    policy = "exhaustive" if exact else args.policy
+    online = run_auction(scenario, users, scenario.bounds, args.mode, policy, args.seed)
+    baseline = oracle.no_mechanism_baseline(scenario, users, seed=args.seed, option_policy=policy)
 
     bound_by_loc = oracle.upper_bound_by_location(scenario, users)
     out = Path(args.out)

@@ -64,6 +64,7 @@ __all__ = [
     "quote",
     "run_auction",
     "run_in_order",
+    "submission_order",
 ]
 
 
@@ -89,6 +90,11 @@ class Quote:
 
 @dataclass(frozen=True)
 class LocationStats:
+    """One location's share of a run (``build_outcome``). The peak prices
+    are the largest prices posted at final demand: the cable price over
+    the location's EVSEs and slots, and its pool's procurement price over
+    the slots it charges; both are 0 in an unpriced run."""
+
     location_id: int
     evse_count: int
     cables_per_evse: int
@@ -105,9 +111,10 @@ class LocationStats:
 class AuctionOutcome:
     """Everything a run produces (the online mechanism, the no-mechanism
     baseline or the exact oracle): the append-only ledger, aggregate
-    accounting, per-location statistics, and the final demand state (which
-    also holds the pricing mode). The inputs of the run (option policy,
-    seed) are not repeated here."""
+    accounting, per-location statistics, and the final demand state, whose
+    ``mode`` is the run's pricing mode (``exact`` for the baseline and the
+    exact oracle). The inputs of the run (option policy, seed) are not
+    repeated here."""
 
     ledger: tuple[AllocationResult, ...]
     welfare: float
@@ -132,12 +139,14 @@ class AuctionState:
     whole ``v >= 0`` with ``energy load + v <= max_charge_rate``, or 0),
     ``cable_free`` (``cable load + 1 <= cables_per_evse``) and, when
     priced, ``cable_price`` and ``energy_price``; per pool, per slot,
-    ``pool_room`` under the mode's procurement cap and, when priced,
-    ``gen_price`` (``math.inf`` where the cap is not positive). An
-    allowed energy ``e`` fits a slot iff ``e <= room``, the float
-    comparison ``load + e <= cap`` being monotone in ``e``. Loads change
-    only at an admission, so ``settle`` re-posts only the admitted slots
-    (``refresh``).
+    ``pool_room`` under the mode's procurement cap and, when priced, for
+    each pool a location draws on, ``gen_price``. Every price is posted
+    through its ``pricing`` function at the current load; a slot whose cap
+    is not positive is posted ``math.inf`` once, at construction (no
+    admission charges it). An allowed energy ``e`` fits a slot iff ``e <=
+    room``, the float comparison ``load + e <= cap`` being monotone in
+    ``e``. Loads change only at an admission, so ``settle`` re-posts only
+    the admitted slots (``refresh``).
     """
 
     def __init__(
@@ -152,7 +161,7 @@ class AuctionState:
         self.bounds = bounds
         self.demand = DemandState(scenario, mode)
         self.ledger: list[AllocationResult] = []
-        self.k_scale = pricing.price_scale(scenario)
+        self.k_scale = k = pricing.price_scale(scenario)
         self.budget = parse_policy(option_policy)[1]
         self.seed = seed
         # at zero load every slot of every EVSE of a location is posted alike
@@ -164,17 +173,22 @@ class AuctionState:
             self.evse_room[lid] = [[room] * T for _ in rows]
             self.cable_free[lid] = [[free] * T for _ in rows]
             if bounds is not None:
-                cable, energy = self._cable_price(loc, 0.0), self._energy_price(loc, 0.0)
+                cable = pricing.cable_price(0.0, loc.cables_per_evse, bounds, k)
+                energy = pricing.energy_price(0.0, loc.max_charge_rate, bounds, k)
                 self.cable_price[lid] = [[cable] * T for _ in rows]
                 self.energy_price[lid] = [[energy] * T for _ in rows]
+        drawn = {loc.pool_id for loc in scenario.locations}
         self._pool_caps, self._grid_prices, self.pool_room, self.gen_price = {}, {}, {}, {}
         for pool in scenario.pools:
             pid = pool.pool_id
             caps = self._pool_caps[pid] = procurement_capacity(pool, mode).tolist()
             self.pool_room[pid] = [_room(0.0, cap) for cap in caps]
-            if bounds is not None:
-                self._grid_prices[pid] = pool.grid_price.tolist()
-                self.gen_price[pid] = [self._gen_price(pid, t, 0.0) for t in range(T)]
+            if bounds is not None and pid in drawn:
+                grid = self._grid_prices[pid] = pool.grid_price.tolist()
+                self.gen_price[pid] = [
+                    pricing.generation_price(0.0, cap, g, bounds, k) if cap > 0 else math.inf
+                    for cap, g in zip(caps, grid)
+                ]
 
     def settle(self, result: AllocationResult) -> AllocationResult:
         """Record a decision; an admission adds its option to demand and
@@ -194,43 +208,29 @@ class AuctionState:
         """Re-post one EVSE and its pool from the loads in ``demand``,
         whatever they are: the cable over slots [w0, w1) (0-based), the
         energy and the pool over the slots ``charged`` (an admission
-        changes them only where it charges)."""
+        changes them only where it charges). A slot without procurement
+        capacity keeps its posted ``math.inf``."""
         loc = self.scenario.location(location_id)
         lid, m, pid = location_id, evse_index, loc.pool_id
-        priced = self.bounds is not None
+        b, k = self.bounds, self.k_scale
+        cables, rate = loc.cables_per_evse, loc.max_charge_rate
+        caps = self._pool_caps[pid]
         cable_load = self.demand.cable[lid][m].tolist()
         energy_load = self.demand.energy[lid][m].tolist()
         pool_load = self.demand.procurement[pid].tolist()
         for t in range(w0, w1):
-            self.cable_free[lid][m][t] = cable_load[t] + 1.0 <= loc.cables_per_evse
-            if priced:
-                self.cable_price[lid][m][t] = self._cable_price(loc, cable_load[t])
+            self.cable_free[lid][m][t] = cable_load[t] + 1.0 <= cables
+            if b is not None:
+                self.cable_price[lid][m][t] = pricing.cable_price(cable_load[t], cables, b, k)
         for t in charged:
-            self.evse_room[lid][m][t] = _room(energy_load[t], float(loc.max_charge_rate))
-            self.pool_room[pid][t] = _room(pool_load[t], self._pool_caps[pid][t])
-            if priced:
-                self.energy_price[lid][m][t] = self._energy_price(loc, energy_load[t])
-                self.gen_price[pid][t] = self._gen_price(pid, t, pool_load[t])
-
-    def _cable_price(self, loc: Location, load: float) -> float:
-        b, cap = self.bounds, float(loc.cables_per_evse)
-        return pricing.exp_price(load, cap, b.cable_low, b.cable_high, self.k_scale)
-
-    def _energy_price(self, loc: Location, load: float) -> float:
-        b, cap = self.bounds, float(loc.max_charge_rate)
-        return pricing.exp_price(load, cap, b.energy_low, b.energy_high, self.k_scale)
-
-    def _gen_price(self, pool_id: int, t: int, load: float) -> float:
-        """The posted procurement $/kWh of a pool at slot ``t`` (0-based);
-        ``math.inf`` where the slot has no procurement capacity."""
-        cap = self._pool_caps[pool_id][t]
-        if not cap > 0.0:
-            return math.inf
-        b = self.bounds
-        grid_price = self._grid_prices[pool_id][t]
-        return pricing.procurement_price(
-            load, cap, grid_price, b.generation_low, b.generation_high, self.k_scale
-        )
+            self.evse_room[lid][m][t] = _room(energy_load[t], float(rate))
+            self.pool_room[pid][t] = _room(pool_load[t], caps[t])
+            if b is not None:
+                self.energy_price[lid][m][t] = pricing.energy_price(energy_load[t], rate, b, k)
+                if caps[t] > 0:
+                    self.gen_price[pid][t] = pricing.generation_price(
+                        pool_load[t], caps[t], self._grid_prices[pid][t], b, k
+                    )
 
 
 _EXACT = 1 << 52  # below this every whole number is a float, one apart
@@ -524,6 +524,12 @@ def _price_snapshot(state: AuctionState, loc: Location, w0: int, w1: int) -> lis
     return [min(col) + g for col, g in zip(zip(*rows), state.gen_price[loc.pool_id][w0:w1])]
 
 
+def submission_order(users: Sequence[UserType]) -> list[UserType]:
+    """The users in the order every run decides them: by
+    ``(submission_time, user_id)``."""
+    return sorted(users, key=lambda u: (u.submission_time, u.user_id))
+
+
 def run_in_order(
     scenario: Scenario,
     users: Sequence[UserType],
@@ -537,7 +543,7 @@ def run_in_order(
     """The decision loop of the online run and the no-mechanism baseline.
 
     Validates the inputs (``bounds`` too when they are not the scenario's),
-    then walks the users in ``(submission_time, user_id)`` order and calls
+    then walks the users in ``submission_order`` and calls
     ``rule(state, user, options)`` to decide and settle each one.
     ``options`` is the user's pinned option set when ``options_by_user``
     is given (every user needs a key), and None otherwise: the rule then
@@ -551,9 +557,10 @@ def run_in_order(
     if violations:
         raise ScenarioValidationError(violations)
     state = AuctionState(scenario, bounds, mode, option_policy, seed)
-    for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
+    for user in submission_order(users):
         rule(state, user, None if options_by_user is None else options_by_user[user.user_id])
-    return build_outcome(scenario, state.demand, tuple(state.ledger), bounds)
+    posted = None if bounds is None else state
+    return build_outcome(scenario, state.demand, tuple(state.ledger), posted)
 
 
 def run_auction(
@@ -582,21 +589,24 @@ def build_outcome(
     scenario: Scenario,
     demand: DemandState,
     ledger: tuple[AllocationResult, ...],
-    bounds: Optional[ValueBounds],
+    posted: Optional[AuctionState],
 ) -> AuctionOutcome:
     """Total a finished run: the one tally of every allocator's ledger.
 
     ``demand`` is the state the ledger's admissions were settled into and
-    ``bounds`` the value bounds the run was priced with.
+    ``posted`` the priced run's ``AuctionState`` (None for an unpriced run:
+    the no-mechanism baseline and the exact oracle).
 
     Welfare is the valuation sum of admitted users minus the operational
     cost, the grid price of every kWh procured beyond actual solar
     (regardless of the pricing mode). Per-location welfare attributes each
-    slot's cost in proportion to the location's share of pool demand. Peak
-    prices are evaluated at final demand; a priceless run (``bounds=None``:
-    the no-mechanism baseline and the exact oracle) reports 0.
+    slot's cost in proportion to the location's share of pool demand. A
+    location's peak prices are read from the posted tables: its largest
+    posted cable price, and its pool's largest posted procurement price
+    over the slots it charges. Each curve increases with load and every
+    entry is posted at its final load, so these are the prices at the
+    largest final loads. An unpriced run reports 0.
     """
-    k = pricing.price_scale(scenario)
     valuation_total = revenue = surplus = 0.0
     admitted: dict[int, list[AllocationResult]] = {lid: [] for lid in scenario.location_ids}
     for r in ledger:
@@ -616,25 +626,18 @@ def build_outcome(
     stats = []
     for lid, rows in admitted.items():
         loc = scenario.location(lid)
-        pool = scenario.pool(loc.pool_id)
         val_sum = sum((r.valuation for r in rows), 0.0)
         energy_series = demand.energy[lid].sum(axis=0)
         pool_load = demand.procurement[loc.pool_id]
         safe_load = np.where(pool_load > 0, pool_load, 1.0)
         share = np.where(pool_load > 0, energy_series / safe_load, 0.0)
         attributed = float(np.dot(slot_cost[loc.pool_id], share))
-        peak_cable = 0.0
-        peak_generation = 0.0
-        if bounds is not None:
-            peak_cable = pricing.cable_price(
-                float(demand.cable[lid].max()), loc.cables_per_evse, bounds, k
-            )
-            active = np.flatnonzero(energy_series > 0)
-            for t0 in active:
-                p = pricing.generation_price(
-                    float(pool_load[t0]), pool, int(t0) + 1, bounds, k, demand.mode
-                )
-                peak_generation = max(peak_generation, p)
+        peak_cable = peak_generation = 0.0
+        if posted is not None:
+            peak_cable = max(max(row) for row in posted.cable_price[lid])
+            gen_price = posted.gen_price[loc.pool_id]
+            charged = np.flatnonzero(energy_series > 0).tolist()
+            peak_generation = max((gen_price[t] for t in charged), default=0.0)
         stats.append(
             LocationStats(
                 location_id=lid,

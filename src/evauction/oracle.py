@@ -31,6 +31,7 @@ from .engine import (
     fill_schedule,
     located_schedules,
     run_in_order,
+    submission_order,
 )
 from .model import (
     AllocationResult,
@@ -96,11 +97,12 @@ def solve_offline_exact(
     ``engine.build_outcome`` at actual solar, unpriced (all payments and
     peak prices 0) in ``exact`` mode.
 
-    Users are walked in ``(submission_time, user_id)`` order, each trying
-    its options as given, EVSEs ascending, then the reject branch; a leaf
-    replaces the incumbent only when strictly better. With ``prune`` off
-    the search is a naive full enumeration. With it on, three cuts skip
-    subtrees that hold no strictly better leaf than one visited before:
+    Users are walked in the online run's order (``submission_order``),
+    each trying its options as given, EVSEs ascending, then the reject
+    branch; a leaf replaces the incumbent only when strictly better. With
+    ``prune`` off the search is a naive full enumeration. With it on, three
+    cuts skip subtrees that hold no strictly better leaf than one visited
+    before:
 
     * the value bound: a subtree is cut when crediting every remaining
       user their best valuation for free cannot beat the incumbent;
@@ -128,7 +130,7 @@ def solve_offline_exact(
     if violations:
         raise ScenarioValidationError(violations)
 
-    ordered = sorted(users, key=lambda u: (u.submission_time, u.user_id))
+    ordered = submission_order(users)
     n = len(ordered)
     T = scenario.slot_count
 

@@ -9,6 +9,11 @@ the highest user value at full capacity (so a full resource rejects
 everyone). Procurement additionally floors the curve at the grid price so
 no admitted kWh is ever sold below its purchase cost.
 
+Each curve has one function: ``cable_price``, ``energy_price`` and
+``generation_price``. The engine posts through them (``AuctionState``),
+and ``dapr_curves`` binds the same functions, so the check below covers
+exactly what is posted.
+
 The welfare guarantees rest on the differential allocation-payment (DAPR)
 inequality: each curve must satisfy it at a ratio constant, ``alpha_1``
 under accurate solar and ``alpha_2`` when pricing against the lower band
@@ -38,7 +43,6 @@ __all__ = [
     "exp_price",
     "generation_price",
     "price_scale",
-    "procurement_price",
     "verify_dapr",
 ]
 
@@ -56,20 +60,14 @@ def price_scale(scenario: Scenario) -> float:
     return 4.0 * sum(loc.evse_count + 0.5 for loc in scenario.locations)
 
 
-def exp_price(y, cap, low, high, k):
+def exp_price(y: float, cap: float, low: float, high: float, k: float) -> float:
     """The exponential price curve at load ``y`` of capacity ``cap``.
 
-    Rises from ``low / k`` at zero load to ``high`` at full capacity. Takes
-    floats or numpy arrays; every posted price in the package is this curve
-    (``procurement_price`` shifts it by the grid price).
+    Rises from ``low / k`` at zero load to ``high`` at full capacity. Every
+    posted price in the package is this curve; ``generation_price`` shifts
+    it by the grid price.
     """
     return (low / k) * (k * high / low) ** (y / cap)
-
-
-def procurement_price(y, cap, grid_price, low, high, k):
-    """The procurement curve: ``exp_price`` over the margin above the grid
-    price, floored at the grid price. Takes floats or numpy arrays."""
-    return grid_price + exp_price(y, cap, low - grid_price, high - grid_price, k)
 
 
 def cable_price(y: float, cables_per_evse: int, bounds: ValueBounds, k: float) -> float:
@@ -86,30 +84,26 @@ def energy_price(y: float, max_charge_rate: float, bounds: ValueBounds, k: float
     return exp_price(y, max_charge_rate, bounds.energy_low, bounds.energy_high, k)
 
 
-def generation_price(
-    y: float,
-    pool: GenerationPool,
-    t: int,
-    bounds: ValueBounds,
-    k: float,
-    mode: str = "exact",
-) -> float:
-    """Marginal $ per kWh of pool procurement at demand ``y``, slot ``t``.
+def generation_price(y: float, cap: float, grid_price: float, bounds: ValueBounds, k: float) -> float:
+    """Marginal $ per kWh of pool procurement at demand ``y`` in a slot
+    with procurement cap ``cap`` (``model.procurement_capacity`` under the
+    pricing mode) and grid price ``grid_price``.
 
-    The grid price is a hard floor, so every admitted kWh is paid for at no
-    less than what it may cost to buy.
+    The curve is ``exp_price`` over the margin above the grid price, which
+    is a hard floor, so every admitted kWh is paid for at no less than what
+    it may cost to buy. The cap must be positive: a slot without
+    procurement capacity has no curve.
     """
-    grid_price = float(pool.grid_price[t - 1])
     if bounds.generation_low <= grid_price:
         raise ConfigurationError(
             f"generation_low {bounds.generation_low} must exceed grid price {grid_price}"
         )
-    cap = float(procurement_capacity(pool, mode)[t - 1])
     if cap <= 0:
-        raise ConfigurationError(f"no procurement capacity at slot {t}")
+        raise ConfigurationError(f"no procurement capacity (cap {cap})")
     if not 0 <= y <= cap:
         raise ValueError(f"procurement demand {y} outside [0, {cap}]")
-    return procurement_price(y, cap, grid_price, bounds.generation_low, bounds.generation_high, k)
+    low, high = bounds.generation_low - grid_price, bounds.generation_high - grid_price
+    return grid_price + exp_price(y, cap, low, high, k)
 
 
 def _pools_in_use(scenario: Scenario) -> list[GenerationPool]:
@@ -245,10 +239,10 @@ def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") ->
         curves.append((f"energy[{loc.location_id}]", _free_resource(energy, rate), energy_alpha))
     gen_alpha = alpha_1(scenario, bounds) if mode == "exact" else alpha_2(scenario, bounds)
     for pool in _pools_in_use(scenario):
-        caps = procurement_capacity(pool, mode)
-        for t in range(1, scenario.slot_count + 1):
-            if caps[t - 1] > 0:
-                inputs = _procurement_inputs(pool, t, bounds, k, mode)
+        caps = procurement_capacity(pool, mode).tolist()
+        for t, cap in enumerate(caps, 1):
+            if cap > 0:
+                inputs = _procurement_inputs(pool, t, cap, bounds, k)
                 curves.append((f"generation[{pool.pool_id}]@t{t}", inputs, gen_alpha))
     return curves
 
@@ -257,13 +251,11 @@ def _free_resource(price: Callable[[float], float], cap: float) -> tuple:
     return price, (lambda y: 0.0), (lambda p: float(cap)), float(cap)
 
 
-def _procurement_inputs(pool: GenerationPool, t: int, bounds: ValueBounds, k: float, mode: str) -> tuple:
+def _procurement_inputs(pool: GenerationPool, t: int, cap: float, bounds: ValueBounds, k: float) -> tuple:
     solar = float(pool.solar_actual[t - 1])
     grid_price = float(pool.grid_price[t - 1])
     limit = float(pool.grid_limit[t - 1])
-
-    def price(y: float) -> float:
-        return generation_price(y, pool, t, bounds, k, mode)
+    price = partial(generation_price, cap=cap, grid_price=grid_price, bounds=bounds, k=k)
 
     def cost_slope(y: float) -> float:
         return 0.0 if y <= solar else grid_price
@@ -271,4 +263,4 @@ def _procurement_inputs(pool: GenerationPool, t: int, bounds: ValueBounds, k: fl
     def conj_slope(p: float) -> float:
         return solar if p < grid_price else solar + limit
 
-    return price, cost_slope, conj_slope, float(procurement_capacity(pool, mode)[t - 1])
+    return price, cost_slope, conj_slope, cap

@@ -133,8 +133,8 @@ def test_c1_pricing_boundary_identities(scenarios):
                 for t in range(1, scenario.slot_count + 1):
                     cap = float(caps[t - 1])
                     grid = float(pool.grid_price[t - 1])
-                    at_zero = pricing.generation_price(0.0, pool, t, b, k, mode)
-                    at_cap = pricing.generation_price(cap, pool, t, b, k, mode)
+                    at_zero = pricing.generation_price(0.0, cap, grid, b, k)
+                    at_cap = pricing.generation_price(cap, cap, grid, b, k)
                     worst = max(worst, abs(at_zero - (grid + (b.generation_low - grid) / k)))
                     worst = max(worst, abs(at_cap - b.generation_high))
                     curves += 1

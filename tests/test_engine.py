@@ -18,7 +18,13 @@ from evauction.engine import (
 )
 from evauction.model import AllocationResult, procurement_capacity
 from evauction.options import generate_options, location_schedules
-from evauction.oracle import _first_fit, exhaustive_options, no_mechanism_baseline
+from evauction.oracle import (
+    _first_fit,
+    exhaustive_options,
+    no_mechanism_baseline,
+    search_budget,
+    solve_offline_exact,
+)
 
 from instances import random_instance
 
@@ -144,7 +150,9 @@ def test_price_is_linear_in_the_option(s1, data):
         feasible &= cable_load[m][t] + 1.0 <= loc.cables_per_evse
         if e > 0:
             energy += e * pricing.energy_price(energy_load[m][t], loc.max_charge_rate, b, k)
-            generation += e * pricing.generation_price(pool_load[t], pool, t + 1, b, k, mode)
+            generation += e * pricing.generation_price(
+                pool_load[t], float(caps[t]), float(pool.grid_price[t]), b, k
+            )
             feasible &= energy_load[m][t] + e <= loc.max_charge_rate
             feasible &= pool_load[t] + e <= caps[t]
     assert (q.cable, q.energy, q.generation) == (cable, energy, generation)
@@ -192,7 +200,9 @@ def test_heuristic_ranks_slots_by_posted_prices(s1, data):
     for t in range(w0, w1):
         least = min(row[t] for row in energy_load)
         if caps[t] > 0:
-            gen = pricing.generation_price(pool_load[t], pool, t + 1, b, k, mode)
+            gen = pricing.generation_price(
+                pool_load[t], float(caps[t]), float(pool.grid_price[t]), b, k
+            )
             expected.append(pricing.energy_price(least, loc.max_charge_rate, b, k) + gen)
         else:
             expected.append(math.inf)
@@ -422,7 +432,9 @@ def _heuristic_reference(budget, seed):
                 least = float(state.demand.energy[lid][:, t].min())
                 gen = math.inf
                 if caps[t] > 0:
-                    gen = pricing.generation_price(float(load[t]), pool, t + 1, b, k, mode)
+                    gen = pricing.generation_price(
+                        float(load[t]), float(caps[t]), float(pool.grid_price[t]), b, k
+                    )
                 prices.append(pricing.energy_price(least, loc.max_charge_rate, b, k) + gen)
             slot_prices[lid] = prices
         rng = np.random.default_rng([seed, user.user_id])
@@ -463,7 +475,8 @@ def test_heuristic_matches_generated_options(seed, mode, levels, budget):
 
 def _posted_from_scratch(state):
     """Every table ``AuctionState`` posts, recomputed from the loads in
-    ``state.demand`` by the pricing functions; floats as ``float.hex``."""
+    ``state.demand`` by the pricing functions (procurement prices for the
+    pools a location draws on); floats as ``float.hex``."""
     sc, b, mode = state.scenario, state.bounds, state.demand.mode
     k = pricing.price_scale(sc)
 
@@ -490,15 +503,17 @@ def _posted_from_scratch(state):
                 for row in energy
             ]
     posted["pool_room"], posted["gen_price"] = {}, {}
+    drawn = {loc.pool_id for loc in sc.locations}
     for pool in sc.pools:
         pid = pool.pool_id
         caps = procurement_capacity(pool, mode).tolist()
         loads = state.demand.procurement[pid].tolist()
         posted["pool_room"][pid] = [room(y, cap) for y, cap in zip(loads, caps)]
-        if b is not None:
+        if b is not None and pid in drawn:
+            grid = pool.grid_price.tolist()
             posted["gen_price"][pid] = [
-                pricing.generation_price(y, pool, t, b, k, mode).hex() if cap > 0 else math.inf.hex()
-                for t, (y, cap) in enumerate(zip(loads, caps), 1)
+                pricing.generation_price(y, cap, g, b, k).hex() if cap > 0 else math.inf.hex()
+                for y, cap, g in zip(loads, caps, grid)
             ]
     return posted
 
@@ -577,6 +592,62 @@ def test_mechanism_invariants(seed, mode):
         else:
             assert r.payment == 0.0 and r.utility == 0.0
     assert online.revenue >= online.operational_cost - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(["exact", "conservative"]),
+    policy=st.sampled_from(["exhaustive", "heuristic-3"]),
+)
+def test_peak_prices_are_the_prices_at_final_demand(seed, mode, policy):
+    """A priced run's peak cable price is ``cable_price`` at the location's
+    largest final cable load, and its peak procurement price the largest
+    ``generation_price`` over the slots it charges, bit for bit. The
+    baseline and the exact oracle report 0 for both."""
+    scenario, users, _ = random_instance(seed, max_users=60)
+    b = scenario.bounds
+    k = pricing.price_scale(scenario)
+    online = run_auction(scenario, users, b, mode, policy, seed)
+    demand = online.demand
+    for stats in online.per_location:
+        lid = stats.location_id
+        loc = scenario.location(lid)
+        pool = scenario.pool(loc.pool_id)
+        caps = procurement_capacity(pool, mode)
+        load = demand.procurement[pool.pool_id]
+        cable = pricing.cable_price(float(demand.cable[lid].max()), loc.cables_per_evse, b, k)
+        generation = max(
+            (
+                pricing.generation_price(float(load[t]), float(caps[t]), float(pool.grid_price[t]), b, k)
+                for t in np.flatnonzero(demand.energy[lid].sum(axis=0) > 0)
+            ),
+            default=0.0,
+        )
+        assert stats.peak_cable_price.hex() == cable.hex()
+        assert stats.peak_generation_price.hex() == generation.hex()
+
+    few = users[:3]
+    while search_budget(scenario, few, exhaustive_options(scenario, few)) > 100_000:
+        few = few[:-1]
+    unpriced = (
+        no_mechanism_baseline(scenario, users, seed, policy),
+        solve_offline_exact(scenario, few, exhaustive_options(scenario, few)),
+    )
+    for outcome in unpriced:
+        for stats in outcome.per_location:
+            assert stats.peak_cable_price.hex() == stats.peak_generation_price.hex() == (0.0).hex()
+
+
+def test_pool_no_location_draws_on_is_not_priced(s1):
+    """Only the pools a location draws on are priced, so a grid price above
+    ``generation_low`` at an idle pool does not stop a run."""
+    scenario, users = s1
+    idle = dataclasses.replace(
+        scenario.pools[0], pool_id=2, grid_price=np.full(scenario.slot_count, 100.0)
+    )
+    sc = dataclasses.replace(scenario, pools=scenario.pools + (idle,))
+    assert run_auction(sc, users, sc.bounds).ledger == run_auction(scenario, users, scenario.bounds).ledger
 
 
 def test_conservative_mode_respects_band_cap():

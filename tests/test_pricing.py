@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evauction import pricing
+from evauction.model import procurement_capacity
 
 
 @pytest.fixture()
@@ -16,6 +17,11 @@ def s1_parts(s1):
 def test_price_scale(s1_parts):
     scenario, *_ = s1_parts
     assert pricing.price_scale(scenario) == 6.0
+
+
+def _slot(pool, t, mode="exact"):
+    """Slot ``t``'s procurement cap under ``mode`` and its grid price."""
+    return float(procurement_capacity(pool, mode)[t - 1]), float(pool.grid_price[t - 1])
 
 
 def test_cable_price_fixture_values(s1_parts):
@@ -36,17 +42,19 @@ def test_energy_price_fixture_values(s1_parts):
 
 def test_generation_price_fixture_values(s1_parts):
     _, bounds, pool, k = s1_parts
-    assert pricing.generation_price(0, pool, 1, bounds, k) == pytest.approx(0.25, abs=1e-12)
-    assert pricing.generation_price(1.5, pool, 1, bounds, k) == pytest.approx(0.5741657387, abs=1e-9)
-    assert pricing.generation_price(3.0, pool, 1, bounds, k) == pytest.approx(3.0, abs=1e-9)
+    cap, grid = _slot(pool, 1)
+    assert pricing.generation_price(0, cap, grid, bounds, k) == pytest.approx(0.25, abs=1e-12)
+    assert pricing.generation_price(1.5, cap, grid, bounds, k) == pytest.approx(0.5741657387, abs=1e-9)
+    assert pricing.generation_price(3.0, cap, grid, bounds, k) == pytest.approx(3.0, abs=1e-9)
     with pytest.raises(ValueError):
-        pricing.generation_price(3.5, pool, 1, bounds, k)
+        pricing.generation_price(3.5, cap, grid, bounds, k)
 
 
 def test_generation_price_grid_floor(s1_parts):
     _, bounds, pool, k = s1_parts
+    cap, grid = _slot(pool, 1)
     ys = np.linspace(0, 3, 50)
-    prices = [pricing.generation_price(float(y), pool, 1, bounds, k) for y in ys]
+    prices = [pricing.generation_price(float(y), cap, grid, bounds, k) for y in ys]
     assert all(p >= 0.2 for p in prices)
 
 
@@ -54,15 +62,16 @@ def test_generation_price_requires_floor_above_grid_price(s1_parts):
     scenario, bounds, pool, k = s1_parts
     cheap = dataclasses.replace(bounds, energy_low=0.1, generation_low=0.1)
     with pytest.raises(pricing.ConfigurationError):
-        pricing.generation_price(1.0, pool, 1, cheap, k)
+        pricing.generation_price(1.0, *_slot(pool, 1), cheap, k)
 
 
 def test_curves_strictly_increase(s1_parts):
     _, bounds, pool, k = s1_parts
+    slot = _slot(pool, 1)
     for fn, cap in (
         (lambda y: pricing.cable_price(y, 2, bounds, k), 2.0),
         (lambda y: pricing.energy_price(y, 1.0, bounds, k), 1.0),
-        (lambda y: pricing.generation_price(y, pool, 1, bounds, k), 3.0),
+        (lambda y: pricing.generation_price(y, *slot, bounds, k), 3.0),
     ):
         ys = np.linspace(0, cap, 200)
         ps = [fn(float(y)) for y in ys]
@@ -71,9 +80,10 @@ def test_curves_strictly_increase(s1_parts):
 
 def test_conservative_mode_dominates_exact(s1_parts):
     _, bounds, pool, k = s1_parts
+    exact_slot, cons_slot = _slot(pool, 1, "exact"), _slot(pool, 1, "conservative")
     for y in np.linspace(0, 2.5, 30):
-        exact = pricing.generation_price(float(y), pool, 1, bounds, k, mode="exact")
-        cons = pricing.generation_price(float(y), pool, 1, bounds, k, mode="conservative")
+        exact = pricing.generation_price(float(y), *exact_slot, bounds, k)
+        cons = pricing.generation_price(float(y), *cons_slot, bounds, k)
         assert cons >= exact - 1e-12
 
 
