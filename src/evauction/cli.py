@@ -119,15 +119,10 @@ def _require_valid(scenario: Scenario, users=()) -> None:
         raise ScenarioValidationError(violations)
 
 
-def _load_and_validate(args):
+def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     users = load_users(args.users)
-    _require_valid(scenario, users)
-    return scenario, users
-
-
-def cmd_simulate(args) -> int:
-    scenario, users = _load_and_validate(args)
+    # run_auction validates before anything is written
     outcome = run_auction(
         scenario, users, scenario.bounds, mode=args.mode, option_policy=args.policy, seed=args.seed
     )
@@ -145,7 +140,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario, users = _load_and_validate(args)
+    scenario = load_scenario(args.scenario)
+    users = load_users(args.users)
+    _require_valid(scenario, users)  # before exhaustive_options sees the input
     # when the exact oracle ran, the online run and the baseline decide
     # under the exhaustive policy, the option set the oracle searched;
     # otherwise under --policy

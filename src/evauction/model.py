@@ -424,26 +424,13 @@ def validate_bounds(scenario: Scenario, bounds: ValueBounds) -> list[Violation]:
     return out
 
 
-def validate_scenario(
-    scenario: Scenario,
-    users: Iterable[UserType] = (),
-    options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
-) -> list[Violation]:
-    """Check every type invariant; returns one entry per violation.
-
-    Violations are data, not faults: an empty list means the scenario (and
-    the users and their pinned options, if given) is ready to run. Every
-    number a price or a utility is computed from must be finite. A user
-    whose demand no schedule can meet at any known preferred location (the
-    demand is not in ``schedule_totals(allowed_levels(...), width,
-    demand)[width]``, the rule option generation reads) is reported at
-    ``users[<id>].energy_demand``; a user whose explicit schedules fit none
-    of its known preferred locations (``option_is_feasible``) is reported
-    at ``users[<id>].explicit_schedules``;
-    a pinned option that fails ``option_is_feasible`` is reported at
-    ``options[<user_id>][<i>]``, and a user without a key or a key that
-    names no user at ``options[<key>]`` (an empty list pins no options).
-    """
+def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
+    """The scenario part of ``validate_scenario``: time grid, pools,
+    locations, the scenario's own bounds and energy levels. Computed on the
+    first call and kept on the object (see ``validate_scenario``)."""
+    cached = getattr(scenario, "_violations", None)
+    if cached is not None:
+        return cached
     out: list[Violation] = []
     T = scenario.slot_count
     if T < 1:
@@ -498,7 +485,60 @@ def validate_scenario(
         out.append(Violation("energy_levels", "must be non-negative integers"))
     elif 0 not in levels or max(levels) <= 0:
         out.append(Violation("energy_levels", "must contain 0 and a positive level"))
+    violations = tuple(out)
+    object.__setattr__(scenario, "_violations", violations)
+    return violations
 
+
+def _fits(schedule, levels: tuple[int, ...], width, demand: Optional[int]) -> bool:
+    """``option_is_feasible``'s schedule test with the user's facts worked
+    out: ``width`` slots, each at one of ``levels``, summing to ``demand``."""
+    return (
+        len(schedule) == width
+        and all(map(levels.__contains__, schedule))
+        and sum(schedule) == demand
+    )
+
+
+def validate_scenario(
+    scenario: Scenario,
+    users: Iterable[UserType] = (),
+    options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
+) -> list[Violation]:
+    """Check every type invariant; returns one entry per violation.
+
+    Violations are data, not faults: an empty list means the scenario (and
+    the users and their pinned options, if given) is ready to run. Every
+    number a price or a utility is computed from must be finite. A user
+    whose demand no schedule can meet at any known preferred location (the
+    demand is not in ``schedule_totals(allowed_levels(...), width,
+    demand)[width]``, the rule option generation reads) is reported at
+    ``users[<id>].energy_demand``; a user whose explicit schedules fit none
+    of its known preferred locations (``option_is_feasible``) is reported
+    at ``users[<id>].explicit_schedules``;
+    a pinned option that fails ``option_is_feasible`` is reported at
+    ``options[<user_id>][<i>]``, and a user without a key or a key that
+    names no user at ``options[<key>]`` (an empty list pins no options).
+
+    The scenario's own violations come first. They are computed once per
+    ``Scenario`` object and kept on it, so a flow that validates the same
+    scenario with several user sets (or the same one several times) pays
+    for the scenario-wide checks once. That is sound because a ``Scenario``
+    is frozen: its records are frozen dataclasses and its series read-only
+    arrays, so the verdict cannot change after construction. The kept
+    tuple is not a field, so equality and serialization ignore it, and
+    ``dataclasses.replace`` builds a new object that starts without one.
+    The users and pinned options are checked on every call, against facts
+    worked out once: each location id's ``allowed_levels`` (the first of
+    duplicate ids wins, as in ``Scenario.location``) and each user's whole
+    demand and window width.
+    """
+    out = list(_scenario_violations(scenario))
+    T = scenario.slot_count
+    levels_at = {
+        lid: _levels_up_to(scenario.energy_levels, loc.max_charge_rate)
+        for lid, loc in scenario._location_by_id.items()
+    }
     seen_users = set()
     for user in users:
         path = f"users[{user.user_id}]"
@@ -520,29 +560,30 @@ def validate_scenario(
             out.append(Violation(f"{path}.energy_demand", "must be > 0"))
         elif demand is None:
             out.append(Violation(f"{path}.energy_demand", "must be a whole number of kWh"))
-        if not user.preferred_locations:
+        preferred = user.preferred_locations
+        if not preferred:
             out.append(Violation(f"{path}.preferred_locations", "must be non-empty"))
-        if len(user.preferred_locations) != len(set(user.preferred_locations)):
+        if len(preferred) != len(set(preferred)):
             out.append(Violation(f"{path}.preferred_locations", "must be distinct"))
-        if len(user.valuations) != len(user.preferred_locations):
+        if len(user.valuations) != len(preferred):
             out.append(Violation(f"{path}.valuations", "one valuation per preferred location"))
         if not all(math.isfinite(v) for v in user.valuations):
             out.append(Violation(f"{path}.valuations", "must be finite"))
         elif any(v < 0 for v in user.valuations):
             out.append(Violation(f"{path}.valuations", "must be >= 0"))
-        known = [lid for lid in user.preferred_locations if lid in loc_ids]
-        if len(known) != len(user.preferred_locations):
+        known = [lid for lid in preferred if lid in levels_at]
+        if len(known) != len(preferred):
             out.append(Violation(f"{path}.preferred_locations", "references unknown location"))
         width = user.window_length
         if demand is not None and demand > 0 and width > 0 and known and all(
-            demand not in schedule_totals(allowed_levels(scenario, lid), width, demand)[width]
+            demand not in schedule_totals(levels_at[lid], width, demand)[width]
             for lid in known
         ):
             out.append(
                 Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
             )
         if user.explicit_schedules is not None and not any(
-            option_is_feasible(ChargeOption(lid, user.arrival, sched), user, scenario)
+            _fits(sched, levels_at[lid], width, demand)
             for sched in user.explicit_schedules
             for lid in known
         ):
@@ -551,9 +592,14 @@ def validate_scenario(
             if user.user_id not in options_by_user:
                 out.append(Violation(f"options[{user.user_id}]", "missing (pin [] for no options)"))
             for i, option in enumerate(options_by_user.get(user.user_id, ())):
-                if option.location_id not in loc_ids:
+                levels = levels_at.get(option.location_id)
+                if levels is None:
                     message = f"references unknown location {option.location_id}"
-                elif not option_is_feasible(option, user, scenario):
+                elif not (
+                    option.location_id in preferred
+                    and option.start == user.arrival
+                    and _fits(option.schedule, levels, width, demand)
+                ):
                     message = "infeasible for the user (location, start, length, rate cap or sum)"
                 else:
                     continue
@@ -567,7 +613,8 @@ def validate_scenario(
 def option_is_feasible(option: ChargeOption, user: UserType, scenario: Scenario) -> bool:
     """True iff the option is at a preferred location, starts at arrival,
     spans the stay, puts one of ``allowed_levels`` in every slot and meets
-    the demand exactly."""
+    the demand exactly. ``validate_scenario`` makes the same test with the
+    user's facts worked out once; the tests hold the two to one verdict."""
     levels = allowed_levels(scenario, option.location_id)  # raises on malformed input
     return (
         option.location_id in user.preferred_locations

@@ -101,8 +101,11 @@ _SCHEMAS = {cls: _schema(cls) for cls in (Scenario, TimeGrid, GenerationPool, Lo
 
 
 def _record(cls, data: Mapping):
-    """One ``cls`` record from its JSON object; a missing required field
-    raises ``KeyError``, a key that names no field ``ValueError``."""
+    """One ``cls`` record from its JSON object; a value that is not an
+    object raises ``ScenarioFormatError``, a missing required field
+    ``KeyError``, a key that names no field ``ValueError``."""
+    if not isinstance(data, Mapping):
+        raise ScenarioFormatError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
     schema = _SCHEMAS[cls]
     unknown = data.keys() - schema.keys()
     if unknown:

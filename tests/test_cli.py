@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evauction import pricing
 from evauction.cli import main
-from evauction.scenario_io import load_scenario, load_users
+from evauction.scenario_io import build_preset, load_scenario, load_users, scenario_to_dict
 
 
 def _gen(tmp_path, preset="s1", seed=0, extra=()):
@@ -346,3 +353,86 @@ def test_simulate_flags_unmeetable_and_non_finite_users(tmp_path, capsys, overri
     )
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"validation: {violation}"]
+
+
+def _json_paths(node, prefix=()):
+    """Every path into a JSON document: records and lists as well as leaves."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_S1_SCENARIO = build_preset("s1")[0]
+_S1_PATHS = list(_json_paths(scenario_to_dict(_S1_SCENARIO)))
+
+# Small values only: a count such as evse_count sizes the run's arrays.
+_JSON_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, -1.0, math.nan, math.inf]),
+    st.sampled_from([None, True, "", "2", "x", {}, [], [0, 1], [0, 2, 1], [1, 1, 1, 1, 1]]),
+)
+_USER_FIELDS = st.sampled_from(
+    ["1", "2", "3", "4", "2.0", "3.0", "1:2.0", "1:0.5", "1:2.0;1:1.0", "2:1.0", "schedules=1-1",
+     "schedules=0-1|1-0", "", "x", "0", "-1", "1.5", "nan", "1:-1", "schedules=", "other=1"]
+)
+_EDITS = st.one_of(
+    st.tuples(st.just("scenario"), st.sampled_from(_S1_PATHS), _JSON_VALUES),
+    st.tuples(st.sampled_from([0, 1]), st.integers(0, 6), _USER_FIELDS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edits=st.lists(_EDITS, min_size=1, max_size=2),
+    mode=st.sampled_from(["exact", "conservative"]),
+    policy=st.sampled_from(["exhaustive", "heuristic-3"]),
+)
+def test_mutated_inputs_exit_cleanly(edits, mode, policy):
+    """One or two edits, each to a node of the s1 document or a field of
+    one of two user lines: every command exits 0 or 2 and never raises, an
+    exit 2 says why on stderr, and on exit 0 the ledger has one row per
+    user."""
+    doc = scenario_to_dict(_S1_SCENARIO)
+    lines = ["1,1,1,2,1.0,1:2.0,schedules=1-0", "2,1,2,4,2.0,1:3.0"]
+    for target, where, value in edits:
+        if target == "scenario":
+            node = doc
+            try:
+                for key in where[:-1]:
+                    node = node[key]
+                node[where[-1]] = value
+            except (IndexError, KeyError, TypeError):
+                pass  # the other edit replaced or shortened a record on this path
+        else:
+            fields = lines[target].split(",")
+            fields[min(where, len(fields) - 1)] = value
+            lines[target] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scenario, users = tmp / "scenario.json", tmp / "users.txt"
+        scenario.write_text(json.dumps(doc))
+        users.write_text("\n".join(lines) + "\n")
+        for command in (
+            ["simulate", "--users", str(users), "--mode", mode, "--policy", policy],
+            # a small leaf budget: past it, compare falls back to the bound
+            ["compare", "--users", str(users), "--mode", mode, "--policy", policy, "--budget", "20000"],
+            ["validate-dapr", "--mode", mode, "--grid-points", "50"],
+        ):
+            out = tmp / command[0]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*command, "--scenario", str(scenario), "--out", str(out)])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                reasons = err.getvalue().splitlines()
+                assert reasons and all(r.startswith(("error: ", "validation: ")) for r in reasons)
+                assert not out.exists()
+            elif command[0] != "validate-dapr":
+                ledger = (out / "ledger.csv").read_text().splitlines()
+                assert len(ledger) - 1 == len(load_users(users))

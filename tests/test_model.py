@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evauction as ev
+from evauction import model
 from evauction.model import AllocationResult, DemandState, ValueBounds, Violation, validate_bounds
-from evauction.options import location_schedules
+from evauction.options import generate_options, location_schedules
 from evauction.scenario_io import scenario_to_dict
 
 from instances import random_instance
@@ -149,6 +152,103 @@ def test_option_unknown_location_raises(s1):
     ghost = ev.ChargeOption(location_id=77, start=1, schedule=(1, 0))
     with pytest.raises(ValueError):
         ev.option_is_feasible(ghost, user, scenario)
+
+
+# Edits that break one condition of ``option_is_feasible``, or none:
+# ``float`` keeps the verdict, and ``to-2`` breaks the rate cap only when
+# the schedule puts a 2 in a slot (location 2's first record caps at 1)
+_OPTION_EDITS = {
+    "to-2": lambda o: dataclasses.replace(o, location_id=2),
+    "start": lambda o: dataclasses.replace(o, start=o.start + 1),
+    "length": lambda o: dataclasses.replace(o, schedule=o.schedule + (0,)),
+    "off-level": lambda o: dataclasses.replace(o, schedule=(3,) + o.schedule[1:]),
+    "over-rate": lambda o: dataclasses.replace(o, schedule=(2,) + o.schedule[1:]),
+    "fraction": lambda o: dataclasses.replace(o, schedule=(o.schedule[0] + 0.5,) + o.schedule[1:]),
+    "sum": lambda o: dataclasses.replace(o, schedule=(1 - min(o.schedule[0], 1),) + o.schedule[1:]),
+    "float": lambda o: dataclasses.replace(o, schedule=tuple(float(e) for e in o.schedule)),
+    "not-preferred": lambda o: dataclasses.replace(o, location_id=3),
+    "unknown": lambda o: dataclasses.replace(o, location_id=77),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pinned_option_check_matches_option_is_feasible(s1, data):
+    """``validate_scenario`` reports ``options[uid][i]`` exactly when
+    ``option_is_feasible`` is False (unknown locations, where it raises,
+    with their own message), in option order."""
+    scenario, _ = s1
+    loc = scenario.locations[0]
+    locations = [
+        dataclasses.replace(loc, max_charge_rate=2.0),
+        dataclasses.replace(loc, location_id=2),
+        dataclasses.replace(loc, location_id=3, max_charge_rate=2.0),
+    ]
+    if data.draw(st.booleans(), label="duplicate id 2, the first wins"):
+        locations.append(dataclasses.replace(loc, location_id=2, max_charge_rate=2.0))
+    sc = dataclasses.replace(scenario, locations=tuple(locations), energy_levels=(0, 1, 2))
+    arrival = data.draw(st.integers(1, 3), label="arrival")
+    departure = data.draw(st.integers(arrival + 1, 4), label="departure")
+    demand = data.draw(st.integers(1, departure - arrival + 1), label="demand")
+    user = ev.UserType(
+        user_id=5, submission_time=1, arrival=arrival, departure=departure,
+        energy_demand=float(demand), preferred_locations=(1, 2), valuations=(3.0, 3.0),
+    )
+    feasible = generate_options(user, sc)
+    picks = data.draw(st.lists(st.sampled_from(feasible), min_size=1, max_size=6), label="options")
+    options = []
+    for option in picks:
+        for edit in data.draw(st.lists(st.sampled_from(sorted(_OPTION_EDITS)), max_size=2), label="edits"):
+            option = _OPTION_EDITS[edit](option)
+        options.append(option)
+    if data.draw(st.booleans(), label="fractional demand"):
+        user = dataclasses.replace(user, energy_demand=demand + 0.5)
+
+    expected = []
+    for i, option in enumerate(options):
+        if option.location_id not in sc.location_ids:
+            with pytest.raises(ValueError):
+                ev.option_is_feasible(option, user, sc)
+            expected.append((f"options[5][{i}]", f"references unknown location {option.location_id}"))
+        elif not ev.option_is_feasible(option, user, sc):
+            expected.append(
+                (f"options[5][{i}]", "infeasible for the user (location, start, length, rate cap or sum)")
+            )
+    violations = ev.validate_scenario(sc, [user], {5: options})
+    assert [(v.path, v.message) for v in violations if v.path.startswith("options")] == expected
+
+
+def test_scenario_part_is_computed_once_per_object(s1, monkeypatch):
+    """The scenario's own checks run on the first validation of an object
+    only; users are checked on every call, and a ``dataclasses.replace``
+    copy is checked afresh."""
+    scenario, (user,) = s1
+    calls = []
+    original = model.validate_bounds
+    monkeypatch.setattr(model, "validate_bounds", lambda *a: calls.append(a) or original(*a))
+    fresh = dataclasses.replace(scenario)
+    document = scenario_to_dict(fresh)
+    assert ev.validate_scenario(fresh, [user]) == []
+    late = dataclasses.replace(user, arrival=4, departure=4)
+    assert [v.path for v in ev.validate_scenario(fresh, [late])] == [
+        "users[1].window", "users[1].explicit_schedules"
+    ]
+    assert len(calls) == 1
+    assert scenario_to_dict(fresh) == document
+    assert [f.name for f in dataclasses.fields(fresh)] == [
+        "time_grid", "pools", "locations", "bounds", "energy_levels"
+    ]
+
+    bad = dataclasses.replace(
+        fresh, locations=(dataclasses.replace(fresh.locations[0], cables_per_evse=0),)
+    )
+    expected = ["locations[1].cables_per_evse: cables_per_evse must be >= 1"]
+    for _ in range(2):
+        assert [str(v) for v in ev.validate_scenario(bad, [user])] == expected
+    assert len(calls) == 2
+    assert ev.validate_scenario(fresh, [user]) == []
+    with pytest.raises(ev.ScenarioValidationError, match="cables_per_evse"):
+        ev.run_auction(bad, [user], bad.bounds)
 
 
 def _heuristic_3_options(user, scenario):

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import evauction as ev
+from evauction import cli
 from evauction.model import whole_number
 from evauction.scenario_io import (
     ScenarioFormatError,
@@ -258,6 +260,36 @@ def test_scenario_from_dict_rejects_unknown_keys(record, key, value):
     record(doc)[key] = value
     with pytest.raises(ScenarioFormatError, match=f"no field '{key}'"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(time_grid=5), "TimeGrid must be a JSON object, got int"),
+        (lambda doc: doc.update(pools=[7]), "GenerationPool must be a JSON object, got int"),
+        (lambda doc: doc["locations"].append("x"), "Location must be a JSON object, got str"),
+        (lambda doc: doc.update(bounds=None), "ValueBounds must be a JSON object, got NoneType"),
+    ],
+    ids=["time_grid", "pool", "location", "bounds"],
+)
+def test_non_object_record_is_a_format_error(tmp_path, capsys, edit, message):
+    doc = _s1_document()
+    edit(doc)
+    with pytest.raises(ScenarioFormatError, match=message):
+        scenario_from_dict(doc)
+    scenario = _write(tmp_path, "scenario.json", json.dumps(doc))
+    _, users = build_preset("s1")
+    save_users(users, tmp_path / "users.txt")
+    capsys.readouterr()
+    for argv in (
+        ["simulate", "--users", str(tmp_path / "users.txt")],
+        ["compare", "--users", str(tmp_path / "users.txt")],
+        ["validate-dapr"],
+    ):
+        code = cli.main([*argv, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: bad scenario document: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [4, 4.0, "4", np.int64(4), np.float64(4.0)])
