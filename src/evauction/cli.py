@@ -19,6 +19,7 @@ from pathlib import Path
 from . import oracle, pricing
 from .engine import AuctionOutcome, LocationStats, run_auction
 from .model import Scenario, ScenarioValidationError, validate_scenario
+from .options import parse_policy
 from .oracle import OracleBudgetExceeded
 from .scenario_io import (
     PRESET_NAMES,
@@ -140,6 +141,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    parse_policy(args.policy)  # a bad --policy fails also where the exact search overrides it
     scenario = load_scenario(args.scenario)
     users = load_users(args.users)
     _require_valid(scenario, users)  # before exhaustive_options sees the input

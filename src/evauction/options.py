@@ -7,10 +7,8 @@ schedules a request can use is decided by one rule, ``model.schedule_totals``
 over ``model.allowed_levels``: a location has schedules iff the demand is
 in ``reach[width]``, and a slot may take a level iff the slots after it
 can still make the remainder. ``location_schedules`` gives a user's
-schedules at one location under every policy:
+schedules at one location under the run's option policy:
 
-* explicit schedules, when the user carries them, are used verbatim
-  where they fit and bypass the policy;
 * ``exhaustive`` is every schedule over the allowed per-slot energy
   levels that meets the demand exactly;
 * ``heuristic-K`` is at most K schedules: earliest-fill, latest-fill,
@@ -19,8 +17,12 @@ schedules at one location under every policy:
   largest allowed level whose remainder the later slots can still make,
   so every fill meets the demand exactly.
 
-Option sets exist only when a caller pins them. The online run and the
-no-mechanism baseline ask for schedules location by location
+A user's options come from a caller or from the policy. A user who
+carries explicit schedules declared their own options:
+``generate_options`` turns them into an option set, and every run takes
+that set pinned, whatever its policy. Otherwise option sets exist only
+when a caller pins them. The online run and the no-mechanism baseline
+ask for the policy's schedules location by location
 (``engine.located_schedules``), and under ``exhaustive`` over contiguous
 levels (``0..top``) not even that: a greedy fill of each EVSE's slots is
 exact there because every price is linear per kWh. ``generate_options``
@@ -145,11 +147,10 @@ def location_schedules(
     slot_prices: Optional[Sequence[float]],
     rng: Optional[Callable[[], np.random.Generator]],
 ) -> list[tuple[int, ...]]:
-    """The schedules ``user`` can take at one preferred location, in
-    lexicographic order, under every policy.
+    """The schedules the option policy gives ``user`` at one preferred
+    location, in lexicographic order; a user's explicit schedules play no
+    part here (``generate_options`` turns them into options).
 
-    A user with explicit schedules gets those that fit the location
-    (``model.option_is_feasible``), whatever the policy. Otherwise
     ``budget=None`` gives every schedule that meets the demand (the
     exhaustive policy), and a budget K at most K heuristic fills; none when
     the demand cannot be met there. ``slot_prices`` are the location's
@@ -160,10 +161,6 @@ def location_schedules(
     demand = integral_demand(user.energy_demand)
     if demand is None:
         return []
-    if user.explicit_schedules is not None:
-        schedules = set(user.explicit_schedules)
-        explicit = (ChargeOption(location_id, user.arrival, s) for s in schedules)
-        return sorted(o.schedule for o in explicit if option_is_feasible(o, user, scenario))
     levels = allowed_levels(scenario, location_id)
     width = user.window_length
     reach = schedule_totals(levels, width, demand)
@@ -175,14 +172,21 @@ def location_schedules(
 
 
 def generate_options(user: UserType, scenario: Scenario) -> list[ChargeOption]:
-    """Every option of ``user`` under the exhaustive policy (or its
-    explicit schedules), sorted by (location, schedule):
-    ``location_schedules`` at each preferred location. Empty when the
-    demand fits no preferred location (the caller then sends the user to
-    auxiliary parking). The exact oracle's input
-    (``oracle.exhaustive_options``) and the tests' reference; the online
-    run and the baseline never build it.
+    """Every option of ``user``, sorted by (location, schedule): the one
+    place that turns a user's explicit schedules into options, those that
+    fit each preferred location (``model.option_is_feasible``), and
+    otherwise ``location_schedules`` under the exhaustive policy at each
+    preferred location. Empty when nothing fits a preferred location (the
+    caller then sends the user to auxiliary parking).
+
+    The exact oracle's input (``oracle.exhaustive_options``), the pinned
+    set every run decides an explicit-schedule user on
+    (``engine.run_in_order``), and the tests' reference.
     """
+    if user.explicit_schedules is not None:
+        pairs = sorted((lid, s) for lid in user.preferred_locations for s in set(user.explicit_schedules))
+        explicit = (ChargeOption(lid, user.arrival, s) for lid, s in pairs)
+        return [o for o in explicit if option_is_feasible(o, user, scenario)]
     return [
         ChargeOption(lid, user.arrival, s)
         for lid in sorted(user.preferred_locations)

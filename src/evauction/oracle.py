@@ -12,9 +12,11 @@ Three yardsticks, all on identical inputs:
 * the no-mechanism baseline: free first-come-first-served choice, with the
   operator absorbing procurement costs
 
-Option sets exist only when a caller pins them: the exact solver searches
-pinned sets (``exhaustive_options`` builds the canonical one), and the
-baseline otherwise decides from ``engine.located_schedules``.
+Option sets exist only where options are pinned: the exact solver
+searches pinned sets (``exhaustive_options`` builds the canonical one),
+and the baseline takes a caller's pinned set or a user's own explicit
+schedules (``engine.run_in_order`` pins them), and otherwise decides from
+``engine.located_schedules``.
 """
 
 from __future__ import annotations
@@ -311,11 +313,12 @@ def no_mechanism_baseline(
 ) -> AuctionOutcome:
     """First-come-first-served world without prices.
 
-    Users are taken in the online run's order on the pinned options or,
-    with no option set built, on the schedules ``option_policy`` gives
-    them (draws seeded from ``seed``; see ``engine.run_in_order``). Each
-    takes the first schedule that fits at their highest-value location,
-    earliest fills first, on the lowest free EVSE (``_first_fit``).
+    Users are taken in the online run's order on the pinned options (a
+    user's own explicit schedules among them) or, with no option set
+    built, on the schedules ``option_policy`` gives them (draws seeded from
+    ``seed``; see ``engine.run_in_order``). Each takes the first schedule
+    that fits at their highest-value location, earliest fills first, on
+    the lowest free EVSE (``_first_fit``).
     Everybody pays zero and the operator absorbs the procurement cost.
     """
     return run_in_order(
@@ -330,10 +333,11 @@ def _first_fit(
     then earliest fill, then location id; the first one that fits on some
     EVSE (lowest index first) within every capacity is taken, for free.
 
-    ``options`` is a pinned option set, ranked as above. ``None`` stands
-    for the user's schedules under the run's policy, and the same choice
-    is made from ``engine.located_schedules`` without an option set
-    (``_earliest_fill``)."""
+    ``options`` is a pinned option set, ranked as above: a caller's, or
+    the user's own explicit schedules (``engine.run_in_order`` pins them).
+    ``None`` stands for the user's schedules under the run's policy, and
+    the same choice is made from ``engine.located_schedules`` without an
+    option set (``_earliest_fill``)."""
     value = dict(zip(user.preferred_locations, user.valuations))
     if options is None:
         return state.settle(_earliest_fill(state, user, value))

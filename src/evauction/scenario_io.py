@@ -116,6 +116,8 @@ def _record(cls, data: Mapping):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, Mapping):
+        raise ScenarioFormatError(f"scenario document must be a JSON object, got {type(data).__name__}")
     try:
         records = {
             "time_grid": _record(TimeGrid, data["time_grid"]),

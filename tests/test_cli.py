@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evauction import pricing
+from evauction import engine, pricing
 from evauction.cli import main
 from evauction.scenario_io import build_preset, load_scenario, load_users, scenario_to_dict
 
@@ -196,8 +196,9 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
-@pytest.mark.parametrize("key", sorted(DOWNTOWN9_SEED42_DIGESTS))
-def test_downtown9_seed42_ledger_digest(tmp_path, key):
+def _downtown9_seed42_digests(tmp_path, key):
+    """The sha256 of the three files ``simulate`` writes for one
+    configuration of ``DOWNTOWN9_SEED42_DIGESTS``."""
     policy = key.removesuffix("-conservative")
     mode = "exact" if policy == key else "conservative"
     scenario, users = _gen(tmp_path, preset="downtown9", seed=42)
@@ -214,11 +215,42 @@ def test_downtown9_seed42_ledger_digest(tmp_path, key):
         ]
     )
     assert code == 0
-    digests = tuple(
+    return tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("ledger.csv", "locations.csv", "summary.json")
     )
-    assert digests == DOWNTOWN9_SEED42_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(DOWNTOWN9_SEED42_DIGESTS))
+def test_downtown9_seed42_ledger_digest(tmp_path, key):
+    assert _downtown9_seed42_digests(tmp_path, key) == DOWNTOWN9_SEED42_DIGESTS[key]
+
+
+def _compensated_sum(iterable, start=0):
+    """The builtin ``sum`` as Python 3.12 computes it: ints exactly, and
+    from the first float term on with Neumaier's compensation."""
+    total, c, compensated = start, 0.0, isinstance(start, float)
+    for x in iterable:
+        if not compensated and isinstance(x, float):
+            total, compensated = float(total), True
+        if not compensated:
+            total += x
+            continue
+        x = float(x)
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_outputs_do_not_depend_on_float_sum(tmp_path, monkeypatch):
+    """Python 3.12 made the builtin ``sum`` of floats compensated; the
+    engine's outputs must not move with it, so every float total is summed
+    left to right."""
+    assert _compensated_sum([0.1] * 10, 0.0) == 1.0 != sum([0.1] * 10, 0.0)
+    assert _compensated_sum([True, False, 3]) == 4
+    monkeypatch.setattr(engine, "sum", _compensated_sum, raising=False)
+    assert _downtown9_seed42_digests(tmp_path, "exhaustive") == DOWNTOWN9_SEED42_DIGESTS["exhaustive"]
 
 
 def test_summary_alphas_stand_alone(tmp_path):
@@ -315,6 +347,19 @@ def test_compare_summary_records_policy(tmp_path):
     assert summary["bounds"] == json.loads(scenario.read_text())["bounds"]
     assert main([*argv, "--policy", "heuristic-3"]) == 0  # the exact search ran
     assert json.loads((out / "summary.json").read_text())["policy"] == "exhaustive"
+
+
+def test_compare_rejects_bad_policy(tmp_path, capsys):
+    """``compare`` refuses a bad ``--policy`` as ``simulate`` does, even
+    where the exact search would run under the exhaustive policy."""
+    scenario, users = _gen(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for command in ("simulate", "compare"):
+        argv = [command, "--scenario", str(scenario), "--users", str(users), "--out", str(out)]
+        assert main([*argv, "--policy", "bogus"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: unknown option policy 'bogus'"]
+    assert not out.exists()
 
 
 def _levels_0_2(doc):

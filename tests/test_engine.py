@@ -413,13 +413,16 @@ def _heuristic_options(user, scenario, budget, rng, slot_prices=None):
 
 
 def _heuristic_reference(budget, seed):
-    """A rule deciding each user on an option set and ``admit``: slot
+    """A rule deciding each user on an option set and ``admit``: a user's
+    explicit schedules as ``generate_options`` gives them; otherwise slot
     prices from ``pricing`` at the current loads for every preferred
     location, options from rng ``default_rng([seed, user_id])``, every one
     quoted."""
 
     def rule(state, user, _options):
         sc, b, mode = state.scenario, state.bounds, state.demand.mode
+        if user.explicit_schedules is not None:
+            return admit(state, user, generate_options(user, sc))
         k = pricing.price_scale(sc)
         slot_prices = {}
         for lid in user.preferred_locations:
@@ -444,20 +447,24 @@ def _heuristic_reference(budget, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@example(seed=1, mode="exact", levels=(0, 1, 3), budget=4)
+@example(seed=1, mode="exact", levels=(0, 1, 3), budget=4, explicit=False)
 @given(
     seed=st.integers(0, 10_000),
     mode=st.sampled_from(["exact", "conservative"]),
     levels=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3)]),
     budget=st.sampled_from([1, 3, 4]),
+    explicit=st.booleans(),
 )
-def test_heuristic_matches_generated_options(seed, mode, levels, budget):
+def test_heuristic_matches_generated_options(seed, mode, levels, budget, explicit):
     """A priced heuristic-K run, which generates and quotes only where a
     fill can land, equals the run that generates every option at every
     preferred location and quotes them all: decisions and every payment
     part, exactly. The unpriced baseline equals the baseline on the
-    options generated without slot prices."""
+    options generated without slot prices. A user with explicit schedules
+    is decided on them under either policy."""
     scenario, users, _ = random_instance(seed, max_users=60, levels=levels)
+    if explicit:
+        users = _with_explicit_schedules(scenario, users, seed)
     policy = f"heuristic-{budget}"
     online = run_auction(scenario, users, scenario.bounds, mode, policy, seed)
     reference = run_in_order(
@@ -466,7 +473,9 @@ def test_heuristic_matches_generated_options(seed, mode, levels, budget):
     )
     assert online.ledger == reference.ledger
     pinned = {
-        u.user_id: _heuristic_options(u, scenario, budget, np.random.default_rng([seed, u.user_id]))
+        u.user_id: generate_options(u, scenario)
+        if u.explicit_schedules is not None
+        else _heuristic_options(u, scenario, budget, np.random.default_rng([seed, u.user_id]))
         for u in users
     }
     baseline = no_mechanism_baseline(scenario, users, seed=seed, option_policy=policy)
@@ -546,14 +555,19 @@ def _posted(state):
 )
 def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, explicit, pinned_share):
     """After a run of settles (priced ``admit`` or unpriced ``_first_fit``,
-    some users on pinned options, some carrying explicit schedules), every
-    posted room, cable flag and price equals its recomputation from the
-    loads in ``DemandState``, bit for bit."""
+    some users on pinned options, some carrying explicit schedules, pinned
+    as ``run_in_order`` pins them), every posted room, cable flag and price
+    equals its recomputation from the loads in ``DemandState``, bit for
+    bit."""
     scenario, users, _ = random_instance(seed, max_users=40, levels=levels)
     if explicit:
         users = _with_explicit_schedules(scenario, users, seed)
     rng = np.random.default_rng([seed, 2])
-    pinned = {u.user_id: generate_options(u, scenario) for u in users if rng.random() < pinned_share}
+    pinned = {
+        u.user_id: generate_options(u, scenario)
+        for u in users
+        if rng.random() < pinned_share or u.explicit_schedules is not None
+    }
     state = AuctionState(scenario, scenario.bounds if priced else None, mode, policy, seed)
     rule = admit if priced else _first_fit
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):

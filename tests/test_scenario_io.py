@@ -292,6 +292,22 @@ def test_non_object_record_is_a_format_error(tmp_path, capsys, edit, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, kind", [([1], "list"), ("x", "str")], ids=["list", "str"])
+def test_non_object_document_is_a_format_error(tmp_path, capsys, doc, kind):
+    message = f"scenario document must be a JSON object, got {kind}"
+    with pytest.raises(ScenarioFormatError, match=message):
+        scenario_from_dict(doc)
+    scenario = _write(tmp_path, "scenario.json", json.dumps(doc))
+    _, users = build_preset("s1")
+    save_users(users, tmp_path / "users.txt")
+    capsys.readouterr()
+    for argv in (["simulate", "--users", str(tmp_path / "users.txt")], ["validate-dapr"]):
+        code = cli.main([*argv, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [4, 4.0, "4", np.int64(4), np.float64(4.0)])
 def test_whole_number_accepts(value):
     assert whole_number(value) == 4 and type(whole_number(value)) is int
