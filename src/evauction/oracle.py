@@ -3,10 +3,12 @@
 Three yardsticks, all on identical inputs:
 
 * an exact solver for the offline assignment problem (depth-first search
-  with three cuts: a value bound, a collapse of EVSEs whose whole rows are
-  identical, and one EVSE per option at a slack location; desk-scale
-  instances only), whose optimal assignment is an ``AuctionOutcome``
-  ledger like the online run's, the same ledger as a naive enumeration's
+  over rooms packed into one integer per EVSE and per pool, with three
+  cuts: a value bound, a dominance memo over states equal up to a
+  relabelling of EVSEs, and one EVSE per option at a slack location;
+  desk-scale instances only), whose optimal assignment is an
+  ``AuctionOutcome`` ledger like the online run's, the same ledger as a
+  naive enumeration's
 * a capacity-relaxed upper bound (every user served independently; energy
   beyond actual solar priced at the cheapest in-window grid price)
 * the no-mechanism baseline: free first-come-first-served choice, with the
@@ -29,6 +31,7 @@ from .engine import (
     AuctionOutcome,
     AuctionState,
     _free_cables,
+    _room,
     build_outcome,
     fill_schedule,
     located_schedules,
@@ -101,19 +104,39 @@ def solve_offline_exact(
 
     Users are walked in the online run's order (``submission_order``),
     each trying its options as given, EVSEs ascending, then the reject
-    branch; a leaf replaces the incumbent only when strictly better. With
-    ``prune`` off the search is a naive full enumeration. With it on, three
-    cuts skip subtrees that hold no strictly better leaf than one visited
-    before:
+    branch; a leaf replaces the incumbent only when strictly better. A
+    user without options gets a reject row and is not walked.
+
+    Rooms are whole numbers (``engine._room`` at zero load, less what is
+    placed) and option energies whole levels, so ``e <= room`` holds iff
+    ``load + e <= cap``. Each EVSE's cable and energy rooms are one int of
+    2·T fields, each pool's room one int of T fields. A field is ``W``
+    bits: ``W - 1`` for the value, the bit length of the largest room (at
+    least 1), and a guard bit on top. A use fits iff ``((room | G) - use)
+    & G == G`` (``G`` the guard bits), placing it is ``room - use``, and
+    undoing it restores the saved int. The procurement cost is summed from
+    float pool loads, only once some EVSE fits.
+
+    With ``prune`` off the search is a naive full enumeration. With it on,
+    three cuts skip subtrees that hold no strictly better leaf than one
+    visited before:
 
     * the value bound: a subtree is cut when crediting every remaining
       user their best valuation for free cannot beat the incumbent;
-    * the identical-EVSE collapse: of the EVSEs whose whole cable and
-      energy rows are equal, only the first is tried (the subtrees are
-      relabellings of each other);
+    * the dominance memo: below the root, each expanded node is keyed by
+      its depth and, per location, the sorted rooms of its EVSEs (these
+      fix every pool's room, a pool's load being that of its EVSEs). A
+      node is cut when an earlier one of the same key had a value sum at
+      least and a cost sum at most its own. A subtree depends only on
+      the depth and the state, up to relabelling EVSEs; the earlier
+      subtree is finished, so each of its leaves is at most the
+      incumbent. Float rounding is monotone, so each leaf below the
+      later node is no larger, and none can replace the incumbent. The
+      memo keeps at most one entry per expanded node, and does the job
+      of collapsing EVSEs in identical states one level down;
     * the slack location: where every user could share one EVSE (per slot,
       one cable per user with an option there holding it, and each user's
-      largest energy there, stay within one EVSE's caps), no EVSE cap can
+      largest energy there, stay within one EVSE's rooms), no EVSE cap can
       bind, so only the first EVSE that fits is tried.
 
     So the pruned search returns the naive search's ledger, the first
@@ -133,64 +156,88 @@ def solve_offline_exact(
         raise ScenarioValidationError(violations)
 
     ordered = submission_order(users)
-    n = len(ordered)
     T = scenario.slot_count
+    locations, pools = scenario.locations, scenario.pools
+    loc_index = {loc.location_id: li for li, loc in enumerate(locations)}
+    pool_index = {pool.pool_id: pi for pi, pool in enumerate(pools)}
+    # a user without options is rejected outside the walk
+    walked = [
+        (j, options_by_user[u.user_id]) for j, u in enumerate(ordered) if options_by_user[u.user_id]
+    ]
+    n = len(walked)
 
-    cable = {loc.location_id: [[0.0] * T for _ in range(loc.evse_count)] for loc in scenario.locations}
-    energy = {loc.location_id: [[0.0] * T for _ in range(loc.evse_count)] for loc in scenario.locations}
-    pool_load = {p.pool_id: [0.0] * T for p in scenario.pools}
-    pool_cap = {p.pool_id: procurement_capacity(p, "exact").tolist() for p in scenario.pools}
-    pool_solar = {p.pool_id: [float(s) for s in p.solar_actual] for p in scenario.pools}
-    pool_price = {p.pool_id: [float(v) for v in p.grid_price] for p in scenario.pools}
-    loc_cap = {
-        loc.location_id: (float(loc.cables_per_evse), float(loc.max_charge_rate), loc.evse_count, loc.pool_id)
-        for loc in scenario.locations
-    }
-
-    # per user: list of (value, lid, pid, option, cable_slots, energy_slots);
-    # energies are floats so the search adds floats only (faster than mixing ints)
-    choices = []
-    for user in ordered:
-        rows = []
-        for opt in options_by_user[user.user_id]:
-            lid = opt.location_id
-            w0 = opt.start - 1
-            c_slots = list(range(w0, w0 + len(opt.schedule)))
-            e_slots = [(w0 + i, float(e)) for i, e in enumerate(opt.schedule) if e > 0]
-            rows.append((user.valuation_at(lid), lid, loc_cap[lid][3], opt, c_slots, e_slots))
-        choices.append(rows)
+    # rooms at zero load; one field width fits every room and every use (a
+    # validated option's energies are at most its location's energy room)
+    cable_room = [_room(0.0, float(loc.cables_per_evse)) for loc in locations]
+    energy_room = [_room(0.0, float(loc.max_charge_rate)) for loc in locations]
+    pool_rooms = [
+        [_room(0.0, cap) for cap in procurement_capacity(pool, "exact").tolist()] for pool in pools
+    ]
+    top = max([1, *cable_room, *energy_room, *(r for rooms in pool_rooms for r in rooms)])
+    W = top.bit_length() + 1
+    evse_guard = _pack([1 << (W - 1)] * (2 * T), W)
+    pool_guard = _pack([1 << (W - 1)] * T, W)
+    evse_rows = [
+        [_pack([cable_room[li]] * T + [energy_room[li]] * T, W)] * loc.evse_count
+        for li, loc in enumerate(locations)
+    ]
+    pool_room = [_pack(rooms, W) for rooms in pool_rooms]
+    pool_load = [[0.0] * T for _ in pools]
+    pool_solar = [[float(s) for s in pool.solar_actual] for pool in pools]
+    pool_price = [[float(v) for v in pool.grid_price] for pool in pools]
 
     # a location is slack when every user could share one of its EVSEs:
     # per slot, one cable for each user with an option there holding the
     # slot, plus the largest energy any of those options draws, fit one
-    # EVSE's caps, so no EVSE choice there can make a later one infeasible
-    need_c = {lid: [0.0] * T for lid in loc_cap}
-    need_e = {lid: [0.0] * T for lid in loc_cap}
-    for rows in choices:
+    # EVSE's rooms, so no EVSE choice there can make a later one infeasible
+    need_c = [[0] * T for _ in locations]
+    need_e = [[0] * T for _ in locations]
+    for _, opts in walked:
         held = {}
-        for _, lid, _, _, c_slots, e_slots in rows:
-            slots, peak = held.setdefault(lid, (set(), [0.0] * T))
-            slots.update(c_slots)
-            for t, e in e_slots:
+        for opt in opts:
+            slots, peak = held.setdefault(loc_index[opt.location_id], (set(), [0] * T))
+            w0 = opt.start - 1
+            slots.update(range(w0, w0 + len(opt.schedule)))
+            for t, e in enumerate(opt.schedule, w0):
                 peak[t] = max(peak[t], e)
-        for lid, (slots, peak) in held.items():
+        for li, (slots, peak) in held.items():
             for t in slots:
-                need_c[lid][t] += 1.0
+                need_c[li][t] += 1
             for t, e in enumerate(peak):
-                need_e[lid][t] += e
-    slack = {
-        lid: max(need_c[lid]) <= c_cap and max(need_e[lid]) <= e_cap
-        for lid, (c_cap, e_cap, _, _) in loc_cap.items()
-    }
+                need_e[li][t] += e
+    slack = [
+        max(need_c[li]) <= cable_room[li] and max(need_e[li]) <= energy_room[li]
+        for li in range(len(locations))
+    ]
+
+    # per walked user: (value, location index, pool index, option, packed
+    # EVSE use (a cable per held slot, then the energies), packed pool
+    # draw, charged (slot, kWh) pairs, whether one EVSE is tried)
+    choices = []
+    for j, opts in walked:
+        rows = []
+        for opt in opts:
+            lid = opt.location_id
+            li = loc_index[lid]
+            pi = pool_index[locations[li].pool_id]
+            w0, w1 = opt.start - 1, opt.start - 1 + len(opt.schedule)
+            cables, energies = [0] * T, [0] * T
+            cables[w0:w1] = [1] * (w1 - w0)
+            energies[w0:w1] = opt.schedule
+            use, draw = _pack(cables + energies, W), _pack(energies, W)
+            e_slots = [(t, float(e)) for t, e in enumerate(opt.schedule, w0) if e > 0]
+            value = ordered[j].valuation_at(lid)
+            rows.append((value, li, pi, opt, use, draw, e_slots, prune and slack[li]))
+        choices.append(rows)
 
     suffix_best = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        best_v = max((row[0] for row in choices[i]), default=0.0)
-        suffix_best[i] = suffix_best[i + 1] + best_v
+        suffix_best[i] = suffix_best[i + 1] + max(row[0] for row in choices[i])
 
     best_welfare = 0.0
     best_assign: list[Optional[tuple[int, ChargeOption]]] = [None] * n
     current: list[Optional[tuple[int, ChargeOption]]] = [None] * n
+    memo: dict[tuple, list[tuple[float, float]]] = {}
 
     def walk(i: int, value_sum: float, cost_sum: float) -> None:
         nonlocal best_welfare, best_assign
@@ -200,58 +247,61 @@ def solve_offline_exact(
                 best_welfare = welfare
                 best_assign = current.copy()
             return
-        if prune and value_sum + suffix_best[i] - cost_sum <= best_welfare:
-            return
-        for value, lid, pid, opt, c_slots, e_slots in choices[i]:
-            c_cap, e_cap, evse_count, _ = loc_cap[lid]
-            loc_cable = cable[lid]
-            loc_energy = energy[lid]
-            load = pool_load[pid]
-            caps = pool_cap[pid]
-            gen_ok = all(load[t] + e <= caps[t] for t, e in e_slots)
-            if not gen_ok:
+        if prune:
+            if value_sum + suffix_best[i] - cost_sum <= best_welfare:
+                return
+            if i:
+                key = (i, *[tuple(sorted(rows)) for rows in evse_rows])
+                seen = memo.get(key)
+                if seen is None:
+                    memo[key] = [(value_sum, cost_sum)]
+                else:
+                    for v, c in seen:
+                        if v >= value_sum and c <= cost_sum:
+                            return
+                    seen.append((value_sum, cost_sum))
+        for value, li, pi, opt, use, draw, e_slots, one_evse in choices[i]:
+            room = pool_room[pi]
+            if ((room | pool_guard) - draw) & pool_guard != pool_guard:
                 continue
-            solar = pool_solar[pid]
-            price = pool_price[pid]
-            delta_cost = 0.0
-            for t, e in e_slots:
-                y = load[t]
-                delta_cost += price[t] * (max(0.0, y + e - solar[t]) - max(0.0, y - solar[t]))
-            seen_states = set() if prune else None
-            for m in range(evse_count):
-                row_c = loc_cable[m]
-                row_e = loc_energy[m]
-                if any(row_c[t] + 1.0 > c_cap for t in c_slots):
+            rows = evse_rows[li]
+            load = pool_load[pi]
+            delta_cost = None
+            for m, row in enumerate(rows):
+                if ((row | evse_guard) - use) & evse_guard != evse_guard:
                     continue
-                if any(row_e[t] + e > e_cap for t, e in e_slots):
-                    continue
-                if seen_states is not None:
-                    key = (tuple(row_c), tuple(row_e))
-                    if key in seen_states:
-                        continue
-                    seen_states.add(key)
-                for t in c_slots:
-                    row_c[t] += 1.0
+                if delta_cost is None:
+                    solar = pool_solar[pi]
+                    price = pool_price[pi]
+                    delta_cost = 0.0
+                    for t, e in e_slots:
+                        y = load[t]
+                        grid = max(0.0, y + e - solar[t]) - max(0.0, y - solar[t])
+                        delta_cost += price[t] * grid
+                rows[m] = row - use
+                pool_room[pi] = room - draw
                 for t, e in e_slots:
-                    row_e[t] += e
                     load[t] += e
                 current[i] = (m, opt)
                 walk(i + 1, value_sum + value, cost_sum + delta_cost)
                 current[i] = None
-                for t in c_slots:
-                    row_c[t] -= 1.0
+                rows[m] = row
+                pool_room[pi] = room
                 for t, e in e_slots:
-                    row_e[t] -= e
                     load[t] -= e
-                if prune and slack[lid]:
+                if one_evse:
                     break
         walk(i + 1, value_sum, cost_sum)  # reject branch, tried last
 
     walk(0, 0.0, 0.0)
+    del walk  # the closure refers to itself: free the memo now, not at a cycle collection
+    assigned: list[Optional[tuple[int, ChargeOption]]] = [None] * len(ordered)
+    for (j, _), chosen in zip(walked, best_assign):
+        assigned[j] = chosen
 
     demand = DemandState(scenario)
     ledger = []
-    for user, chosen in zip(ordered, best_assign):
+    for user, chosen in zip(ordered, assigned):
         if chosen is None:
             ledger.append(AllocationResult(user.user_id))
         else:
@@ -260,6 +310,12 @@ def solve_offline_exact(
             demand.apply(opt, m)
             ledger.append(AllocationResult(user.user_id, opt, m, valuation=value))
     return build_outcome(scenario, demand, tuple(ledger), None)
+
+
+def _pack(fields: Sequence[int], width: int) -> int:
+    """Whole numbers below ``2**(width - 1)`` as one int, field ``k`` at
+    bit ``k * width``: the top bit of each field is a guard, clear here."""
+    return sum(v << (k * width) for k, v in enumerate(fields))
 
 
 def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:

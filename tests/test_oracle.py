@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import oracle, pricing
+from evauction.engine import _room
 from evauction.model import GenerationPool, Location, Scenario, TimeGrid, UserType, ValueBounds
 from evauction.oracle import (
     OracleBudgetExceeded,
@@ -136,29 +137,45 @@ def test_pruned_equals_naive_small():
 
 
 def _one_location(T, evse_count, cables, rate, requests, solar=5.0, grid_limit=10.0):
-    """One location on one pool at grid price 0.01, levels (0, 1). Each
-    request ``(arrival, width, value, demand)`` is a user with submission
-    time 1 and a window of ``width`` slots (moved earlier to end by T), ids
-    in request order."""
-    pool = GenerationPool(
-        pool_id=1,
-        solar_actual=np.full(T, solar),
-        solar_lower=np.full(T, solar),
-        solar_upper=np.full(T, solar),
-        grid_limit=np.full(T, grid_limit),
-        grid_price=np.full(T, 0.01),
+    """One location on one pool. Each request ``(arrival, width, value,
+    demand)`` is a user of ``_stations`` preferring location 1."""
+    requests = [
+        (arrival, width, demand, ((1, value),)) for arrival, width, value, demand in requests
+    ]
+    return _stations(T, (1,), evse_count, cables, rate, requests, solar, grid_limit)
+
+
+def _stations(T, pool_of, evse_count, cables, rate, requests, solar=5.0, grid_limit=10.0):
+    """Locations 1, 2, ... on the pools ``pool_of`` names, one per location,
+    all alike, each pool at grid price 0.01, levels (0, 1). Each request
+    ``(arrival, width, demand, prefs)`` is a user with submission time 1,
+    a window of ``width`` slots (moved earlier to end by T) and ``prefs``
+    its (location, value) pairs, ids in request order."""
+    pools = tuple(
+        GenerationPool(
+            pool_id=pid,
+            solar_actual=np.full(T, solar),
+            solar_lower=np.full(T, solar),
+            solar_upper=np.full(T, solar),
+            grid_limit=np.full(T, grid_limit),
+            grid_price=np.full(T, 0.01),
+        )
+        for pid in sorted(set(pool_of))
     )
-    loc = Location(
-        location_id=1,
-        evse_count=evse_count,
-        cables_per_evse=cables,
-        max_charge_rate=float(rate),
-        pool_id=1,
+    locations = tuple(
+        Location(
+            location_id=lid,
+            evse_count=evse_count,
+            cables_per_evse=cables,
+            max_charge_rate=float(rate),
+            pool_id=pid,
+        )
+        for lid, pid in enumerate(pool_of, 1)
     )
     scenario = Scenario(
         time_grid=TimeGrid(slot_count=T),
-        pools=(pool,),
-        locations=(loc,),
+        pools=pools,
+        locations=locations,
         bounds=ValueBounds(
             cable_low=0.02,
             cable_high=12.0,
@@ -170,7 +187,7 @@ def _one_location(T, evse_count, cables, rate, requests, solar=5.0, grid_limit=1
         energy_levels=(0, 1),
     )
     users = []
-    for uid, (arrival, width, value, demand) in enumerate(requests, 1):
+    for uid, (arrival, width, demand, prefs) in enumerate(requests, 1):
         arrival = min(arrival, T - width + 1)
         users.append(
             UserType(
@@ -179,8 +196,8 @@ def _one_location(T, evse_count, cables, rate, requests, solar=5.0, grid_limit=1
                 arrival=arrival,
                 departure=arrival + width - 1,
                 energy_demand=float(demand),
-                preferred_locations=(1,),
-                valuations=(float(value),),
+                preferred_locations=tuple(lid for lid, _ in prefs),
+                valuations=tuple(float(value) for _, value in prefs),
             )
         )
     return scenario, users
@@ -253,6 +270,96 @@ def test_pruned_returns_naive_ledger_with_a_cable_per_user(
     cables = len(requests)
     scenario, users = _one_location(T, evse_count, cables, rate, requests, solar, grid_limit)
     _assert_pruned_returns_naive_ledger(scenario, users)
+
+
+def _two_location_requests(max_users):
+    value = st.integers(1, 8)
+    prefs = st.one_of(
+        st.tuples(st.tuples(st.integers(1, 2), value)),
+        st.tuples(st.tuples(st.just(1), value), st.tuples(st.just(2), value)),
+    )
+    return st.lists(
+        st.tuples(st.integers(1, 5), st.integers(2, 3), st.integers(1, 2), prefs),
+        min_size=3,
+        max_size=max_users,
+    )
+
+
+@pytest.mark.parametrize("pool_of", [(1, 1), (1, 2)], ids=["one-pool", "pool-each"])
+@settings(max_examples=150, deadline=None)
+# user 1 at location 1 and user 2 at location 2 leave the same rows
+@example(T=4, evse_count=1, cables=1, rate=1, grid_limit=1, requests=[
+    (1, 2, 1, ((1, 1),)), (1, 2, 1, ((2, 1),)), (1, 2, 1, ((1, 2),))
+])
+# user 1 placed or rejected leaves location 1 as it was
+@example(T=4, evse_count=1, cables=1, rate=1, grid_limit=1, requests=[
+    (1, 2, 1, ((2, 1),)), (1, 2, 1, ((2, 2),)), (1, 2, 1, ((1, 1),))
+])
+@given(
+    T=st.integers(4, 5),
+    evse_count=st.integers(1, 2),
+    cables=st.integers(1, 2),
+    rate=st.integers(1, 2),
+    requests=_two_location_requests(5),
+    grid_limit=st.integers(1, 3),
+)
+def test_pruned_returns_naive_ledger_on_two_locations(
+    pool_of, T, evse_count, cables, rate, requests, grid_limit
+):
+    """Two alike locations, sharing one pool or on a pool each: the memo
+    must tell the locations apart and see the state of both pools."""
+    scenario, users = _stations(T, pool_of, evse_count, cables, rate, requests, 1.0, grid_limit)
+    _assert_pruned_returns_naive_ledger(scenario, users)
+
+
+def test_users_without_options_are_not_walked(s1):
+    """Only the last of 1,500 users has options: the tree has 3 leaves, and
+    the search must not recurse once per user."""
+    scenario, _ = s1
+    users = [_user(uid, 1.0, arrival=1, departure=2, demand=1.0) for uid in range(1, 1501)]
+    last = users[-1]
+    options = {u.user_id: [] for u in users}
+    options[last.user_id] = exhaustive_options(scenario, [last])[last.user_id]
+    sol = solve_offline_exact(scenario, users, options)
+    alone = solve_offline_exact(scenario, [last], {last.user_id: options[last.user_id]})
+    assert [r.user_id for r in sol.ledger] == [u.user_id for u in users]
+    assert [r.accepted for r in sol.ledger] == [False] * 1499 + [True]
+    assert sol.welfare == alone.welfare > 0
+
+
+_CAPS = [2.3, 7.2, 0.0, -1.0, -2.5, 2.0**20 + 0.5, 2.0**21, 3.0 * 2**22 + 0.75]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    load=st.integers(0, 2**23),
+    e=st.integers(1, 2**23),
+    cap=st.one_of(st.sampled_from(_CAPS), st.floats(-10.0, 2.0**24)),
+)
+def test_whole_rooms_fit_like_the_loads(load, e, cap):
+    """For whole ``load`` and ``e >= 1``: ``e`` fits the room iff it fits
+    the cap, and placing it leaves the room less ``e``, so the exact
+    search may compare and subtract whole rooms."""
+    room = _room(float(load), cap)
+    assert (e <= room) == (load + e <= cap)
+    if e <= room:
+        assert _room(float(load + e), cap) == room - e
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), fields=st.integers(1, 12), bits=st.integers(1, 24))
+def test_packed_fit_agrees_with_each_slot(data, fields, bits):
+    """The packed test ``((room | G) - use) & G == G`` is the per-field
+    test ``use <= room``, and a fitting use subtracts field by field."""
+    whole = st.lists(st.integers(0, 2**bits - 1), min_size=fields, max_size=fields)
+    rooms, uses = data.draw(whole), data.draw(whole)
+    width = bits + 1
+    guard = oracle._pack([1 << bits] * fields, width)
+    room, use = oracle._pack(rooms, width), oracle._pack(uses, width)
+    fits = all(u <= r for u, r in zip(uses, rooms))
+    assert (((room | guard) - use) & guard == guard) == fits
+    if fits:
+        assert room - use == oracle._pack([r - u for r, u in zip(rooms, uses)], width)
 
 
 def test_offline_solution_respects_constraints():
