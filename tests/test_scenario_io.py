@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -175,6 +176,30 @@ def test_generate_users_impossible_duration(downtown):
     )
     with pytest.raises(ValueError):
         generate_users(spec, scenario)
+
+
+# sha256 of scenario.json and users.txt from gen-scenario --preset downtown9
+# <args>: a population that moves fails here, at the generator
+GEN_SCENARIO_DIGESTS = {
+    ("--seed", "42"): (
+        "1945b1402a4afe22f828ec1b7e053fdf27af0634f3ee36480c6a7861e5e7dfb0",
+        "fb85b5b473f9cb3be0522ceb67256e0720273d4a24ed6c63a6cc3850760865b5",
+    ),
+    ("--seed", "1", "--set", "users.count=4000"): (
+        "1945b1402a4afe22f828ec1b7e053fdf27af0634f3ee36480c6a7861e5e7dfb0",
+        "d3e5e31a91388ecf936e9be92775c00929b046c11398e0f9412a950a70a7cade",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(GEN_SCENARIO_DIGESTS), ids=["seed42", "seed1-4k"])
+def test_gen_scenario_files_are_pinned(tmp_path, args):
+    assert cli.main(["gen-scenario", "--preset", "downtown9", *args, "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("scenario.json", "users.txt")
+    )
+    assert digests == GEN_SCENARIO_DIGESTS[args]
 
 
 def test_preset_downtown9_shape(downtown):
