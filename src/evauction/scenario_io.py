@@ -17,8 +17,10 @@ File formats (this docstring is their reference):
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import typing
@@ -131,9 +133,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    text = json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_scenario(path) -> Scenario:
@@ -197,10 +199,11 @@ def _user_from_line(line: str, lineno: int) -> UserType:
 
 
 def save_users(users: Sequence[UserType], path) -> None:
+    lines = ["# id,submission,arrival,departure,demand,loc:val;...[,schedules=...]"]
+    lines.extend(_user_to_line(user) for user in users)
+    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# id,submission,arrival,departure,demand,loc:val;...[,schedules=...]\n")
-        for user in users:
-            fh.write(_user_to_line(user) + "\n")
+        fh.write(text)
 
 
 def load_users(path) -> list[UserType]:
@@ -292,6 +295,18 @@ class UserPopulationSpec:
     to weights. Per-location valuations are drawn per kWh so each total
     lands in ``value_range``, then sorted descending onto the preference
     order. ``location_weights`` biases which locations users prefer.
+
+    Weight rules (``generate_users`` checks them before its first draw):
+    every weight is finite; a duration or demand with a weight ``<= 0``
+    is left out of the draw; ``arrival_weights`` is one non-negative
+    weight per slot, and each duration ``d`` of positive weight needs a
+    positive weight among the slots ``1..T-d+1`` at which a ``d``-slot
+    visit can start; ``location_weights`` (every location 1 when None) is
+    non-negative, a location it does not name weighs 0, and at least
+    ``min(preferred_count, location count)`` locations weigh more than 0.
+    Weights need not sum to 1. ``preferred_count >= 1``,
+    ``submission_lead_max >= 0`` and ``value_range`` is a finite (low,
+    high) with ``low <= high``.
     """
 
     count: int
@@ -305,9 +320,79 @@ class UserPopulationSpec:
     seed: int = 0
 
 
+def _normalised(weights) -> list[float]:
+    """``weights`` divided by their (numpy) sum: the probabilities
+    ``Generator.choice`` is handed."""
+    w = np.asarray(weights, dtype=float)
+    return (w / w.sum()).tolist()
+
+
+def _cdf(p: Sequence[float]) -> list[float]:
+    """The CDF ``Generator.choice`` draws by from the probabilities ``p``:
+    their running sum in index order, divided by its last entry."""
+    sums = list(itertools.accumulate(p))
+    return [s / sums[-1] for s in sums]
+
+
+def _pick(rng: np.random.Generator, cdf: list[float]) -> int:
+    """One index drawn by ``cdf == _cdf(p)`` from one double: what
+    ``rng.choice(len(p), p=p)`` returns."""
+    return bisect.bisect_right(cdf, rng.random())
+
+
+def _pick_distinct(rng: np.random.Generator, p: list[float], cdf: list[float], k: int) -> list[int]:
+    """``k`` distinct indices drawn by the probabilities ``p`` (``cdf ==
+    _cdf(p)``): what ``rng.choice(len(p), size=k, replace=False, p=p)``
+    returns, from the same doubles. Each round draws one double per index
+    still missing and keeps the new indices in the order they first appear;
+    the next round draws by ``p`` with the indices found so far weighed 0.
+    ``p`` needs at least ``k`` positive entries."""
+    found: list[int] = []
+    while True:
+        for x in rng.random(k - len(found)).tolist():
+            i = bisect.bisect_right(cdf, x)
+            if i not in found:
+                found.append(i)
+        if len(found) == k:
+            return found
+        cdf = _cdf([0.0 if i in found else w for i, w in enumerate(p)])
+
+
 def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserType]:
-    """Draw ``spec.count`` users; deterministic under ``spec.seed``."""
+    """Draw ``spec.count`` users; deterministic under ``spec.seed``.
+
+    The spec is checked against the weight rules of ``UserPopulationSpec``
+    before the first draw, also when ``count`` is 0: a fault raises
+    ``ValueError`` naming the field.
+
+    The draws are the population's contract. One
+    ``np.random.default_rng(spec.seed)`` stream gives each user, in turn:
+
+    1. the duration ``d``: one double by the duration CDF;
+    2. the arrival slot: one double by the CDF of the slots at which a
+       ``d``-slot visit can start;
+    3. ``k = min(preferred_count, location count)`` distinct preferred
+       locations: ``k`` doubles by the location CDF, then, while fewer
+       than ``k`` distinct locations are drawn, one double per missing
+       location by the CDF with the drawn ones weighed 0 (``_pick_distinct``);
+    4. the demand: one double by the demand CDF, lowered to the largest
+       total (at least 1) that ``d`` slots at the fastest preferred
+       location's levels can make;
+    5. the valuations: ``uniform(low / h, high / h, size=k)`` per kWh of
+       the demand ``h``, times ``h``, sorted descending;
+    6. the submission lead: ``integers(0, submission_lead_max + 1)``;
+       submission is ``max(1, arrival - lead)``.
+
+    A CDF is the running sum of the normalised weights divided by its last
+    entry, and a double ``x`` picks the first index whose entry exceeds
+    ``x``. That is how ``Generator.choice`` picks, so the users are those
+    ``choice`` draws, while the sequence rests only on ``Generator.random``,
+    ``uniform`` and ``integers``.
+    """
     T = scenario.slot_count
+    for name in ("duration_weights", "demand_weights", "location_weights"):
+        if not all(math.isfinite(w) for w in (getattr(spec, name) or {}).values()):
+            raise ValueError(f"{name} must be finite")
     durations = sorted(d for d, w in spec.duration_weights.items() if w > 0)
     if not durations:
         raise ValueError("duration_weights has no support")
@@ -315,52 +400,68 @@ def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserTyp
         raise ValueError("visits must span at least 2 slots")
     if durations[-1] > T:
         raise ValueError(f"duration {durations[-1]} exceeds the {T}-slot horizon")
-    d_weights = np.array([spec.duration_weights[d] for d in durations], dtype=float)
-    d_weights /= d_weights.sum()
     demands = sorted(h for h, w in spec.demand_weights.items() if w > 0)
     if not demands or demands[0] < 1:
         raise ValueError("demand_weights needs positive kWh support")
-    h_weights = np.array([spec.demand_weights[h] for h in demands], dtype=float)
-    h_weights /= h_weights.sum()
     arrival = np.asarray(spec.arrival_weights, dtype=float)
-    if arrival.shape != (T,) or np.any(arrival < 0):
-        raise ValueError(f"arrival_weights must be {T} non-negative weights")
-
+    if arrival.shape != (T,) or not np.isfinite(arrival).all() or np.any(arrival < 0):
+        raise ValueError(f"arrival_weights must be {T} finite non-negative weights")
+    windows = []
+    for d in durations:
+        window = arrival[: T - d + 1]
+        if window.sum() <= 0:
+            raise ValueError(f"arrival_weights has no feasible arrival slot for duration {d}")
+        windows.append(_cdf(_normalised(window)))
+    if spec.preferred_count < 1:
+        raise ValueError(f"preferred_count must be at least 1, got {spec.preferred_count}")
     ids = list(scenario.location_ids)
     k = min(spec.preferred_count, len(ids))
     if spec.location_weights is None:
-        loc_w = np.ones(len(ids))
+        loc_w = [1.0] * len(ids)
+    elif any(w < 0 for w in spec.location_weights.values()):
+        raise ValueError("location_weights must be non-negative")
     else:
-        loc_w = np.array([spec.location_weights.get(lid, 0.0) for lid in ids], dtype=float)
-    if loc_w.sum() <= 0:
-        raise ValueError("location_weights has no support")
-    loc_w = loc_w / loc_w.sum()
+        loc_w = [spec.location_weights.get(lid, 0.0) for lid in ids]
+    positive = sum(w > 0 for w in loc_w)
+    if positive < max(k, 1):
+        raise ValueError(
+            f"location_weights weighs {positive} locations above 0, fewer than the "
+            f"{max(k, 1)} each user prefers (preferred_count {spec.preferred_count})"
+        )
+    if spec.submission_lead_max < 0:
+        raise ValueError(f"submission_lead_max must be at least 0, got {spec.submission_lead_max}")
     lo_total, hi_total = spec.value_range
+    if not (math.isfinite(lo_total) and math.isfinite(hi_total) and lo_total <= hi_total):
+        raise ValueError(f"value_range must be finite with low <= high, got {spec.value_range}")
+
+    d_cdf = _cdf(_normalised([spec.duration_weights[d] for d in durations]))
+    h_cdf = _cdf(_normalised([spec.demand_weights[h] for h in demands]))
+    loc_p = _normalised(loc_w)
+    loc_cdf = _cdf(loc_p)
+    rate = {lid: scenario.location(lid).max_charge_rate for lid in ids}
+    levels = {lid: allowed_levels(scenario, lid) for lid in ids}
 
     rng = np.random.default_rng(spec.seed)
     users = []
     for i in range(spec.count):
-        d = int(rng.choice(durations, p=d_weights))
-        window_w = arrival[: T - d + 1]
-        if window_w.sum() <= 0:
-            raise ValueError(f"no feasible arrival slot for duration {d}")
-        start = int(rng.choice(len(window_w), p=window_w / window_w.sum())) + 1
-        depart = start + d - 1
-        prefs = [int(x) for x in rng.choice(ids, size=k, replace=False, p=loc_w)]
+        j = _pick(rng, d_cdf)
+        d = int(durations[j])
+        start = _pick(rng, windows[j]) + 1
+        prefs = [ids[x] for x in _pick_distinct(rng, loc_p, loc_cdf, k)]
         # the fastest preferred location's reach holds every other one's
-        fastest = max(prefs, key=lambda lid: scenario.location(lid).max_charge_rate)
-        h = int(rng.choice(demands, p=h_weights))
-        reach = schedule_totals(allowed_levels(scenario, fastest), d, h)
+        fastest = max(prefs, key=rate.__getitem__)
+        h = int(demands[_pick(rng, h_cdf)])
+        reach = schedule_totals(levels[fastest], d, h)
         h = max(1, max(reach[d], default=0))
         per_kwh = rng.uniform(lo_total / h, hi_total / h, size=k)
-        vals = sorted((float(r * h) for r in per_kwh), reverse=True)
+        vals = sorted((per_kwh * h).tolist(), reverse=True)
         lead = int(rng.integers(0, spec.submission_lead_max + 1))
         users.append(
             UserType(
                 user_id=i + 1,
                 submission_time=max(1, start - lead),
                 arrival=start,
-                departure=depart,
+                departure=start + d - 1,
                 energy_demand=float(h),
                 preferred_locations=tuple(prefs),
                 valuations=tuple(vals),

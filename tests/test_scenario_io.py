@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import cli
@@ -11,6 +16,10 @@ from evauction.model import whole_number
 from evauction.scenario_io import (
     ScenarioFormatError,
     UserPopulationSpec,
+    _cdf,
+    _normalised,
+    _pick,
+    _pick_distinct,
     build_preset,
     downtown9_population,
     generate_users,
@@ -176,6 +185,65 @@ def test_generate_users_impossible_duration(downtown):
     )
     with pytest.raises(ValueError):
         generate_users(spec, scenario)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=12
+    ).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 12),
+)
+@example(weights=[1e6, 1.0, 0.0, 1.0, 1.0], seed=0, k=3)  # round one draws index 0 thrice
+def test_picks_stay_on_generator_choice_stream(weights, seed, k):
+    p = _normalised(weights)
+    cdf = _cdf(p)
+    k = min(k, sum(w > 0 for w in weights))
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _pick(ours, cdf) == numpys.choice(len(p), p=p)
+    assert _pick_distinct(ours, p, cdf, k) == numpys.choice(len(p), size=k, replace=False, p=p).tolist()
+    assert _pick(ours, cdf) == numpys.choice(len(p), p=p)
+    assert ours.bit_generator.state == numpys.bit_generator.state
+    # a double equal to a CDF entry picks past every entry equal to it, as choice's searchsorted
+    for x in [0.0, *cdf[:-1]]:
+        assert _pick(SimpleNamespace(random=lambda: x), cdf) == np.searchsorted(cdf, x, side="right")
+
+
+_ARRIVAL = downtown9_population(seed=1).arrival_weights
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("preferred_count", {"preferred_count": 0}),
+        ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: 0.0}}),
+        ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: 1.0, 4: -0.5}}),
+        ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: math.nan}}),
+        ("arrival_weights", {"arrival_weights": (math.inf,) + _ARRIVAL[1:]}),
+        ("arrival_weights", {"arrival_weights": (math.nan,) + _ARRIVAL[1:]}),
+        ("arrival_weights", {"arrival_weights": (0.0,) * 23 + (1.0,)}),
+        ("duration_weights", {"duration_weights": {4: 1.0, 5: math.nan}}),
+        ("duration_weights", {"duration_weights": {4: 1.0, 5: math.inf}}),
+        ("demand_weights", {"demand_weights": {1: 1.0, 2: math.nan}}),
+        ("demand_weights", {"demand_weights": {1: 1.0, 2: -math.inf}}),
+        ("submission_lead_max", {"submission_lead_max": -1}),
+        ("value_range", {"value_range": (7.5, 1.5)}),
+        ("value_range", {"value_range": (math.nan, 7.5)}),
+    ],
+    ids=[
+        "preferred-count-0", "two-positive-locations", "negative-location", "nan-location",
+        "inf-arrival", "nan-arrival", "no-arrival-window", "nan-duration", "inf-duration", "nan-demand",
+        "inf-demand", "negative-lead", "inverted-range", "nan-range",
+    ],
+)
+def test_spec_faults_fail_up_front_by_name(downtown, field, change):
+    scenario, _ = downtown
+    spec = dataclasses.replace(downtown9_population(seed=1, count=0), **change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=field):
+            generate_users(spec, scenario)
 
 
 # sha256 of scenario.json and users.txt from gen-scenario --preset downtown9
