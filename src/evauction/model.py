@@ -491,8 +491,8 @@ def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
 
 
 def _fits(schedule, levels: tuple[int, ...], width, demand: Optional[int]) -> bool:
-    """``option_is_feasible``'s schedule test with the user's facts worked
-    out: ``width`` slots, each at one of ``levels``, summing to ``demand``."""
+    """The schedule test of ``option_is_feasible`` and ``validate_scenario``:
+    ``width`` slots, each at one of ``levels``, summing to ``demand``."""
     return (
         len(schedule) == width
         and all(map(levels.__contains__, schedule))
@@ -619,7 +619,5 @@ def option_is_feasible(option: ChargeOption, user: UserType, scenario: Scenario)
     return (
         option.location_id in user.preferred_locations
         and option.start == user.arrival
-        and len(option.schedule) == user.window_length
-        and all(e in levels for e in option.schedule)
-        and sum(option.schedule) == integral_demand(user.energy_demand)
+        and _fits(option.schedule, levels, user.window_length, integral_demand(user.energy_demand))
     )

@@ -304,7 +304,7 @@ class UserPopulationSpec:
     visit can start; ``location_weights`` (every location 1 when None) is
     non-negative, a location it does not name weighs 0, and at least
     ``min(preferred_count, location count)`` locations weigh more than 0.
-    Weights need not sum to 1. ``preferred_count >= 1``,
+    Weights need not sum to 1. ``count >= 0``, ``preferred_count >= 1``,
     ``submission_lead_max >= 0`` and ``value_range`` is a finite (low,
     high) with ``low <= high``.
     """
@@ -390,6 +390,8 @@ def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserTyp
     ``uniform`` and ``integers``.
     """
     T = scenario.slot_count
+    if spec.count < 0:
+        raise ValueError(f"count must be at least 0, got {spec.count}")
     for name in ("duration_weights", "demand_weights", "location_weights"):
         if not all(math.isfinite(w) for w in (getattr(spec, name) or {}).values()):
             raise ValueError(f"{name} must be finite")

@@ -11,8 +11,8 @@ from evauction import pricing
 from evauction.engine import (
     AuctionState,
     _price_snapshot,
+    _quoted_options,
     admit,
-    quote,
     run_auction,
     run_in_order,
 )
@@ -45,23 +45,60 @@ def _user(uid=1, arrival=1, departure=2, demand=1.0, value=2.0):
     )
 
 
+def _quotes(state, option):
+    """``_quoted_options``'s tuples for one pinned option, as ``{evse:
+    (cable, energy, generation)}``: an EVSE left out is infeasible."""
+    user = _user(arrival=option.start, departure=option.start + len(option.schedule) - 1)
+    return {m: (c, e, g) for m, _, _, c, e, g, _ in _quoted_options(state, user, [option])}
+
+
+def _expected_quote(state, option, m):
+    """The payment parts ``(cable, energy, generation)`` of ``option`` on
+    EVSE ``m``, worked out from the loads in ``state.demand`` through
+    ``pricing``: each the slot-order sum of quantity x the price at the
+    slot's load (one cable on every slot of the option's window). None
+    when the pair is infeasible: a cable, or a used slot's energy or
+    procurement, would pass its cap."""
+    sc, b = state.scenario, state.bounds
+    k = pricing.price_scale(sc)
+    loc = sc.location(option.location_id)
+    pool = sc.pool(loc.pool_id)
+    caps = procurement_capacity(pool, state.demand.mode).tolist()
+    grid = pool.grid_price.tolist()
+    cable_load = state.demand.cable[loc.location_id][m].tolist()
+    energy_load = state.demand.energy[loc.location_id][m].tolist()
+    pool_load = state.demand.procurement[pool.pool_id].tolist()
+    slots = list(enumerate(option.schedule, option.start - 1))
+    for t, e in slots:
+        if cable_load[t] + 1.0 > loc.cables_per_evse:
+            return None
+        if e > 0 and (energy_load[t] + e > loc.max_charge_rate or pool_load[t] + e > caps[t]):
+            return None
+    cable = energy = generation = 0.0
+    for t, e in slots:
+        cable += pricing.cable_price(cable_load[t], loc.cables_per_evse, b, k)
+        if e > 0:
+            energy += e * pricing.energy_price(energy_load[t], loc.max_charge_rate, b, k)
+            generation += e * pricing.generation_price(pool_load[t], caps[t], grid[t], b, k)
+    return cable, energy, generation
+
+
 def test_quote_at_empty_state(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    q = quote(state, _option(1, (1, 0)), 0)
-    assert q.feasible
-    assert q.cable == pytest.approx(2 * 0.05 / 6, abs=1e-12)
-    assert q.energy == pytest.approx(0.5 / 6, abs=1e-12)
-    assert q.generation == pytest.approx(0.25, abs=1e-12)
-    assert q.total == pytest.approx(0.35, abs=1e-12)
+    cable, energy, generation = _quotes(state, _option(1, (1, 0)))[0]
+    assert cable == pytest.approx(2 * 0.05 / 6, abs=1e-12)
+    assert energy == pytest.approx(0.5 / 6, abs=1e-12)
+    assert generation == pytest.approx(0.25, abs=1e-12)
+    assert cable + energy + generation == pytest.approx(0.35, abs=1e-12)
 
 
 def test_quote_zero_energy_option(s1):
     scenario, _ = s1
     state = AuctionState(scenario, scenario.bounds)
-    q = quote(state, _option(1, (0, 0)), 0)
-    assert q.total == pytest.approx(2 * 0.05 / 6, abs=1e-12)
-    assert q.energy == 0.0 and q.generation == 0.0
+    cable, energy, generation = _quotes(state, _option(1, (0, 0)))[0]
+    assert cable == pytest.approx(2 * 0.05 / 6, abs=1e-12)
+    assert energy == 0.0 and generation == 0.0
 
 
 def test_quote_flags_capacity_overflow(s1):
@@ -69,8 +106,7 @@ def test_quote_flags_capacity_overflow(s1):
     state = AuctionState(scenario, scenario.bounds)
     opt = _option(1, (1, 0))
     state.settle(AllocationResult(1, opt, 0))  # energy slot 1 now at rate cap
-    q = quote(state, opt, 0)
-    assert not q.feasible
+    assert _quotes(state, opt) == {}
 
 
 def test_cable_overflow_is_infeasible(s1):
@@ -80,8 +116,7 @@ def test_cable_overflow_is_infeasible(s1):
     state = AuctionState(sc, sc.bounds)
     state.demand.cable[1][0, :2] = 1.0  # EVSE 0's only cable is taken
     state.refresh(1, 0, 0, 2, range(2))
-    opt = _option(1, (1, 0))
-    assert [quote(state, opt, m).feasible for m in range(2)] == [False, True]
+    assert list(_quotes(state, _option(1, (1, 0)))) == [1]
 
 
 def test_huge_procurement_capacity(s1):
@@ -103,8 +138,8 @@ def test_zero_procurement_capacity_is_infeasible(s1):
     )
     sc = dataclasses.replace(scenario, pools=(pool,))
     state = AuctionState(sc, sc.bounds)
-    assert not quote(state, _option(1, (1, 0)), 0).feasible
-    assert quote(state, _option(1, (0, 1)), 0).feasible
+    assert _quotes(state, _option(1, (1, 0))) == {}
+    assert list(_quotes(state, _option(1, (0, 1)))) == [0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,8 +147,8 @@ def test_zero_procurement_capacity_is_infeasible(s1):
 def test_price_is_linear_in_the_option(s1, data):
     """Each part of a quote is the slot-order sum of quantity x the posted
     price at that slot's current load (one cable on every slot of the
-    option's window), and the pair is feasible exactly when no used slot
-    overflows."""
+    option's window), and a pair is quoted exactly when no used slot
+    overflows (``_expected_quote``)."""
     scenario, _ = s1
     loc = dataclasses.replace(scenario.locations[0], evse_count=2, max_charge_rate=2.0)
     sc = dataclasses.replace(scenario, locations=(loc,))
@@ -126,37 +161,19 @@ def test_price_is_linear_in_the_option(s1, data):
     def loads(cap):
         return st.lists(st.floats(0.0, float(cap)), min_size=T, max_size=T)
 
-    cable_load = [data.draw(loads(loc.cables_per_evse)) for _ in range(2)]
-    energy_load = [data.draw(loads(loc.max_charge_rate)) for _ in range(2)]
+    state.demand.cable[1][:] = [data.draw(loads(loc.cables_per_evse)) for _ in range(2)]
+    state.demand.energy[1][:] = [data.draw(loads(loc.max_charge_rate)) for _ in range(2)]
     pool_load = [data.draw(st.floats(0.0, float(cap))) for cap in caps]
-    state.demand.cable[1][:] = cable_load
-    state.demand.energy[1][:] = energy_load
     state.demand.procurement[pool.pool_id][:] = pool_load
     for m in range(loc.evse_count):
         state.refresh(1, m, 0, T, range(T))
     start = data.draw(st.integers(1, T))
     width = data.draw(st.integers(1, T - start + 1))
     schedule = tuple(data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)))
-    m = data.draw(st.integers(0, 1))
+    option = _option(start, schedule)
 
-    q = quote(state, _option(start, schedule), m)
-
-    k = pricing.price_scale(sc)
-    b = sc.bounds
-    cable = energy = generation = 0.0
-    feasible = True
-    for t, e in enumerate(schedule, start - 1):
-        cable += pricing.cable_price(cable_load[m][t], loc.cables_per_evse, b, k)
-        feasible &= cable_load[m][t] + 1.0 <= loc.cables_per_evse
-        if e > 0:
-            energy += e * pricing.energy_price(energy_load[m][t], loc.max_charge_rate, b, k)
-            generation += e * pricing.generation_price(
-                pool_load[t], float(caps[t]), float(pool.grid_price[t]), b, k
-            )
-            feasible &= energy_load[m][t] + e <= loc.max_charge_rate
-            feasible &= pool_load[t] + e <= caps[t]
-    assert (q.cable, q.energy, q.generation) == (cable, energy, generation)
-    assert q.feasible == feasible
+    expected = {m: _expected_quote(state, option, m) for m in range(loc.evse_count)}
+    assert _quotes(state, option) == {m: q for m, q in expected.items() if q is not None}
 
 
 @settings(max_examples=150, deadline=None)
@@ -334,9 +351,10 @@ def test_argmax_consistency_replay():
             loc = scenario.location(opt.location_id)
             value = user.valuation_at(opt.location_id)
             for m in range(loc.evse_count):
-                q = quote(state, opt, m)
-                if q.feasible:
-                    best = max(best, value - q.total)
+                parts = _expected_quote(state, opt, m)
+                if parts is not None:
+                    cable, energy, generation = parts
+                    best = max(best, value - (cable + energy + generation))
         if result.accepted:
             assert result.utility == pytest.approx(best, abs=1e-9)
             state.settle(result)

@@ -216,6 +216,7 @@ _ARRIVAL = downtown9_population(seed=1).arrival_weights
 @pytest.mark.parametrize(
     "field, change",
     [
+        ("count", {"count": -5}),
         ("preferred_count", {"preferred_count": 0}),
         ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: 0.0}}),
         ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: 1.0, 4: -0.5}}),
@@ -232,9 +233,9 @@ _ARRIVAL = downtown9_population(seed=1).arrival_weights
         ("value_range", {"value_range": (math.nan, 7.5)}),
     ],
     ids=[
-        "preferred-count-0", "two-positive-locations", "negative-location", "nan-location",
-        "inf-arrival", "nan-arrival", "no-arrival-window", "nan-duration", "inf-duration", "nan-demand",
-        "inf-demand", "negative-lead", "inverted-range", "nan-range",
+        "negative-count", "preferred-count-0", "two-positive-locations", "negative-location",
+        "nan-location", "inf-arrival", "nan-arrival", "no-arrival-window", "nan-duration",
+        "inf-duration", "nan-demand", "inf-demand", "negative-lead", "inverted-range", "nan-range",
     ],
 )
 def test_spec_faults_fail_up_front_by_name(downtown, field, change):
