@@ -528,10 +528,22 @@ def validate_scenario(
     arrays, so the verdict cannot change after construction. The kept
     tuple is not a field, so equality and serialization ignore it, and
     ``dataclasses.replace`` builds a new object that starts without one.
-    The users and pinned options are checked on every call, against facts
-    worked out once: each location id's ``allowed_levels`` (the first of
-    duplicate ids wins, as in ``Scenario.location``) and each user's whole
-    demand and window width.
+
+    Users and pinned options are checked against facts worked out once per
+    call: each location id's ``allowed_levels`` (the first of duplicate ids
+    wins, as in ``Scenario.location``) and each user's whole demand and
+    window width. A user found clean is marked clean for this ``Scenario``
+    object, and a pinned option found feasible is marked clean for this
+    (scenario, user) pair; a later call with the same objects skips those
+    checks. That is sound for the same reason: a ``UserType`` and a
+    ``ChargeOption`` are frozen, and a user's checks read only the user and
+    the scenario, an option's only the option, the user and the scenario.
+    The marks hold the objects themselves, compared by identity, so a mark
+    never matches a different scenario or user. A mark is not a field
+    either, and a ``dataclasses.replace`` copy starts unmarked. A bad user
+    or option is never marked and is reported on every call. Duplicate
+    user ids, missing option keys and keys naming no user depend on the
+    whole set passed, so they are checked on every call.
     """
     out = list(_scenario_violations(scenario))
     T = scenario.slot_count
@@ -541,57 +553,67 @@ def validate_scenario(
     }
     seen_users = set()
     for user in users:
-        path = f"users[{user.user_id}]"
         if user.user_id in seen_users:
-            out.append(Violation(path, "duplicate user_id"))
+            out.append(Violation(f"users[{user.user_id}]", "duplicate user_id"))
         seen_users.add(user.user_id)
-        if not (1 <= user.submission_time <= T):
-            out.append(Violation(f"{path}.submission_time", f"must be in [1, {T}]"))
-        if user.submission_time > user.arrival:
-            out.append(Violation(f"{path}.submission_time", "must not exceed arrival"))
-        if user.arrival >= user.departure:
-            out.append(Violation(f"{path}.window", "arrival must precede departure"))
-        if not (1 <= user.arrival and user.departure <= T):
-            out.append(Violation(f"{path}.window", f"must lie within [1, {T}]"))
-        demand = integral_demand(user.energy_demand)
-        if not math.isfinite(user.energy_demand):
-            out.append(Violation(f"{path}.energy_demand", "must be finite"))
-        elif user.energy_demand <= 0:
-            out.append(Violation(f"{path}.energy_demand", "must be > 0"))
-        elif demand is None:
-            out.append(Violation(f"{path}.energy_demand", "must be a whole number of kWh"))
+        clean = getattr(user, "_clean_for", None) is scenario
+        if clean and options_by_user is None:
+            continue
         preferred = user.preferred_locations
-        if not preferred:
-            out.append(Violation(f"{path}.preferred_locations", "must be non-empty"))
-        if len(preferred) != len(set(preferred)):
-            out.append(Violation(f"{path}.preferred_locations", "must be distinct"))
-        if len(user.valuations) != len(preferred):
-            out.append(Violation(f"{path}.valuations", "one valuation per preferred location"))
-        if not all(math.isfinite(v) for v in user.valuations):
-            out.append(Violation(f"{path}.valuations", "must be finite"))
-        elif any(v < 0 for v in user.valuations):
-            out.append(Violation(f"{path}.valuations", "must be >= 0"))
-        known = [lid for lid in preferred if lid in levels_at]
-        if len(known) != len(preferred):
-            out.append(Violation(f"{path}.preferred_locations", "references unknown location"))
         width = user.window_length
-        if demand is not None and demand > 0 and width > 0 and known and all(
-            demand not in schedule_totals(levels_at[lid], width, demand)[width]
-            for lid in known
-        ):
-            out.append(
-                Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
-            )
-        if user.explicit_schedules is not None and not any(
-            _fits(sched, levels_at[lid], width, demand)
-            for sched in user.explicit_schedules
-            for lid in known
-        ):
-            out.append(Violation(f"{path}.explicit_schedules", "no schedule fits a preferred location"))
+        demand = integral_demand(user.energy_demand)
+        if not clean:
+            path = f"users[{user.user_id}]"
+            found = len(out)
+            if not (1 <= user.submission_time <= T):
+                out.append(Violation(f"{path}.submission_time", f"must be in [1, {T}]"))
+            if user.submission_time > user.arrival:
+                out.append(Violation(f"{path}.submission_time", "must not exceed arrival"))
+            if user.arrival >= user.departure:
+                out.append(Violation(f"{path}.window", "arrival must precede departure"))
+            if not (1 <= user.arrival and user.departure <= T):
+                out.append(Violation(f"{path}.window", f"must lie within [1, {T}]"))
+            if not math.isfinite(user.energy_demand):
+                out.append(Violation(f"{path}.energy_demand", "must be finite"))
+            elif user.energy_demand <= 0:
+                out.append(Violation(f"{path}.energy_demand", "must be > 0"))
+            elif demand is None:
+                out.append(Violation(f"{path}.energy_demand", "must be a whole number of kWh"))
+            if not preferred:
+                out.append(Violation(f"{path}.preferred_locations", "must be non-empty"))
+            if len(preferred) != len(set(preferred)):
+                out.append(Violation(f"{path}.preferred_locations", "must be distinct"))
+            if len(user.valuations) != len(preferred):
+                out.append(Violation(f"{path}.valuations", "one valuation per preferred location"))
+            if not all(math.isfinite(v) for v in user.valuations):
+                out.append(Violation(f"{path}.valuations", "must be finite"))
+            elif any(v < 0 for v in user.valuations):
+                out.append(Violation(f"{path}.valuations", "must be >= 0"))
+            known = [lid for lid in preferred if lid in levels_at]
+            if len(known) != len(preferred):
+                out.append(Violation(f"{path}.preferred_locations", "references unknown location"))
+            if demand is not None and demand > 0 and width > 0 and known and all(
+                demand not in schedule_totals(levels_at[lid], width, demand)[width]
+                for lid in known
+            ):
+                out.append(
+                    Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
+                )
+            if user.explicit_schedules is not None and not any(
+                _fits(sched, levels_at[lid], width, demand)
+                for sched in user.explicit_schedules
+                for lid in known
+            ):
+                out.append(Violation(f"{path}.explicit_schedules", "no schedule fits a preferred location"))
+            if len(out) == found:
+                object.__setattr__(user, "_clean_for", scenario)
         if options_by_user is not None:
             if user.user_id not in options_by_user:
                 out.append(Violation(f"options[{user.user_id}]", "missing (pin [] for no options)"))
             for i, option in enumerate(options_by_user.get(user.user_id, ())):
+                mark = getattr(option, "_clean_for", None)
+                if mark is not None and mark[0] is scenario and mark[1] is user:
+                    continue
                 levels = levels_at.get(option.location_id)
                 if levels is None:
                     message = f"references unknown location {option.location_id}"
@@ -602,6 +624,7 @@ def validate_scenario(
                 ):
                     message = "infeasible for the user (location, start, length, rate cap or sum)"
                 else:
+                    object.__setattr__(option, "_clean_for", (scenario, user))
                     continue
                 out.append(Violation(f"options[{user.user_id}][{i}]", message))
     for key in options_by_user or ():

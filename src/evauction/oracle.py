@@ -3,12 +3,14 @@
 Three yardsticks, all on identical inputs:
 
 * an exact solver for the offline assignment problem (depth-first search
-  over rooms packed into one integer per EVSE and per pool, with three
-  cuts: a value bound, a dominance memo over states equal up to a
-  relabelling of EVSEs, and one EVSE per option at a slack location;
-  desk-scale instances only), whose optimal assignment is an
-  ``AuctionOutcome`` ledger like the online run's, the same ledger as a
-  naive enumeration's
+  over rooms packed into one integer per EVSE and per pool, each option's
+  use packed once from its charged slots; three cuts: a value bound, a
+  dominance memo over states equal up to a relabelling of EVSEs, and one
+  EVSE per option at a slack location; the value bound and a leaf's
+  strictly-better test are made in the parent, so a cut child or a leaf
+  is never entered; desk-scale instances only), whose optimal assignment
+  is an ``AuctionOutcome`` ledger like the online run's, the same ledger
+  as a naive enumeration's
 * a capacity-relaxed upper bound (every user served independently; energy
   beyond actual solar priced at the cheapest in-window grid price)
 * the no-mechanism baseline: free first-come-first-served choice, with the
@@ -114,15 +116,27 @@ def solve_offline_exact(
     bits: ``W - 1`` for the value, the bit length of the largest room (at
     least 1), and a guard bit on top. A use fits iff ``((room | G) - use)
     & G == G`` (``G`` the guard bits), placing it is ``room - use``, and
-    undoing it restores the saved int. The procurement cost is summed from
-    float pool loads, only once some EVSE fits.
+    undoing it restores the saved int. An option's pool draw is packed
+    straight from its charged slots, and its EVSE use is that draw above
+    the cable fields plus a run of cable units (a 1 in each of the first
+    ``k`` fields) shifted to its window. The procurement cost is summed
+    from float pool loads, only once some EVSE fits.
 
-    With ``prune`` off the search is a naive full enumeration. With it on,
-    three cuts skip subtrees that hold no strictly better leaf than one
-    visited before:
+    The parent tests each child before it touches any room or load, and a
+    leaf is never entered: the parent keeps it only when strictly better
+    than the incumbent. A child's value and cost sums are the same on
+    every EVSE of its option and the incumbent only rises, so once one
+    EVSE fails the test the option's later EVSEs are skipped (at a leaf,
+    an EVSE after the first that fits would only tie).
 
-    * the value bound: a subtree is cut when crediting every remaining
-      user their best valuation for free cannot beat the incumbent;
+    With ``prune`` off the search enumerates every subtree, the leaf test
+    its one check. With it on, three cuts skip subtrees that hold no
+    strictly better leaf than one visited before:
+
+    * the value bound, made in the parent as the leaf test is: a child is
+      cut when crediting every remaining user their best valuation for
+      free cannot beat the incumbent (at a leaf, no user remains, and the
+      bound is the leaf test);
     * the dominance memo: below the root, each expanded node is keyed by
       its depth and, per location, the sorted rooms of its EVSEs (these
       fix every pool's room, a pool's load being that of its EVSEs). A
@@ -151,9 +165,7 @@ def solve_offline_exact(
         raise OracleBudgetExceeded(
             f"search tree exceeds {budget} leaves; use offline_upper_bound instead"
         )
-    violations = validate_scenario(scenario, users, options_by_user)
-    if violations:
-        raise ScenarioValidationError(violations)
+    _require_valid(scenario, users, options_by_user)
 
     ordered = submission_order(users)
     T = scenario.slot_count
@@ -212,7 +224,12 @@ def solve_offline_exact(
 
     # per walked user: (value, location index, pool index, option, packed
     # EVSE use (a cable per held slot, then the energies), packed pool
-    # draw, charged (slot, kWh) pairs, whether one EVSE is tried)
+    # draw, charged (slot, kWh) pairs, whether one EVSE is tried); the use
+    # is a run of cable units shifted to the window, plus the draw above
+    # the cable fields
+    unit = [0]  # unit[k]: 1 in each of the fields 0..k-1
+    for t in range(T):
+        unit.append(unit[-1] | 1 << (t * W))
     choices = []
     for j, opts in walked:
         rows = []
@@ -220,19 +237,21 @@ def solve_offline_exact(
             lid = opt.location_id
             li = loc_index[lid]
             pi = pool_index[locations[li].pool_id]
-            w0, w1 = opt.start - 1, opt.start - 1 + len(opt.schedule)
-            cables, energies = [0] * T, [0] * T
-            cables[w0:w1] = [1] * (w1 - w0)
-            energies[w0:w1] = opt.schedule
-            use, draw = _pack(cables + energies, W), _pack(energies, W)
+            w0 = opt.start - 1
             e_slots = [(t, float(e)) for t, e in enumerate(opt.schedule, w0) if e > 0]
+            draw = sum(int(e) << (t * W) for t, e in e_slots)
+            use = unit[len(opt.schedule)] << (w0 * W) | draw << (T * W)
             value = ordered[j].valuation_at(lid)
             rows.append((value, li, pi, opt, use, draw, e_slots, prune and slack[li]))
         choices.append(rows)
 
-    suffix_best = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_best[i] = suffix_best[i + 1] + max(row[0] for row in choices[i])
+    # bound[i]: the most value the users from depth i on can add. Pruned,
+    # each user's best valuation; naive, no cut above the leaves, where
+    # the bound of 0 is the leaf's strictly-better test
+    bound = [math.inf] * n + [0.0]
+    if prune:
+        for i in range(n - 1, -1, -1):
+            bound[i] = bound[i + 1] + max(row[0] for row in choices[i])
 
     best_welfare = 0.0
     best_assign: list[Optional[tuple[int, ChargeOption]]] = [None] * n
@@ -240,26 +259,21 @@ def solve_offline_exact(
     memo: dict[tuple, list[tuple[float, float]]] = {}
 
     def walk(i: int, value_sum: float, cost_sum: float) -> None:
+        # the parent has made this node's bound test; a child that fails
+        # its own, or a leaf that is not strictly better, is never entered
         nonlocal best_welfare, best_assign
-        if i == n:
-            welfare = value_sum - cost_sum
-            if welfare > best_welfare:
-                best_welfare = welfare
-                best_assign = current.copy()
-            return
-        if prune:
-            if value_sum + suffix_best[i] - cost_sum <= best_welfare:
-                return
-            if i:
-                key = (i, *[tuple(sorted(rows)) for rows in evse_rows])
-                seen = memo.get(key)
-                if seen is None:
-                    memo[key] = [(value_sum, cost_sum)]
-                else:
-                    for v, c in seen:
-                        if v >= value_sum and c <= cost_sum:
-                            return
-                    seen.append((value_sum, cost_sum))
+        if prune and i:
+            key = (i, *[tuple(sorted(rows)) for rows in evse_rows])
+            seen = memo.get(key)
+            if seen is None:
+                memo[key] = [(value_sum, cost_sum)]
+            else:
+                for v, c in seen:
+                    if v >= value_sum and c <= cost_sum:
+                        return
+                seen.append((value_sum, cost_sum))
+        leaf = i + 1 == n
+        cut = bound[i + 1]
         for value, li, pi, opt, use, draw, e_slots, one_evse in choices[i]:
             room = pool_room[pi]
             if ((room | pool_guard) - draw) & pool_guard != pool_guard:
@@ -278,22 +292,38 @@ def solve_offline_exact(
                         y = load[t]
                         grid = max(0.0, y + e - solar[t]) - max(0.0, y - solar[t])
                         delta_cost += price[t] * grid
-                rows[m] = row - use
-                pool_room[pi] = room - draw
-                for t, e in e_slots:
-                    load[t] += e
+                    child_value, child_cost = value_sum + value, cost_sum + delta_cost
+                # the sums are the same on every EVSE and the incumbent only
+                # rises, so once one EVSE fails the test the rest fail too
+                if child_value + cut - child_cost <= best_welfare:
+                    break
                 current[i] = (m, opt)
-                walk(i + 1, value_sum + value, cost_sum + delta_cost)
+                if leaf:
+                    best_welfare = child_value - child_cost
+                    best_assign = current.copy()
+                else:
+                    rows[m] = row - use
+                    pool_room[pi] = room - draw
+                    for t, e in e_slots:
+                        load[t] += e
+                    walk(i + 1, child_value, child_cost)
+                    rows[m] = row
+                    pool_room[pi] = room
+                    for t, e in e_slots:
+                        load[t] -= e
                 current[i] = None
-                rows[m] = row
-                pool_room[pi] = room
-                for t, e in e_slots:
-                    load[t] -= e
                 if one_evse:
                     break
-        walk(i + 1, value_sum, cost_sum)  # reject branch, tried last
+        # reject branch, tried last
+        if value_sum + cut - cost_sum > best_welfare:
+            if leaf:
+                best_welfare = value_sum - cost_sum
+                best_assign = current.copy()
+            else:
+                walk(i + 1, value_sum, cost_sum)
 
-    walk(0, 0.0, 0.0)
+    if n and bound[0] > best_welfare:
+        walk(0, 0.0, 0.0)
     del walk  # the closure refers to itself: free the memo now, not at a cycle collection
     assigned: list[Optional[tuple[int, ChargeOption]]] = [None] * len(ordered)
     for (j, _), chosen in zip(walked, best_assign):
@@ -318,6 +348,16 @@ def _pack(fields: Sequence[int], width: int) -> int:
     return sum(v << (k * width) for k, v in enumerate(fields))
 
 
+def _require_valid(
+    scenario: Scenario,
+    users: Sequence[UserType],
+    options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
+) -> None:
+    violations = validate_scenario(scenario, users, options_by_user)
+    if violations:
+        raise ScenarioValidationError(violations)
+
+
 def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
     """Welfare bound with every station capacity (and the transformer
     limit) relaxed.
@@ -326,8 +366,11 @@ def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
     beyond is priced at the cheapest in-window grid price, and the user
     contributes their best location's surplus when positive. Relaxation
     plus the supply cost's convexity make this an upper bound on the exact
-    offline welfare.
+    offline welfare. Invalid input raises ``ScenarioValidationError``
+    (``validate_scenario``; users it has found clean before are not
+    checked again).
     """
+    _require_valid(scenario, users)
     total = 0.0
     for user in users:
         total += max(0.0, _best_relaxed_surplus(scenario, user)[0])
@@ -336,7 +379,8 @@ def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
 
 def upper_bound_by_location(scenario: Scenario, users: Sequence[UserType]) -> dict[int, float]:
     """Per-location split of offline_upper_bound (by each user's chosen
-    location)."""
+    location); invalid input raises ``ScenarioValidationError``."""
+    _require_valid(scenario, users)
     split = {lid: 0.0 for lid in scenario.location_ids}
     for user in users:
         surplus, lid = _best_relaxed_surplus(scenario, user)

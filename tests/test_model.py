@@ -10,7 +10,7 @@ import evauction as ev
 from evauction import model
 from evauction.model import AllocationResult, DemandState, ValueBounds, Violation, validate_bounds
 from evauction.options import generate_options, location_schedules
-from evauction.scenario_io import scenario_to_dict
+from evauction.scenario_io import save_users, scenario_to_dict
 
 from instances import random_instance
 
@@ -220,8 +220,8 @@ def test_pinned_option_check_matches_option_is_feasible(s1, data):
 
 def test_scenario_part_is_computed_once_per_object(s1, monkeypatch):
     """The scenario's own checks run on the first validation of an object
-    only; users are checked on every call, and a ``dataclasses.replace``
-    copy is checked afresh."""
+    only; a user changed by ``dataclasses.replace`` is checked, and a
+    ``dataclasses.replace`` copy of the scenario is checked afresh."""
     scenario, (user,) = s1
     calls = []
     original = model.validate_bounds
@@ -249,6 +249,89 @@ def test_scenario_part_is_computed_once_per_object(s1, monkeypatch):
     assert ev.validate_scenario(fresh, [user]) == []
     with pytest.raises(ev.ScenarioValidationError, match="cables_per_evse"):
         ev.run_auction(bad, [user], bad.bounds)
+
+
+def _paths(violations):
+    return [v.path for v in violations]
+
+
+def test_clean_user_is_rechecked_against_another_scenario(s1):
+    """A user clean under one scenario is checked again under another:
+    the kept verdict is keyed by the scenario object."""
+    scenario, (user,) = s1
+    user = dataclasses.replace(user)
+    assert ev.validate_scenario(scenario, [user]) == []
+    pool = scenario.pools[0]
+    one_slot = dataclasses.replace(
+        scenario,
+        time_grid=model.TimeGrid(slot_count=1),
+        pools=(dataclasses.replace(
+            pool,
+            solar_actual=pool.solar_actual[:1],
+            solar_lower=pool.solar_lower[:1],
+            solar_upper=pool.solar_upper[:1],
+            grid_limit=pool.grid_limit[:1],
+            grid_price=pool.grid_price[:1],
+        ),),
+    )
+    assert _paths(ev.validate_scenario(one_slot, [user])) == ["users[1].window"]
+    assert ev.validate_scenario(scenario, [user]) == []
+
+
+def test_bad_user_is_reported_on_every_call_and_never_marked(s1):
+    scenario, (user,) = s1
+    bad = dataclasses.replace(user, valuations=(math.nan,))
+    for _ in range(3):
+        assert _paths(ev.validate_scenario(scenario, [bad])) == ["users[1].valuations"]
+    assert "_clean_for" not in vars(bad)
+
+
+def test_shared_id_among_clean_users_is_reported_on_every_call(s1):
+    scenario, (user,) = s1
+    twin = dataclasses.replace(user)
+    for _ in range(3):
+        assert _paths(ev.validate_scenario(scenario, [user, twin])) == ["users[1]"]
+    assert ev.validate_scenario(scenario, [user]) == []
+
+
+def test_replaced_user_starts_unmarked(s1):
+    scenario, (user,) = s1
+    assert ev.validate_scenario(scenario, [user]) == []
+    assert "_clean_for" not in vars(dataclasses.replace(user))
+    late = dataclasses.replace(user, departure=scenario.slot_count + 1)
+    assert _paths(ev.validate_scenario(scenario, [late])) == [
+        "users[1].window", "users[1].explicit_schedules"
+    ]
+
+
+def test_clean_option_is_rechecked_for_another_user_or_scenario(s1):
+    """A pinned option's kept verdict is keyed by (scenario, user)."""
+    scenario, (user,) = s1
+    option = ev.ChargeOption(location_id=1, start=1, schedule=(1, 0))
+    assert ev.validate_scenario(scenario, [user], {1: [option]}) == []
+    later = dataclasses.replace(user, user_id=2, arrival=2, departure=3, explicit_schedules=None)
+    assert ev.validate_scenario(scenario, [later]) == []
+    assert _paths(ev.validate_scenario(scenario, [later], {2: [option]})) == ["options[2][0]"]
+    twos = dataclasses.replace(scenario, energy_levels=(0, 2))  # rate 1 allows only level 0
+    assert "options[1][0]" in _paths(ev.validate_scenario(twos, [user], {1: [option]}))
+    assert ev.validate_scenario(scenario, [user], {1: [option]}) == []
+
+
+def test_marks_change_no_value_semantics(s1, tmp_path):
+    """A kept verdict is not data: equality, hashing, ``repr``,
+    ``asdict`` and the saved users file are those of an unmarked twin."""
+    scenario, (user,) = s1
+    marked, twin = dataclasses.replace(user), dataclasses.replace(user)
+    option = ev.ChargeOption(location_id=1, start=1, schedule=(1, 0))
+    option_twin = dataclasses.replace(option)
+    assert ev.validate_scenario(scenario, [marked], {1: [option]}) == []
+    assert "_clean_for" in vars(marked) and "_clean_for" in vars(option)
+    for a, b in ((marked, twin), (option, option_twin)):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    save_users([marked], tmp_path / "marked.txt")
+    save_users([twin], tmp_path / "twin.txt")
+    assert (tmp_path / "marked.txt").read_bytes() == (tmp_path / "twin.txt").read_bytes()
 
 
 def _heuristic_3_options(user, scenario):

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import oracle, pricing
-from evauction.engine import _room
+from evauction.engine import _room, submission_order
 from evauction.model import GenerationPool, Location, Scenario, TimeGrid, UserType, ValueBounds
 from evauction.oracle import (
     OracleBudgetExceeded,
     exhaustive_options,
     no_mechanism_baseline,
     offline_upper_bound,
+    search_budget,
     solve_offline_exact,
+    upper_bound_by_location,
     welfare_ratio,
 )
 
@@ -126,6 +128,80 @@ def test_budget_gate(s1):
         solve_offline_exact(scenario, users, bad, budget=10)
 
 
+BRUTE_FORCE_LEAVES = 5_000  # the largest tree held to the brute-force reference
+
+
+def _brute_force_choices(scenario, users, options):
+    """The exact search's answer by plain enumeration, without packing or
+    cuts: users in submission order, each trying its (option, EVSE) pairs,
+    options as given and EVSEs ascending, then the reject. A pair is
+    feasible when the EVSE's cables and energy and the pool's procurement
+    stay within their caps at the loads placed so far; the procurement
+    cost grows by each slot's grid energy beyond actual solar at its
+    price. The first leaf that is strictly better than every earlier one
+    wins. Returns one ``(EVSE, option)`` per user, ``None`` for a reject."""
+    ordered = submission_order(users)
+    T = scenario.slot_count
+    cables = {loc.location_id: [[0] * T for _ in range(loc.evse_count)] for loc in scenario.locations}
+    energy = {loc.location_id: [[0] * T for _ in range(loc.evse_count)] for loc in scenario.locations}
+    procured = {pool.pool_id: [0.0] * T for pool in scenario.pools}
+    picks = [None] * len(ordered)
+    best = [0.0, list(picks)]
+
+    def visit(j, value, cost):
+        if j == len(ordered):
+            if value - cost > best[0]:
+                best[:] = [value - cost, list(picks)]
+            return
+        user = ordered[j]
+        for opt in options[user.user_id]:
+            loc = scenario.location(opt.location_id)
+            pool = scenario.pool(loc.pool_id)
+            cap = (pool.solar_actual + pool.grid_limit).tolist()
+            slots = list(enumerate(opt.schedule, opt.start - 1))
+            load = procured[pool.pool_id]
+            if any(load[t] + e > cap[t] for t, e in slots):
+                continue
+            added = 0.0
+            for t, e in slots:
+                solar = float(pool.solar_actual[t])
+                grid = max(0.0, load[t] + e - solar) - max(0.0, load[t] - solar)
+                added += float(pool.grid_price[t]) * grid
+            for m in range(loc.evse_count):
+                held, drawn = cables[loc.location_id][m], energy[loc.location_id][m]
+                if any(
+                    held[t] + 1 > loc.cables_per_evse or drawn[t] + e > loc.max_charge_rate
+                    for t, e in slots
+                ):
+                    continue
+                for t, e in slots:
+                    held[t] += 1
+                    drawn[t] += e
+                    load[t] += e
+                picks[j] = (m, opt)
+                visit(j + 1, value + user.valuation_at(loc.location_id), cost + added)
+                picks[j] = None
+                for t, e in slots:
+                    held[t] -= 1
+                    drawn[t] -= e
+                    load[t] -= e
+        visit(j + 1, value, cost)
+
+    visit(0, 0.0, 0.0)
+    return best[1]
+
+
+def _choices(outcome):
+    return [(r.evse_index, r.option) if r.accepted else None for r in outcome.ledger]
+
+
+def _assert_brute_force_ledger(scenario, users, options, outcome):
+    """Where the tree is small enough, ``outcome`` makes the brute-force
+    reference's choices."""
+    if search_budget(scenario, users, options) <= BRUTE_FORCE_LEAVES:
+        assert _choices(outcome) == _brute_force_choices(scenario, users, options)
+
+
 def test_pruned_equals_naive_small():
     for seed in (1, 2, 3, 4, 5, 6):
         scenario, users, options, _ = micro_instance(seed, leaf_limit=20_000)
@@ -134,6 +210,30 @@ def test_pruned_equals_naive_small():
         fast = solve_offline_exact(scenario, users, options, prune=True)
         slow = solve_offline_exact(scenario, users, options, prune=False)
         assert fast.ledger == slow.ledger
+        _assert_brute_force_ledger(scenario, users, options, fast)
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_exact_search_matches_brute_force(seed):
+    """Micro instances trimmed to the brute-force size: the pruned and the
+    naive search both make the reference's choices."""
+    scenario, users, options, _ = micro_instance(seed, leaf_limit=BRUTE_FORCE_LEAVES)
+    expected = _brute_force_choices(scenario, users, options)
+    for prune in (True, False):
+        assert _choices(solve_offline_exact(scenario, users, options, prune=prune)) == expected
+
+
+def test_pinned_whole_floats_search_like_ints():
+    """Validation takes a schedule of whole floats (``1.0`` is the level
+    1); the search packs it as the ints it names."""
+    scenario, users, options, _ = micro_instance(3, leaf_limit=BRUTE_FORCE_LEAVES)
+    floats = {
+        uid: [dataclasses.replace(o, schedule=tuple(float(e) for e in o.schedule)) for o in opts]
+        for uid, opts in options.items()
+    }
+    expected = solve_offline_exact(scenario, users, options)
+    got = solve_offline_exact(scenario, users, floats)
+    assert (got.welfare, _choices(got)) == (expected.welfare, _choices(expected))
 
 
 def _one_location(T, evse_count, cables, rate, requests, solar=5.0, grid_limit=10.0):
@@ -208,6 +308,7 @@ def _assert_pruned_returns_naive_ledger(scenario, users):
     fast = solve_offline_exact(scenario, users, options, prune=True)
     slow = solve_offline_exact(scenario, users, options, prune=False)
     assert fast.ledger == slow.ledger
+    _assert_brute_force_ledger(scenario, users, options, fast)
     return fast
 
 
@@ -404,6 +505,26 @@ def test_upper_bound_filters_unprofitable(s1):
     sc = dataclasses.replace(scenario, pools=(pool,))
     users = [_user(1, 0.1, demand=1.0)]
     assert offline_upper_bound(sc, users) == 0.0
+
+
+@pytest.mark.parametrize("bound", [offline_upper_bound, upper_bound_by_location])
+@pytest.mark.parametrize(
+    "changes, path",
+    [
+        ({"valuations": (math.nan,)}, "users[1].valuations"),
+        ({"energy_demand": -3.0}, "users[1].energy_demand"),
+        ({"preferred_locations": (77,)}, "users[1].preferred_locations"),
+    ],
+    ids=["nan-valuation", "negative-demand", "unknown-location"],
+)
+def test_upper_bounds_reject_invalid_users(s1, bound, changes, path):
+    """A NaN valuation would drop its user, a negative demand would earn
+    free energy and an unknown location would fail in a lookup: each is a
+    validation violation instead."""
+    scenario, (user,) = s1
+    with pytest.raises(ev.ScenarioValidationError) as err:
+        bound(scenario, [dataclasses.replace(user, **changes)])
+    assert path in [v.path for v in err.value.violations]
 
 
 def test_baseline_uncongested_matches_auction_welfare(s1):
