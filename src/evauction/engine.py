@@ -568,9 +568,14 @@ def build_outcome(
     over the slots it charges. Each curve increases with load and every
     entry is posted at its final load, so these are the prices at the
     largest final loads. An unpriced run reports 0.
+
+    Every total is a plain Python sum, left to right: ledger totals in
+    ledger order, per-slot totals in slot order. No BLAS reduction is
+    used, so the totals do not depend on the CPU kernel numpy's BLAS
+    picks.
     """
-    # every float total is summed left to right in ledger order: the
-    # builtin sum of floats is compensated from Python 3.12 on
+    # every float total is summed left to right in ledger or slot order:
+    # the builtin sum of floats is compensated from Python 3.12 on
     valuation_total = revenue = surplus = 0.0
     served = {lid: [0, 0.0, 0.0] for lid in scenario.location_ids}  # count, value, revenue
     for r in ledger:
@@ -583,27 +588,34 @@ def build_outcome(
             tally[1] += r.valuation
             tally[2] += r.payment
 
+    # per pool: the load and the grid cost of each slot, and their total
     cost = 0.0
-    slot_cost = {}
+    pool_slots = {}
     for pool in scenario.pools:
-        grid_energy = np.maximum(0.0, demand.procurement[pool.pool_id] - pool.solar_actual)
-        cost += float(np.dot(pool.grid_price, grid_energy))
-        slot_cost[pool.pool_id] = pool.grid_price * grid_energy
+        load = demand.procurement[pool.pool_id].tolist()
+        grid = zip(pool.grid_price.tolist(), load, pool.solar_actual.tolist())
+        slot_cost = [p * max(0.0, y - s) for p, y, s in grid]
+        pool_cost = 0.0
+        for c in slot_cost:
+            pool_cost += c
+        cost += pool_cost
+        pool_slots[pool.pool_id] = (load, slot_cost)
 
     stats = []
     for lid, (count, val_sum, loc_revenue) in served.items():
         loc = scenario.location(lid)
-        energy_series = demand.energy[lid].sum(axis=0)
-        pool_load = demand.procurement[loc.pool_id]
-        safe_load = np.where(pool_load > 0, pool_load, 1.0)
-        share = np.where(pool_load > 0, energy_series / safe_load, 0.0)
-        attributed = float(np.dot(slot_cost[loc.pool_id], share))
+        # kWh are whole numbers, so these sums are exact in any order
+        energy_series = [sum(col) for col in zip(*demand.energy[lid].tolist())]
+        load, slot_cost = pool_slots[loc.pool_id]
+        attributed = 0.0
+        for c, e, y in zip(slot_cost, energy_series, load):
+            attributed += c * (e / y if y > 0 else 0.0)
         peak_cable = peak_generation = 0.0
         if posted is not None:
             peak_cable = max(max(row) for row in posted.cable_price[lid])
             gen_price = posted.gen_price[loc.pool_id]
-            charged = np.flatnonzero(energy_series > 0).tolist()
-            peak_generation = max((gen_price[t] for t in charged), default=0.0)
+            charged = (g for g, e in zip(gen_price, energy_series) if e > 0)
+            peak_generation = max(charged, default=0.0)
         stats.append(
             LocationStats(
                 location_id=lid,
@@ -612,7 +624,7 @@ def build_outcome(
                 evs_served=count,
                 valuation_sum=val_sum,
                 revenue=loc_revenue,
-                energy_delivered=float(energy_series.sum()),
+                energy_delivered=float(sum(energy_series)),
                 welfare=val_sum - attributed,
                 peak_cable_price=peak_cable,
                 peak_generation_price=peak_generation,

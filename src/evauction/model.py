@@ -54,6 +54,17 @@ def whole_number(value) -> int:
     return int(value)
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _whole_or_kept(value):
+    """``value`` as an int when it names one, else ``value`` itself."""
+    try:
+        return whole_number(value)
+    except (TypeError, ValueError):
+        return value
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -176,11 +187,17 @@ class ChargeOption:
     ``start`` is the 1-based arrival slot and ``schedule`` holds whole kWh
     for the slots ``start, start + 1, ...``, one entry per slot of the
     stay. The cable is held on every one of those slots, charging or not.
+    Whole floats become the ints they name, as a user's explicit schedules
+    do; any other entry is kept for ``validate_scenario`` to report.
     """
 
     location_id: int
     start: int
     schedule: tuple[int, ...]
+
+    def __post_init__(self):
+        if not _INT_ONLY.issuperset(map(type, self.schedule)):
+            object.__setattr__(self, "schedule", tuple(_whole_or_kept(e) for e in self.schedule))
 
     @property
     def support(self) -> tuple[int, int]:

@@ -120,7 +120,10 @@ def solve_offline_exact(
     straight from its charged slots, and its EVSE use is that draw above
     the cable fields plus a run of cable units (a 1 in each of the first
     ``k`` fields) shifted to its window. The procurement cost is summed
-    from float pool loads, only once some EVSE fits.
+    from float pool loads, only once some EVSE fits: a charged slot adds
+    the grid energy it brings, ``max(0, y + e - s) - max(0, y - s)`` at
+    load ``y`` and actual solar ``s``, priced, in the same floats, and a
+    slot that stays within solar adds nothing and is skipped.
 
     The parent tests each child before it touches any room or load, and a
     leaf is never entered: the parent keeps it only when strictly better
@@ -139,7 +142,9 @@ def solve_offline_exact(
       bound is the leaf test);
     * the dominance memo: below the root, each expanded node is keyed by
       its depth and, per location, the sorted rooms of its EVSEs (these
-      fix every pool's room, a pool's load being that of its EVSEs). A
+      fix every pool's room, a pool's load being that of its EVSEs; each
+      location's sorted tuple is kept, re-sorted only when a row there is
+      placed and restored when it is undone). A
       node is cut when an earlier one of the same key had a value sum at
       least and a cost sum at most its own. A subtree depends only on
       the depth and the state, up to relabelling EVSEs; the earlier
@@ -195,8 +200,8 @@ def solve_offline_exact(
     ]
     pool_room = [_pack(rooms, W) for rooms in pool_rooms]
     pool_load = [[0.0] * T for _ in pools]
-    pool_solar = [[float(s) for s in pool.solar_actual] for pool in pools]
-    pool_price = [[float(v) for v in pool.grid_price] for pool in pools]
+    pool_solar = [pool.solar_actual.tolist() for pool in pools]
+    pool_price = [pool.grid_price.tolist() for pool in pools]
 
     # a location is slack when every user could share one of its EVSEs:
     # per slot, one cable for each user with an option there holding the
@@ -211,7 +216,8 @@ def solve_offline_exact(
             w0 = opt.start - 1
             slots.update(range(w0, w0 + len(opt.schedule)))
             for t, e in enumerate(opt.schedule, w0):
-                peak[t] = max(peak[t], e)
+                if e > peak[t]:
+                    peak[t] = e
         for li, (slots, peak) in held.items():
             for t in slots:
                 need_c[li][t] += 1
@@ -224,9 +230,9 @@ def solve_offline_exact(
 
     # per walked user: (value, location index, pool index, option, packed
     # EVSE use (a cable per held slot, then the energies), packed pool
-    # draw, charged (slot, kWh) pairs, whether one EVSE is tried); the use
-    # is a run of cable units shifted to the window, plus the draw above
-    # the cable fields
+    # draw, charged (slot, kWh, actual solar, grid price) rows, whether one
+    # EVSE is tried); the use is a run of cable units shifted to the
+    # window, plus the draw above the cable fields
     unit = [0]  # unit[k]: 1 in each of the fields 0..k-1
     for t in range(T):
         unit.append(unit[-1] | 1 << (t * W))
@@ -238,8 +244,11 @@ def solve_offline_exact(
             li = loc_index[lid]
             pi = pool_index[locations[li].pool_id]
             w0 = opt.start - 1
-            e_slots = [(t, float(e)) for t, e in enumerate(opt.schedule, w0) if e > 0]
-            draw = sum(int(e) << (t * W) for t, e in e_slots)
+            solar, price = pool_solar[pi], pool_price[pi]
+            e_slots = [
+                (t, float(e), solar[t], price[t]) for t, e in enumerate(opt.schedule, w0) if e > 0
+            ]
+            draw = sum(int(e) << (t * W) for t, e, _, _ in e_slots)
             use = unit[len(opt.schedule)] << (w0 * W) | draw << (T * W)
             value = ordered[j].valuation_at(lid)
             rows.append((value, li, pi, opt, use, draw, e_slots, prune and slack[li]))
@@ -257,13 +266,16 @@ def solve_offline_exact(
     best_assign: list[Optional[tuple[int, ChargeOption]]] = [None] * n
     current: list[Optional[tuple[int, ChargeOption]]] = [None] * n
     memo: dict[tuple, list[tuple[float, float]]] = {}
+    # per location, its EVSE rooms sorted: the memo key's part, kept in
+    # step with evse_rows as rows are placed and undone
+    sorted_rows = [tuple(sorted(rows)) for rows in evse_rows]
 
     def walk(i: int, value_sum: float, cost_sum: float) -> None:
         # the parent has made this node's bound test; a child that fails
         # its own, or a leaf that is not strictly better, is never entered
         nonlocal best_welfare, best_assign
         if prune and i:
-            key = (i, *[tuple(sorted(rows)) for rows in evse_rows])
+            key = (i, *sorted_rows)
             seen = memo.get(key)
             if seen is None:
                 memo[key] = [(value_sum, cost_sum)]
@@ -285,13 +297,14 @@ def solve_offline_exact(
                 if ((row | evse_guard) - use) & evse_guard != evse_guard:
                     continue
                 if delta_cost is None:
-                    solar = pool_solar[pi]
-                    price = pool_price[pi]
+                    # a slot that stays within solar adds no grid energy
                     delta_cost = 0.0
-                    for t, e in e_slots:
+                    for t, e, s, p in e_slots:
                         y = load[t]
-                        grid = max(0.0, y + e - solar[t]) - max(0.0, y - solar[t])
-                        delta_cost += price[t] * grid
+                        over = y + e - s
+                        if over > 0.0:
+                            under = y - s
+                            delta_cost += p * (over - under if under > 0.0 else over)
                     child_value, child_cost = value_sum + value, cost_sum + delta_cost
                 # the sums are the same on every EVSE and the incumbent only
                 # rises, so once one EVSE fails the test the rest fail too
@@ -304,12 +317,15 @@ def solve_offline_exact(
                 else:
                     rows[m] = row - use
                     pool_room[pi] = room - draw
-                    for t, e in e_slots:
+                    unplaced = sorted_rows[li]
+                    sorted_rows[li] = tuple(sorted(rows))
+                    for t, e, _, _ in e_slots:
                         load[t] += e
                     walk(i + 1, child_value, child_cost)
                     rows[m] = row
                     pool_room[pi] = room
-                    for t, e in e_slots:
+                    sorted_rows[li] = unplaced
+                    for t, e, _, _ in e_slots:
                         load[t] -= e
                 current[i] = None
                 if one_evse:

@@ -3,6 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -215,6 +219,12 @@ def _downtown9_seed42_digests(tmp_path, key):
         ]
     )
     assert code == 0
+    return _file_digests(out)
+
+
+def _file_digests(out):
+    """The sha256 of ``ledger.csv``, ``locations.csv`` and ``summary.json``
+    in the directory ``out``."""
     return tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("ledger.csv", "locations.csv", "summary.json")
@@ -251,6 +261,33 @@ def test_outputs_do_not_depend_on_float_sum(tmp_path, monkeypatch):
     assert _compensated_sum([True, False, 3]) == 4
     monkeypatch.setattr(engine, "sum", _compensated_sum, raising=False)
     assert _downtown9_seed42_digests(tmp_path, "exhaustive") == DOWNTOWN9_SEED42_DIGESTS["exhaustive"]
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    """``simulate`` in a process whose OpenBLAS runs its Prescott kernels
+    writes the pinned files. That kernel's dot product adds in another
+    order than the kernels picked on newer CPUs, so a total reduced
+    through BLAS would move with the machine; the totals are plain sums.
+    Where numpy has another BLAS the variable is ignored."""
+    scenario, users = _gen(tmp_path, preset="downtown9", seed=42)
+    out = tmp_path / "run"
+    src = Path(engine.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": str(src)}
+    command = [
+        sys.executable, "-m", "evauction.cli",
+        "simulate",
+        "--scenario", str(scenario),
+        "--users", str(users),
+        "--seed", "42",
+        "--policy", "exhaustive",
+        "--out", str(out),
+    ]
+    subprocess.run(command, env=env, check=True, capture_output=True)
+    assert _file_digests(out) == DOWNTOWN9_SEED42_DIGESTS["exhaustive"]
 
 
 def test_summary_alphas_stand_alone(tmp_path):

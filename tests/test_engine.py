@@ -26,7 +26,7 @@ from evauction.oracle import (
     solve_offline_exact,
 )
 
-from instances import random_instance
+from instances import micro_instance, random_instance
 
 
 def _option(start, schedule):
@@ -669,6 +669,96 @@ def test_peak_prices_are_the_prices_at_final_demand(seed, mode, policy):
     for outcome in unpriced:
         for stats in outcome.per_location:
             assert stats.peak_cable_price.hex() == stats.peak_generation_price.hex() == (0.0).hex()
+
+
+def _slot_order_totals(scenario, outcome, bounds, mode):
+    """``outcome``'s totals recomputed from its final loads, every float
+    total a plain left-to-right sum (ledger order, then slot order): the
+    operational cost, the welfare, and per location its welfare, energy
+    and peak prices (0 when ``bounds`` is None), as ``float.hex``."""
+    demand, T = outcome.demand, scenario.slot_count
+    k = pricing.price_scale(scenario)
+    slot_cost = {}
+    cost = 0.0
+    for pool in scenario.pools:
+        costs = []
+        for t in range(T):
+            over = float(demand.procurement[pool.pool_id][t]) - float(pool.solar_actual[t])
+            costs.append(float(pool.grid_price[t]) * (over if over > 0.0 else 0.0))
+        pool_cost = 0.0
+        for c in costs:
+            pool_cost += c
+        cost += pool_cost
+        slot_cost[pool.pool_id] = costs
+    valuation = 0.0
+    served = {lid: 0.0 for lid in scenario.location_ids}
+    for r in outcome.ledger:
+        if r.accepted:
+            valuation += r.valuation
+            served[r.location_id] += r.valuation
+    stats = []
+    for lid, value in served.items():
+        loc = scenario.location(lid)
+        pool = scenario.pool(loc.pool_id)
+        caps = procurement_capacity(pool, mode)
+        rows = demand.energy[lid]
+        energy, attributed, peak_generation = [], 0.0, 0.0
+        for t in range(T):
+            e = 0.0
+            for m in range(loc.evse_count):
+                e += float(rows[m][t])
+            energy.append(e)
+            y = float(demand.procurement[pool.pool_id][t])
+            attributed += slot_cost[pool.pool_id][t] * (e / y if y > 0 else 0.0)
+            if bounds is not None and e > 0:
+                price = pricing.generation_price(y, float(caps[t]), float(pool.grid_price[t]), bounds, k)
+                peak_generation = max(peak_generation, price)
+        delivered = 0.0
+        for e in energy:
+            delivered += e
+        peak_cable = 0.0
+        if bounds is not None:
+            top = float(demand.cable[lid].max())
+            peak_cable = pricing.cable_price(top, loc.cables_per_evse, bounds, k)
+        stats.append((value - attributed, delivered, peak_cable, peak_generation))
+    hexed = [tuple(x.hex() for x in row) for row in stats]
+    return (cost.hex(), (valuation - cost).hex(), hexed)
+
+
+def _reported_totals(outcome):
+    stats = [
+        (s.welfare, s.energy_delivered, s.peak_cable_price, s.peak_generation_price)
+        for s in outcome.per_location
+    ]
+    hexed = [tuple(x.hex() for x in row) for row in stats]
+    return (outcome.operational_cost.hex(), outcome.welfare.hex(), hexed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["random", "micro"]),
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(["exact", "conservative"]),
+    priced=st.booleans(),
+)
+def test_totals_are_slot_order_sums(family, seed, mode, priced):
+    """``build_outcome``'s totals equal a plain slot-order reference bit for
+    bit: priced online runs in either mode, and the unpriced baseline and
+    exact oracle. A BLAS dot product would round in its own order."""
+    if family == "random":
+        scenario, users, _ = random_instance(seed, max_users=60)
+        pinned = None
+    else:
+        scenario, users, pinned, _ = micro_instance(seed, leaf_limit=20_000)
+    if priced:
+        runs = [(run_auction(scenario, users, scenario.bounds, mode, seed=seed, options_by_user=pinned), mode)]
+    else:
+        runs = [(no_mechanism_baseline(scenario, users, seed, options_by_user=pinned), "exact")]
+        if pinned is not None:
+            runs.append((solve_offline_exact(scenario, users, pinned), "exact"))
+    bounds = scenario.bounds if priced else None
+    for outcome, run_mode in runs:
+        assert _reported_totals(outcome) == _slot_order_totals(scenario, outcome, bounds, run_mode)
 
 
 def test_pool_no_location_draws_on_is_not_priced(s1):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import model
+from evauction.cli import write_ledger_csv
 from evauction.model import AllocationResult, DemandState, ValueBounds, Violation, validate_bounds
 from evauction.options import generate_options, location_schedules
 from evauction.scenario_io import save_users, scenario_to_dict
@@ -136,6 +137,25 @@ def test_option_feasibility(s1):
     assert ev.option_is_feasible(_opt(1, (1, 1)), user, sc)
     off_level = _opt(1, (2, 0))  # within the rate cap, but 2 is no allowed level
     assert not ev.option_is_feasible(off_level, user, sc)
+
+
+def test_whole_float_option_is_the_int_option(s1, tmp_path):
+    """A pinned schedule of whole floats is the int schedule it names: the
+    same ledger, written ``1-0`` in ``ledger.csv`` and ``option_id``."""
+    scenario, users = s1
+    written = []
+    for schedule in ((1.0, 0.0), (1, 0)):
+        option = ev.ChargeOption(1, 1, schedule)
+        assert all(type(e) is int for e in option.schedule)
+        outcome = ev.run_auction(scenario, users, scenario.bounds, options_by_user={1: [option]})
+        (row,) = outcome.ledger
+        assert row.accepted and row.option.option_id == "1:1-0"
+        path = tmp_path / f"{schedule}.csv"
+        write_ledger_csv(outcome, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    # a fraction is kept as given, for validation to report
+    assert ev.ChargeOption(1, 1, (0.5, 1.0)).schedule == (0.5, 1)
 
 
 def test_option_unknown_location_raises(s1):

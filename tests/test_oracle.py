@@ -224,8 +224,8 @@ def test_exact_search_matches_brute_force(seed):
 
 
 def test_pinned_whole_floats_search_like_ints():
-    """Validation takes a schedule of whole floats (``1.0`` is the level
-    1); the search packs it as the ints it names."""
+    """A pinned schedule of whole floats (``1.0`` is the level 1) is the
+    int schedule it names, so the search makes the same choices."""
     scenario, users, options, _ = micro_instance(3, leaf_limit=BRUTE_FORCE_LEAVES)
     floats = {
         uid: [dataclasses.replace(o, schedule=tuple(float(e) for e in o.schedule)) for o in opts]
@@ -326,6 +326,29 @@ def test_collapse_keeps_evses_that_differ_off_the_option(rate):
     sol = _assert_pruned_returns_naive_ledger(scenario, users)
     assert sol.welfare == 17.0
     assert all(r.accepted for r in sol.ledger)
+
+
+@pytest.mark.parametrize(
+    "solar, value, accepted, cost",
+    [
+        (2.0, 0.015, 2, 0.0),  # user 2 ends at solar: y + e == s
+        (1.5, 0.015, 2, 0.01 * 0.5 + 0.01 * 0.5),  # y < s < y + e: 0.01 < 0.015
+        (1.0, 0.015, 1, 0.0),  # y == s: user 2 would cost 0.02
+        (0.5, 0.025, 2, 0.01 * 1.5 + 0.01 * 1.5),  # y > s: user 2 costs 0.02 < 0.025
+    ],
+    ids=["ends-at-solar", "crosses-solar", "starts-at-solar", "beyond-solar"],
+)
+def test_procurement_cost_at_the_solar_boundary(solar, value, accepted, cost):
+    """Two users each charge 1 kWh in both slots, on the one EVSE, at grid
+    price 0.01 beyond a flat ``solar``: user 1 (value 1) first, then user
+    2, worth admitting only when the grid energy they add costs less
+    than ``value``; the walk's cost delta decides that."""
+    requests = [(1, 2, 1.0, 2), (1, 2, value, 2)]
+    scenario, users = _one_location(2, 1, 2, 2, requests, solar=solar)
+    sol = _assert_pruned_returns_naive_ledger(scenario, users)
+    assert sol.accepted_count == accepted
+    assert sol.operational_cost == cost
+    assert sol.welfare == (1.0 + value if accepted == 2 else 1.0) - cost
 
 
 def _requests(max_users, max_demand):
