@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import oracle, pricing
 from .engine import AuctionOutcome, LocationStats, run_auction
-from .model import Scenario, ScenarioValidationError, validate_scenario
+from .model import Scenario, ScenarioValidationError, raise_if_invalid, validate_scenario
 from .options import parse_policy
 from .oracle import OracleBudgetExceeded
 from .scenario_io import (
@@ -114,12 +114,6 @@ def _write_json(data: dict, path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _require_valid(scenario: Scenario, users=()) -> None:
-    violations = validate_scenario(scenario, users)
-    if violations:
-        raise ScenarioValidationError(violations)
-
-
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     users = load_users(args.users)
@@ -144,7 +138,7 @@ def cmd_compare(args) -> int:
     parse_policy(args.policy)  # a bad --policy fails also where the exact search overrides it
     scenario = load_scenario(args.scenario)
     users = load_users(args.users)
-    _require_valid(scenario, users)  # before exhaustive_options sees the input
+    raise_if_invalid(validate_scenario(scenario, users))  # before exhaustive_options sees the input
     # when the exact oracle ran, the online run and the baseline decide
     # under the exhaustive policy, the option set the oracle searched;
     # otherwise under --policy
@@ -197,7 +191,7 @@ def cmd_compare(args) -> int:
 
 def cmd_validate_dapr(args) -> int:
     scenario = load_scenario(args.scenario)
-    _require_valid(scenario)
+    raise_if_invalid(validate_scenario(scenario))
     curves = pricing.dapr_curves(scenario, scenario.bounds, args.mode)
     rows = ["curve,y,price,slack"]
     worst = (math.inf, "")
@@ -231,7 +225,7 @@ def cmd_gen_scenario(args) -> int:
         price_trace=args.price_trace,
         solar_trace=args.solar_trace,
     )
-    _require_valid(scenario, users)
+    raise_if_invalid(validate_scenario(scenario, users))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario.json")

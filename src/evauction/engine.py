@@ -1,4 +1,5 @@
-"""The online reservation mechanism: quote, admit, and the full run.
+"""The online reservation mechanism (quote, admit, the full run) and the
+no-mechanism baseline's choice.
 
 Each arriving user is quoted take-it-or-leave-it marginal prices computed
 from current demand only. The user is admitted iff some (option, EVSE,
@@ -9,7 +10,10 @@ is updated. Decisions are never revoked.
 Prices depend only on load, and load changes only at an admission, so
 ``AuctionState`` posts them once per admission: ``settle`` refreshes the
 price and room tables over the admitted slots, and every quote reads
-those tables instead of the loads.
+those tables instead of the loads. Only this module reads them: the two
+rules ``run_in_order`` runs live here, ``admit`` for the mechanism and
+``first_fit`` for the unpriced first-come-first-served baseline
+(``oracle.no_mechanism_baseline``).
 
 The mechanism needs only each user's response to the posted prices, so
 option sets exist only where options are pinned: by a caller, or by the
@@ -20,8 +24,8 @@ locations, ``located_schedules``: it lists the EVSEs a schedule can fit
 on (a free cable, and caps per slot that reach the demand) and, unless
 the exhaustive policy meets contiguous levels, the schedules the policy
 gives there. ``admit`` quotes those schedules on those EVSEs, or fills
-each EVSE's cheapest slots (the best response over every schedule); the
-baseline takes its earliest fill from the same walk. Pinned options are
+each EVSE's cheapest slots (the best response over every schedule);
+``first_fit`` takes its earliest fill from the same walk. Pinned options are
 quoted one by one on every EVSE with a free cable (``_quoted_options``).
 
 Listed schedules and pinned options price through one payment loop,
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -52,12 +57,12 @@ from .model import (
     DemandState,
     Location,
     Scenario,
-    ScenarioValidationError,
     UserType,
     ValueBounds,
     allowed_levels,
     integral_demand,
     procurement_capacity,
+    raise_if_invalid,
     schedule_totals,
     validate_bounds,
     validate_scenario,
@@ -70,8 +75,7 @@ __all__ = [
     "LocationStats",
     "admit",
     "build_outcome",
-    "fill_schedule",
-    "located_schedules",
+    "first_fit",
     "run_auction",
     "run_in_order",
     "submission_order",
@@ -167,13 +171,12 @@ class AuctionState:
                 energy = pricing.energy_price(0.0, loc.max_charge_rate, bounds, k)
                 self.cable_price[lid] = [[cable] * T for _ in rows]
                 self.energy_price[lid] = [[energy] * T for _ in rows]
-        drawn = {loc.pool_id for loc in scenario.locations}
         self._pool_caps, self._grid_prices, self.pool_room, self.gen_price = {}, {}, {}, {}
         for pool in scenario.pools:
             pid = pool.pool_id
             caps = self._pool_caps[pid] = procurement_capacity(pool, mode).tolist()
             self.pool_room[pid] = [_room(0.0, cap) for cap in caps]
-            if bounds is not None and pid in drawn:
+            if bounds is not None and pid in scenario.drawn_pool_ids:
                 grid = self._grid_prices[pid] = pool.grid_price.tolist()
                 self.gen_price[pid] = [
                     pricing.generation_price(0.0, cap, g, bounds, k) if cap > 0 else math.inf
@@ -395,6 +398,66 @@ def _placed(state, user):
             yield m, lid, schedule, cable_pay, energy, generation, value
 
 
+def first_fit(
+    state: AuctionState, user: UserType, options: Optional[Sequence[ChargeOption]]
+) -> AllocationResult:
+    """The no-mechanism baseline's choice: options ranked by valuation
+    (highest first), then earliest fill, then location id; the first one
+    that fits on some EVSE (lowest index first) within every capacity is
+    taken, for free, and settled.
+
+    ``options`` is a pinned option set, ranked as above: a caller's, or
+    the user's own explicit schedules (``run_in_order`` pins them).
+    ``None`` stands for the user's schedules under the run's policy, and
+    the same choice is made from ``located_schedules`` without an option
+    set (``_earliest_fill``)."""
+    value = dict(zip(user.preferred_locations, user.valuations))
+    if options is None:
+        return state.settle(_earliest_fill(state, user, value))
+    w0, w1 = user.arrival - 1, user.departure
+    ranked = sorted(
+        options,
+        key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
+    )
+    for opt in ranked:
+        lid, sched = opt.location_id, opt.schedule
+        pool_room = state.pool_room[state.scenario.location(lid).pool_id]
+        if not all(map(operator.le, sched, pool_room[w0:w1])):
+            continue
+        for m in _free_cables(state, lid, w0, w1):
+            if all(map(operator.le, sched, state.evse_room[lid][m][w0:w1])):
+                return state.settle(AllocationResult(user.user_id, opt, m, valuation=value[lid]))
+    return state.settle(AllocationResult(user.user_id))
+
+
+def _earliest_fill(state, user, value) -> AllocationResult:
+    """``first_fit`` without an option set: on each EVSE that
+    ``located_schedules`` lists, its lexicographically largest feasible
+    schedule, the earliest fill within its caps or else the largest listed
+    schedule within them; the best by ``first_fit``'s key wins, ties to
+    the first EVSE walked."""
+    demand = integral_demand(user.energy_demand)
+    best_key = best = None
+    for loc, evses, schedules in located_schedules(state, user):
+        lid = loc.location_id
+        for m, caps in evses:
+            if schedules is None:
+                schedule = fill_schedule(range(len(caps)), demand, caps)
+            else:
+                fitting = (s for s in reversed(schedules) if all(map(operator.le, s, caps)))
+                schedule = next(fitting, None)
+                if schedule is None:
+                    continue
+            key = (-value[lid], tuple(-e for e in schedule), lid)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (m, ChargeOption(lid, user.arrival, schedule))
+    if best is None:
+        return AllocationResult(user.user_id)
+    m, option = best
+    return AllocationResult(user.user_id, option, m, valuation=value[option.location_id])
+
+
 def located_schedules(state: AuctionState, user: UserType):
     """Where the user's schedules under the run's policy can land at the
     posted state: the one walk behind every decision without pinned
@@ -500,8 +563,8 @@ def run_in_order(
     """The decision loop of the online run and the no-mechanism baseline.
 
     Validates the inputs (``bounds`` too when they are not the scenario's),
-    then walks the users in ``submission_order`` and calls
-    ``rule(state, user, options)`` to decide and settle each one.
+    then walks the users in ``submission_order`` and calls ``rule(state,
+    user, options)`` (``admit`` or ``first_fit``) to decide and settle each.
     ``options`` is the user's pinned option set: ``options_by_user``'s,
     when it is given (every user needs a key), or else the user's own
     explicit schedules as ``options.generate_options`` gives them, under
@@ -513,8 +576,7 @@ def run_in_order(
     violations = validate_scenario(scenario, users, options_by_user)
     if bounds is not None and bounds != scenario.bounds:
         violations += validate_bounds(scenario, bounds)
-    if violations:
-        raise ScenarioValidationError(violations)
+    raise_if_invalid(violations)
     state = AuctionState(scenario, bounds, mode, option_policy, seed)
     for user in submission_order(users):
         pinned = None if options_by_user is None else options_by_user[user.user_id]

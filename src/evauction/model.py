@@ -36,6 +36,7 @@ __all__ = [
     "integral_demand",
     "option_is_feasible",
     "procurement_capacity",
+    "raise_if_invalid",
     "schedule_totals",
     "validate_bounds",
     "validate_scenario",
@@ -90,6 +91,12 @@ class ScenarioValidationError(ValueError):
         head = "; ".join(str(v) for v in self.violations[:5])
         more = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
         super().__init__(f"{len(self.violations)} validation violation(s): {head}{more}")
+
+
+def raise_if_invalid(violations: Sequence[Violation]) -> None:
+    """Raise ``ScenarioValidationError`` carrying ``violations``, if any."""
+    if violations:
+        raise ScenarioValidationError(violations)
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,8 @@ class Scenario:
         levels = sorted(set(whole_number(v) for v in self.energy_levels))
         object.__setattr__(self, "energy_levels", tuple(levels))
         # lookup indexes, not fields: equality and serialization ignore them;
-        # the first of duplicate ids wins, as a scan would find it
+        # the first of duplicate ids wins, as a scan would find it. Drawn
+        # pools: those locations draw on, ascending, then ids naming no pool
         by_location, by_pool = {}, {}
         for loc in self.locations:
             by_location.setdefault(loc.location_id, loc)
@@ -255,6 +263,10 @@ class Scenario:
             by_pool.setdefault(pool.pool_id, pool)
         object.__setattr__(self, "_location_by_id", by_location)
         object.__setattr__(self, "_pool_by_id", by_pool)
+        named = dict.fromkeys(loc.pool_id for loc in self.locations)
+        drawn = sorted(pid for pid in by_pool if pid in named)
+        drawn += [pid for pid in named if pid not in by_pool]
+        object.__setattr__(self, "drawn_pool_ids", tuple(drawn))
 
     @property
     def slot_count(self) -> int:
@@ -427,8 +439,7 @@ def validate_bounds(scenario: Scenario, bounds: ValueBounds) -> list[Violation]:
         out.append(Violation("bounds.energy", "need 0 < energy_low < energy_high"))
     if b.generation_low != b.energy_low or b.generation_high != b.energy_high:
         out.append(Violation("bounds.generation", "generation bounds must equal energy bounds"))
-    pool_ids = {pool.pool_id for pool in scenario.pools}
-    for pid in sorted({loc.pool_id for loc in scenario.locations} & pool_ids):
+    for pid in (pid for pid in scenario.drawn_pool_ids if pid in scenario._pool_by_id):
         prices = scenario.pool(pid).grid_price
         peak = float(prices.max()) if prices.size else 0.0
         if b.generation_low <= peak:
@@ -508,12 +519,22 @@ def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
 
 
 def _fits(schedule, levels: tuple[int, ...], width, demand: Optional[int]) -> bool:
-    """The schedule test of ``option_is_feasible`` and ``validate_scenario``:
+    """The schedule test of ``_option_fits`` and of explicit schedules:
     ``width`` slots, each at one of ``levels``, summing to ``demand``."""
     return (
         len(schedule) == width
         and all(map(levels.__contains__, schedule))
         and sum(schedule) == demand
+    )
+
+
+def _option_fits(option: ChargeOption, user: UserType, levels, demand: Optional[int]) -> bool:
+    """The pinned-option test of ``option_is_feasible`` and ``validate_scenario``,
+    given the location's ``allowed_levels`` and the user's whole demand."""
+    return (
+        option.location_id in user.preferred_locations
+        and option.start == user.arrival
+        and _fits(option.schedule, levels, user.window_length, demand)
     )
 
 
@@ -634,11 +655,7 @@ def validate_scenario(
                 levels = levels_at.get(option.location_id)
                 if levels is None:
                     message = f"references unknown location {option.location_id}"
-                elif not (
-                    option.location_id in preferred
-                    and option.start == user.arrival
-                    and _fits(option.schedule, levels, width, demand)
-                ):
+                elif not _option_fits(option, user, levels, demand):
                     message = "infeasible for the user (location, start, length, rate cap or sum)"
                 else:
                     object.__setattr__(option, "_clean_for", (scenario, user))
@@ -653,11 +670,7 @@ def validate_scenario(
 def option_is_feasible(option: ChargeOption, user: UserType, scenario: Scenario) -> bool:
     """True iff the option is at a preferred location, starts at arrival,
     spans the stay, puts one of ``allowed_levels`` in every slot and meets
-    the demand exactly. ``validate_scenario`` makes the same test with the
-    user's facts worked out once; the tests hold the two to one verdict."""
+    the demand exactly: ``_option_fits``, the test ``validate_scenario``
+    makes with the user's facts worked out once."""
     levels = allowed_levels(scenario, option.location_id)  # raises on malformed input
-    return (
-        option.location_id in user.preferred_locations
-        and option.start == user.arrival
-        and _fits(option.schedule, levels, user.window_length, integral_demand(user.energy_demand))
-    )
+    return _option_fits(option, user, levels, integral_demand(user.energy_demand))

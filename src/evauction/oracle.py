@@ -17,38 +17,26 @@ Three yardsticks, all on identical inputs:
   operator absorbing procurement costs
 
 Option sets exist only where options are pinned: the exact solver
-searches pinned sets (``exhaustive_options`` builds the canonical one),
-and the baseline takes a caller's pinned set or a user's own explicit
-schedules (``engine.run_in_order`` pins them), and otherwise decides from
-``engine.located_schedules``.
+searches pinned sets (``exhaustive_options`` builds the canonical one).
+The baseline's choice is ``engine.first_fit``, beside the online
+``engine.admit``, so that only the engine reads the posted state a
+decision is made from; ``no_mechanism_baseline`` runs it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import Mapping, Optional, Sequence
 
-from .engine import (
-    AuctionOutcome,
-    AuctionState,
-    _free_cables,
-    _room,
-    build_outcome,
-    fill_schedule,
-    located_schedules,
-    run_in_order,
-    submission_order,
-)
+from .engine import AuctionOutcome, _room, build_outcome, first_fit, run_in_order, submission_order
 from .model import (
     AllocationResult,
     ChargeOption,
     DemandState,
     Scenario,
-    ScenarioValidationError,
     UserType,
-    integral_demand,
     procurement_capacity,
+    raise_if_invalid,
     validate_scenario,
 )
 from .options import generate_options
@@ -170,7 +158,7 @@ def solve_offline_exact(
         raise OracleBudgetExceeded(
             f"search tree exceeds {budget} leaves; use offline_upper_bound instead"
         )
-    _require_valid(scenario, users, options_by_user)
+    raise_if_invalid(validate_scenario(scenario, users, options_by_user))
 
     ordered = submission_order(users)
     T = scenario.slot_count
@@ -187,10 +175,10 @@ def solve_offline_exact(
     # validated option's energies are at most its location's energy room)
     cable_room = [_room(0.0, float(loc.cables_per_evse)) for loc in locations]
     energy_room = [_room(0.0, float(loc.max_charge_rate)) for loc in locations]
-    pool_rooms = [
+    pool_fields = [
         [_room(0.0, cap) for cap in procurement_capacity(pool, "exact").tolist()] for pool in pools
     ]
-    top = max([1, *cable_room, *energy_room, *(r for rooms in pool_rooms for r in rooms)])
+    top = max([1, *cable_room, *energy_room, *(r for rooms in pool_fields for r in rooms)])
     W = top.bit_length() + 1
     evse_guard = _pack([1 << (W - 1)] * (2 * T), W)
     pool_guard = _pack([1 << (W - 1)] * T, W)
@@ -198,30 +186,29 @@ def solve_offline_exact(
         [_pack([cable_room[li]] * T + [energy_room[li]] * T, W)] * loc.evse_count
         for li, loc in enumerate(locations)
     ]
-    pool_room = [_pack(rooms, W) for rooms in pool_rooms]
+    pool_rows = [_pack(rooms, W) for rooms in pool_fields]
     pool_load = [[0.0] * T for _ in pools]
     pool_solar = [pool.solar_actual.tolist() for pool in pools]
     pool_price = [pool.grid_price.tolist() for pool in pools]
 
     # a location is slack when every user could share one of its EVSEs:
-    # per slot, one cable for each user with an option there holding the
-    # slot, plus the largest energy any of those options draws, fit one
-    # EVSE's rooms, so no EVSE choice there can make a later one infeasible
+    # per slot, one cable for each user with an option there (a validated
+    # option holds every slot of the stay), plus the largest energy any of
+    # those options draws, fit one EVSE's rooms, so no EVSE choice there
+    # can make a later one infeasible
     need_c = [[0] * T for _ in locations]
     need_e = [[0] * T for _ in locations]
-    for _, opts in walked:
-        held = {}
+    for j, opts in walked:
+        w0 = ordered[j].arrival - 1
+        peaks = {}
         for opt in opts:
-            slots, peak = held.setdefault(loc_index[opt.location_id], (set(), [0] * T))
-            w0 = opt.start - 1
-            slots.update(range(w0, w0 + len(opt.schedule)))
-            for t, e in enumerate(opt.schedule, w0):
-                if e > peak[t]:
-                    peak[t] = e
-        for li, (slots, peak) in held.items():
-            for t in slots:
+            peak = peaks.setdefault(loc_index[opt.location_id], [0] * len(opt.schedule))
+            for w, e in enumerate(opt.schedule):
+                if e > peak[w]:
+                    peak[w] = e
+        for li, peak in peaks.items():
+            for t, e in enumerate(peak, w0):
                 need_c[li][t] += 1
-            for t, e in enumerate(peak):
                 need_e[li][t] += e
     slack = [
         max(need_c[li]) <= cable_room[li] and max(need_e[li]) <= energy_room[li]
@@ -287,7 +274,7 @@ def solve_offline_exact(
         leaf = i + 1 == n
         cut = bound[i + 1]
         for value, li, pi, opt, use, draw, e_slots, one_evse in choices[i]:
-            room = pool_room[pi]
+            room = pool_rows[pi]
             if ((room | pool_guard) - draw) & pool_guard != pool_guard:
                 continue
             rows = evse_rows[li]
@@ -316,14 +303,14 @@ def solve_offline_exact(
                     best_assign = current.copy()
                 else:
                     rows[m] = row - use
-                    pool_room[pi] = room - draw
+                    pool_rows[pi] = room - draw
                     unplaced = sorted_rows[li]
                     sorted_rows[li] = tuple(sorted(rows))
                     for t, e, _, _ in e_slots:
                         load[t] += e
                     walk(i + 1, child_value, child_cost)
                     rows[m] = row
-                    pool_room[pi] = room
+                    pool_rows[pi] = room
                     sorted_rows[li] = unplaced
                     for t, e, _, _ in e_slots:
                         load[t] -= e
@@ -364,16 +351,6 @@ def _pack(fields: Sequence[int], width: int) -> int:
     return sum(v << (k * width) for k, v in enumerate(fields))
 
 
-def _require_valid(
-    scenario: Scenario,
-    users: Sequence[UserType],
-    options_by_user: Optional[Mapping[int, Sequence[ChargeOption]]] = None,
-) -> None:
-    violations = validate_scenario(scenario, users, options_by_user)
-    if violations:
-        raise ScenarioValidationError(violations)
-
-
 def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
     """Welfare bound with every station capacity (and the transformer
     limit) relaxed.
@@ -386,38 +363,36 @@ def offline_upper_bound(scenario: Scenario, users: Sequence[UserType]) -> float:
     (``validate_scenario``; users it has found clean before are not
     checked again).
     """
-    _require_valid(scenario, users)
     total = 0.0
-    for user in users:
-        total += max(0.0, _best_relaxed_surplus(scenario, user)[0])
+    for surplus, _ in _relaxed_surpluses(scenario, users):
+        total += max(0.0, surplus)
     return total
 
 
 def upper_bound_by_location(scenario: Scenario, users: Sequence[UserType]) -> dict[int, float]:
     """Per-location split of offline_upper_bound (by each user's chosen
     location); invalid input raises ``ScenarioValidationError``."""
-    _require_valid(scenario, users)
     split = {lid: 0.0 for lid in scenario.location_ids}
-    for user in users:
-        surplus, lid = _best_relaxed_surplus(scenario, user)
-        if surplus > 0 and lid is not None:
+    for surplus, lid in _relaxed_surpluses(scenario, users):
+        if surplus > 0:
             split[lid] += surplus
     return split
 
 
-def _best_relaxed_surplus(scenario: Scenario, user: UserType) -> tuple[float, Optional[int]]:
-    w0, w1 = user.arrival - 1, user.departure
-    best = -math.inf
-    best_lid = None
-    for lid, value in zip(user.preferred_locations, user.valuations):
-        pool = scenario.pool_of(lid)
-        free = float(pool.solar_actual[w0:w1].sum())
-        beyond = max(0.0, user.energy_demand - free)
-        cost = beyond * float(pool.grid_price[w0:w1].min())
-        if value - cost > best:
-            best = value - cost
-            best_lid = lid
-    return best, best_lid
+def _relaxed_surpluses(scenario: Scenario, users: Sequence[UserType]):
+    """The one validated pass of both relaxed bounds: per user, in order, the
+    best surplus with every capacity relaxed and the first location reaching it."""
+    raise_if_invalid(validate_scenario(scenario, users))
+    for user in users:
+        w0, w1 = user.arrival - 1, user.departure
+        best, best_lid = -math.inf, None
+        for lid, value in zip(user.preferred_locations, user.valuations):
+            pool = scenario.pool_of(lid)
+            free = float(pool.solar_actual[w0:w1].sum())
+            cost = max(0.0, user.energy_demand - free) * float(pool.grid_price[w0:w1].min())
+            if value - cost > best:
+                best, best_lid = value - cost, lid
+        yield best, best_lid
 
 
 def no_mechanism_baseline(
@@ -434,72 +409,13 @@ def no_mechanism_baseline(
     built, on the schedules ``option_policy`` gives them (draws seeded from
     ``seed``; see ``engine.run_in_order``). Each takes the first schedule
     that fits at their highest-value location, earliest fills first, on
-    the lowest free EVSE (``_first_fit``).
-    Everybody pays zero and the operator absorbs the procurement cost.
+    the lowest free EVSE: ``engine.first_fit``, run by the online run's
+    decision loop with prices off. Everybody pays zero and the operator
+    absorbs the procurement cost.
     """
     return run_in_order(
-        scenario, users, None, "exact", option_policy, seed, options_by_user, _first_fit
+        scenario, users, None, "exact", option_policy, seed, options_by_user, first_fit
     )
-
-
-def _first_fit(
-    state: AuctionState, user: UserType, options: Optional[Sequence[ChargeOption]]
-) -> AllocationResult:
-    """The baseline's choice: options ranked by valuation (highest first),
-    then earliest fill, then location id; the first one that fits on some
-    EVSE (lowest index first) within every capacity is taken, for free.
-
-    ``options`` is a pinned option set, ranked as above: a caller's, or
-    the user's own explicit schedules (``engine.run_in_order`` pins them).
-    ``None`` stands for the user's schedules under the run's policy, and
-    the same choice is made from ``engine.located_schedules`` without an
-    option set (``_earliest_fill``)."""
-    value = dict(zip(user.preferred_locations, user.valuations))
-    if options is None:
-        return state.settle(_earliest_fill(state, user, value))
-    w0, w1 = user.arrival - 1, user.departure
-    ranked = sorted(
-        options,
-        key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
-    )
-    for opt in ranked:
-        lid = opt.location_id
-        sched = opt.schedule
-        pool_room = state.pool_room[state.scenario.location(lid).pool_id]
-        if not all(map(operator.le, sched, pool_room[w0:w1])):
-            continue
-        for m in _free_cables(state, lid, w0, w1):
-            if all(map(operator.le, sched, state.evse_room[lid][m][w0:w1])):
-                return state.settle(AllocationResult(user.user_id, opt, m, valuation=value[lid]))
-    return state.settle(AllocationResult(user.user_id))
-
-
-def _earliest_fill(state, user, value) -> AllocationResult:
-    """``_first_fit`` without an option set: on each EVSE that
-    ``located_schedules`` lists, its lexicographically largest feasible
-    schedule, the earliest fill within its caps or else the largest listed
-    schedule within them; the best by ``_first_fit``'s key wins, ties to
-    the first EVSE walked."""
-    demand = integral_demand(user.energy_demand)
-    best_key = best = None
-    for loc, evses, schedules in located_schedules(state, user):
-        lid = loc.location_id
-        for m, caps in evses:
-            if schedules is None:
-                schedule = fill_schedule(range(len(caps)), demand, caps)
-            else:
-                fitting = (s for s in reversed(schedules) if all(map(operator.le, s, caps)))
-                schedule = next(fitting, None)
-                if schedule is None:
-                    continue
-            key = (-value[lid], tuple(-e for e in schedule), lid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (m, ChargeOption(lid, user.arrival, schedule))
-    if best is None:
-        return AllocationResult(user.user_id)
-    m, option = best
-    return AllocationResult(user.user_id, option, m, valuation=value[option.location_id])
 
 
 def welfare_ratio(offline_welfare: float, online_welfare: float) -> float:

@@ -106,13 +106,6 @@ def generation_price(y: float, cap: float, grid_price: float, bounds: ValueBound
     return grid_price + exp_price(y, cap, low, high, k)
 
 
-def _pools_in_use(scenario: Scenario) -> list[GenerationPool]:
-    seen = []
-    for pid in sorted({loc.pool_id for loc in scenario.locations}):
-        seen.append(scenario.pool(pid))
-    return seen
-
-
 def _log_ramp(k: float, high: float, low: float) -> float:
     """Log of a curve's top-to-bottom price ratio; every ratio constant is
     twice the worst of these over its curves."""
@@ -120,13 +113,13 @@ def _log_ramp(k: float, high: float, low: float) -> float:
 
 
 def _generation_alpha(scenario: Scenario, bounds: ValueBounds, banded: bool) -> float:
-    """Twice the worst procurement ramp over the pools in use and their
-    slots. The ramp is taken over the margin above the grid price; with
-    ``banded`` it is scaled by the slot's upper-to-lower capacity spread of
-    the solar forecast band."""
+    """Twice the worst procurement ramp over the pools a location draws on
+    (``Scenario.drawn_pool_ids``) and their slots. The ramp is taken over
+    the margin above the grid price; with ``banded`` it is scaled by the
+    slot's upper-to-lower capacity spread of the solar forecast band."""
     k = price_scale(scenario)
     worst = 0.0
-    for pool in _pools_in_use(scenario):
+    for pool in [scenario.pool(pid) for pid in scenario.drawn_pool_ids]:
         if banded and np.any(pool.solar_lower > pool.solar_upper):
             raise ConfigurationError(f"pool {pool.pool_id} has an inverted forecast band")
         low_caps = procurement_capacity(pool, "conservative")
@@ -219,7 +212,7 @@ def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") ->
     constant, as ``(label, (price, cost', conj', cap), alpha)``.
 
     The order is ``cable[lid]`` and ``energy[lid]`` per location, then
-    ``generation[pid]@t{t}`` per pool in use and slot. Cables and EVSE
+    ``generation[pid]@t{t}`` per drawn pool and slot. Cables and EVSE
     energy are free up to capacity, so their cost slope is zero and their
     conjugate slope is the capacity. Procurement is checked at ``alpha_1``
     in ``exact`` mode and at ``alpha_2`` in ``conservative`` mode; its cost
@@ -238,7 +231,7 @@ def dapr_curves(scenario: Scenario, bounds: ValueBounds, mode: str = "exact") ->
         curves.append((f"cable[{loc.location_id}]", _free_resource(cable, cables), cable_alpha))
         curves.append((f"energy[{loc.location_id}]", _free_resource(energy, rate), energy_alpha))
     gen_alpha = alpha_1(scenario, bounds) if mode == "exact" else alpha_2(scenario, bounds)
-    for pool in _pools_in_use(scenario):
+    for pool in [scenario.pool(pid) for pid in scenario.drawn_pool_ids]:
         caps = procurement_capacity(pool, mode).tolist()
         for t, cap in enumerate(caps, 1):
             if cap > 0:

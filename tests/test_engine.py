@@ -13,13 +13,13 @@ from evauction.engine import (
     _price_snapshot,
     _quoted_options,
     admit,
+    first_fit,
     run_auction,
     run_in_order,
 )
 from evauction.model import AllocationResult, procurement_capacity
 from evauction.options import generate_options, location_schedules
 from evauction.oracle import (
-    _first_fit,
     exhaustive_options,
     no_mechanism_baseline,
     search_budget,
@@ -572,7 +572,7 @@ def _posted(state):
     pinned_share=st.sampled_from([0.0, 0.5]),
 )
 def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, explicit, pinned_share):
-    """After a run of settles (priced ``admit`` or unpriced ``_first_fit``,
+    """After a run of settles (priced ``admit`` or unpriced ``first_fit``,
     some users on pinned options, some carrying explicit schedules, pinned
     as ``run_in_order`` pins them), every posted room, cable flag and price
     equals its recomputation from the loads in ``DemandState``, bit for
@@ -587,7 +587,7 @@ def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, expli
         if rng.random() < pinned_share or u.explicit_schedules is not None
     }
     state = AuctionState(scenario, scenario.bounds if priced else None, mode, policy, seed)
-    rule = admit if priced else _first_fit
+    rule = admit if priced else first_fit
     for user in sorted(users, key=lambda u: (u.submission_time, u.user_id)):
         rule(state, user, pinned.get(user.user_id))
     assert _posted(state) == _posted_from_scratch(state)
@@ -763,13 +763,21 @@ def test_totals_are_slot_order_sums(family, seed, mode, priced):
 
 def test_pool_no_location_draws_on_is_not_priced(s1):
     """Only the pools a location draws on are priced, so a grid price above
-    ``generation_low`` at an idle pool does not stop a run."""
+    ``generation_low`` at an idle pool does not stop a run, and every other
+    reader of the drawn pools ignores it too: validation, both ratio
+    constants and the DAPR curve list."""
     scenario, users = s1
     idle = dataclasses.replace(
         scenario.pools[0], pool_id=2, grid_price=np.full(scenario.slot_count, 100.0)
     )
     sc = dataclasses.replace(scenario, pools=scenario.pools + (idle,))
     assert run_auction(sc, users, sc.bounds).ledger == run_auction(scenario, users, scenario.bounds).ledger
+    assert ev.validate_scenario(sc, users) == []
+    for alpha in (pricing.alpha_1, pricing.alpha_2):
+        assert alpha(sc, sc.bounds) == alpha(scenario, scenario.bounds)
+    for mode in ("exact", "conservative"):
+        labels = [label for label, _, _ in pricing.dapr_curves(sc, sc.bounds, mode)]
+        assert labels == [label for label, _, _ in pricing.dapr_curves(scenario, scenario.bounds, mode)]
 
 
 def test_conservative_mode_respects_band_cap():

@@ -450,7 +450,9 @@ def test_non_finite_bounds_flagged(s1, name, value):
 def test_scenario_lookups_by_id(s1):
     """``location`` and ``pool`` find records by id without being fields:
     the first of duplicate ids wins, an unknown id is a ``ValueError``, and
-    the document (``scenario_to_dict``) and equality are unchanged."""
+    the document (``scenario_to_dict``) and equality are unchanged.
+    ``drawn_pool_ids`` lists the pools the locations draw on, then the ids
+    that name no pool, which validation reports."""
     scenario, _ = s1
     loc, pool = scenario.locations[0], scenario.pools[0]
     assert scenario.location(loc.location_id) is loc and scenario.pool(pool.pool_id) is pool
@@ -466,3 +468,9 @@ def test_scenario_lookups_by_id(s1):
         scenario.pool(99)
     with pytest.raises(ValueError, match=r"unknown location_id \[1\]"):
         scenario.location([1])
+    strays = [dataclasses.replace(loc, location_id=i, pool_id=pid) for i, pid in ((2, 7), (3, None))]
+    odd = dataclasses.replace(scenario, locations=(loc, *strays))
+    assert scenario.drawn_pool_ids == (pool.pool_id,)
+    assert odd.drawn_pool_ids == (pool.pool_id, 7, None)
+    paths = [v.path for v in ev.validate_scenario(odd)]
+    assert paths == ["locations[2].pool_id", "locations[3].pool_id"]

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,44 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"evauction.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"evauction.{name}.__all__ names missing attributes: {missing}"
+
+
+# The private names one module may import from another: the exact search
+# starts its rooms from the engine's room rule.
+PRIVATE_IMPORTS_ALLOWED = {"engine._room"}
+
+
+def _private_imports(path):
+    """``module._name`` for each underscore name the module at ``path``
+    imports from a sibling, by ``from .module import _name`` or as an
+    attribute of a sibling imported by ``from . import module``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and node.attr.startswith("_")
+        ):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    """Each rule has one owner: a module reaches another's underscore name
+    only where ``PRIVATE_IMPORTS_ALLOWED`` lists it."""
+    src = Path(evauction.__file__).parent
+    found = {
+        f"{path.stem}: {name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _private_imports(path) - PRIVATE_IMPORTS_ALLOWED
+    }
+    assert not found, f"private names imported across modules: {sorted(found)}"
