@@ -111,7 +111,9 @@ def _summary(args, scenario, outcome: AuctionOutcome) -> dict:
 
 
 def _write_json(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Strict JSON (RFC 8259): a non-finite number raises ``ValueError``."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_simulate(args) -> int:
@@ -172,6 +174,7 @@ def cmd_compare(args) -> int:
         )
     (out / "welfare_by_location.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_ledger_csv(online, out / "ledger.csv")
+    ratio = oracle.welfare_ratio(offline_welfare, online.welfare)
     summary = {
         **_header(args, scenario, policy),
         "online_welfare": online.welfare,
@@ -179,7 +182,7 @@ def cmd_compare(args) -> int:
         "baseline_welfare": baseline.welfare,
         "offline_welfare": offline_welfare,
         "offline_kind": offline_kind,
-        "empirical_ratio": oracle.welfare_ratio(offline_welfare, online.welfare),
+        "empirical_ratio": ratio if math.isfinite(ratio) else None,  # null: the infinite sentinel
     }
     _write_json(summary, out / "summary.json")
     print(
@@ -238,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evauction", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, users=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
-        if users:
-            p.add_argument("--users", required=True, help="user records path")
+        p.add_argument("--users", required=True, help="user records path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=("exact", "conservative"), default="exact")
         p.add_argument("--out", required=True, help="output directory")

@@ -63,6 +63,7 @@ from .model import (
     integral_demand,
     procurement_capacity,
     raise_if_invalid,
+    room,
     schedule_totals,
     validate_bounds,
     validate_scenario,
@@ -126,7 +127,8 @@ class AuctionOutcome:
 class AuctionState:
     """Mutable state of one run: demand, ledger and the price scale, the
     run's option policy (``budget`` is K under heuristic-K, None under
-    exhaustive) and seed, and the posted state every quote reads.
+    exhaustive) and seed (a negative one raises ``ValueError``, whatever
+    the policy), and the posted state every quote reads.
 
     The posted state is what the loads in ``demand`` imply, as plain
     lists: per location and EVSE, per slot, ``evse_room`` (the largest
@@ -157,14 +159,16 @@ class AuctionState:
         self.ledger: list[AllocationResult] = []
         self.k_scale = k = pricing.price_scale(scenario)
         self.budget = parse_policy(option_policy)[1]
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0, got {seed}")
         self.seed = seed
         # at zero load every slot of every EVSE of a location is posted alike
         T = scenario.slot_count
         self.evse_room, self.cable_free, self.cable_price, self.energy_price = {}, {}, {}, {}
         for loc in scenario.locations:
             lid, rows = loc.location_id, range(loc.evse_count)
-            room, free = _room(0.0, float(loc.max_charge_rate)), 1.0 <= loc.cables_per_evse
-            self.evse_room[lid] = [[room] * T for _ in rows]
+            energy_room, free = room(0.0, float(loc.max_charge_rate)), 1.0 <= loc.cables_per_evse
+            self.evse_room[lid] = [[energy_room] * T for _ in rows]
             self.cable_free[lid] = [[free] * T for _ in rows]
             if bounds is not None:
                 cable = pricing.cable_price(0.0, loc.cables_per_evse, bounds, k)
@@ -175,7 +179,7 @@ class AuctionState:
         for pool in scenario.pools:
             pid = pool.pool_id
             caps = self._pool_caps[pid] = procurement_capacity(pool, mode).tolist()
-            self.pool_room[pid] = [_room(0.0, cap) for cap in caps]
+            self.pool_room[pid] = [room(0.0, cap) for cap in caps]
             if bounds is not None and pid in scenario.drawn_pool_ids:
                 grid = self._grid_prices[pid] = pool.grid_price.tolist()
                 self.gen_price[pid] = [
@@ -216,31 +220,14 @@ class AuctionState:
             if b is not None:
                 self.cable_price[lid][m][t] = pricing.cable_price(cable_load[t], cables, b, k)
         for t in charged:
-            self.evse_room[lid][m][t] = _room(energy_load[t], float(rate))
-            self.pool_room[pid][t] = _room(pool_load[t], caps[t])
+            self.evse_room[lid][m][t] = room(energy_load[t], float(rate))
+            self.pool_room[pid][t] = room(pool_load[t], caps[t])
             if b is not None:
                 self.energy_price[lid][m][t] = pricing.energy_price(energy_load[t], rate, b, k)
                 if caps[t] > 0:
                     self.gen_price[pid][t] = pricing.generation_price(
                         pool_load[t], caps[t], self._grid_prices[pid][t], b, k
                     )
-
-
-_EXACT = 1 << 52  # below this every whole number is a float, one apart
-
-
-def _room(load: float, cap: float) -> int:
-    """The largest whole ``v >= 0`` with ``load + v <= cap`` (float
-    addition), or 0. A room of ``2**52`` or more is ``floor(cap - load)``."""
-    v = math.floor(cap - load)
-    if v < _EXACT:
-        if load + v > cap:
-            while v > 0 and load + v > cap:
-                v -= 1
-        else:
-            while load + (v + 1) <= cap:
-                v += 1
-    return v if v > 0 else 0
 
 
 def _cable_pay(state: AuctionState, location_id: int, m: int, w0: int, w1: int) -> float:
@@ -351,11 +338,11 @@ def _quoted(state, user, loc, evses, schedules):
     for m in evses:
         cable = _cable_pay(state, lid, m, w0, w1)
         prices = state.energy_price[lid][m][w0:w1]
-        room = state.evse_room[lid][m][w0:w1]
+        evse_room = state.evse_room[lid][m][w0:w1]
         for schedule, charged, generation in kept:
             energy = 0.0
             for w, e in charged:
-                if e > room[w]:
+                if e > evse_room[w]:
                     break
                 energy += e * prices[w]
             else:
@@ -476,10 +463,10 @@ def located_schedules(state: AuctionState, user: UserType):
     levels (``0..top``): every schedule within the caps is feasible there.
     Elsewhere it is ``options.location_schedules`` under the run's policy,
     with one rng ``default_rng([seed, user_id])`` built at its first draw
-    and, in a priced heuristic run, the ``_price_snapshot`` slot prices. A
-    heuristic also generates at the locations without a listed EVSE before
-    the last one yielded, so each location keeps the draws it makes when
-    all are generated.
+    and, in a priced heuristic run, the ``_price_snapshot`` slot prices. It
+    is also generated at the locations without a listed EVSE before the
+    last one yielded, so a heuristic keeps at each location the draws it
+    makes when all are generated.
     """
     scenario = state.scenario
     w0, w1 = user.arrival - 1, user.departure
@@ -504,8 +491,6 @@ def located_schedules(state: AuctionState, user: UserType):
     last = max((i for i, (_, _, evses) in enumerate(located) if evses), default=-1)
     rng = None
     for loc, levels, evses in located[: last + 1]:
-        if not evses and state.budget is None:
-            continue  # no heuristic draws to keep
         schedules = slot_prices = None
         if state.budget is not None or levels != tuple(range(len(levels))):
             if rng is None:

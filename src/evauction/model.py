@@ -7,14 +7,16 @@ Conventions used throughout the package:
 * energies are kWh, money is $, charge rates are kWh per slot
 * all types here are immutable value data once constructed; the one
   exception is :class:`DemandState`, the numpy record of allocated loads,
-  which only the auction engine mutates (its ``AuctionState`` posts prices
-  and rooms from it at each admission)
+  which the auction engine mutates (its ``AuctionState`` posts prices and
+  rooms from it at each admission) and the exact search's replay of its
+  chosen rows mutates (``oracle.solve_offline_exact``)
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -37,6 +39,7 @@ __all__ = [
     "option_is_feasible",
     "procurement_capacity",
     "raise_if_invalid",
+    "room",
     "schedule_totals",
     "validate_bounds",
     "validate_scenario",
@@ -64,6 +67,15 @@ def _whole_or_kept(value):
         return whole_number(value)
     except (TypeError, ValueError):
         return value
+
+
+def _index_or_none(value) -> Optional[int]:
+    """``operator.index(value)``, or None when it refuses ``value``: an
+    int or a numpy int is taken, a float is not, even one naming an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -166,6 +178,7 @@ class UserType:
     explicit_schedules: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "energy_demand", float(self.energy_demand))
         object.__setattr__(self, "preferred_locations", tuple(self.preferred_locations))
         object.__setattr__(self, "valuations", tuple(float(v) for v in self.valuations))
         if self.explicit_schedules is not None:
@@ -251,6 +264,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "pools", tuple(self.pools))
         object.__setattr__(self, "locations", tuple(self.locations))
+        if isinstance(self.energy_levels, (str, Mapping)):
+            raise TypeError(f"energy_levels must be a sequence, not {type(self.energy_levels).__name__}")
         levels = sorted(set(whole_number(v) for v in self.energy_levels))
         object.__setattr__(self, "energy_levels", tuple(levels))
         # lookup indexes, not fields: equality and serialization ignore them;
@@ -337,6 +352,23 @@ def procurement_capacity(pool: GenerationPool, mode: str) -> np.ndarray:
     if mode == "conservative":
         return pool.solar_lower + pool.grid_limit
     raise ValueError(f"unknown mode {mode!r}")
+
+
+_EXACT = 1 << 52  # below this every whole number is a float, one apart
+
+
+def room(load: float, cap: float) -> int:
+    """The largest whole ``v >= 0`` with ``load + v <= cap`` (float
+    addition), or 0. A room of ``2**52`` or more is ``floor(cap - load)``."""
+    v = math.floor(cap - load)
+    if v < _EXACT:
+        if load + v > cap:
+            while v > 0 and load + v > cap:
+                v -= 1
+        else:
+            while load + (v + 1) <= cap:
+                v += 1
+    return v if v > 0 else 0
 
 
 class DemandState:
@@ -460,10 +492,15 @@ def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
     if cached is not None:
         return cached
     out: list[Violation] = []
-    T = scenario.slot_count
-    if T < 1:
+    T = _index_or_none(scenario.slot_count)
+    if T is None:
+        out.append(Violation("time_grid.slot_count", "must be an integer"))
+    elif T < 1:
         out.append(Violation("time_grid.slot_count", "must be >= 1"))
-    if scenario.time_grid.slot_duration_minutes < 1:
+    minutes = _index_or_none(scenario.time_grid.slot_duration_minutes)
+    if minutes is None:
+        out.append(Violation("time_grid.slot_duration_minutes", "must be an integer"))
+    elif minutes < 1:
         out.append(Violation("time_grid.slot_duration_minutes", "must be >= 1"))
 
     pool_ids = set()
@@ -472,7 +509,7 @@ def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
         if pool.pool_id in pool_ids:
             out.append(Violation(path, "duplicate pool_id"))
         pool_ids.add(pool.pool_id)
-        shapes_ok = all(
+        shapes_ok = T is not None and all(
             _check_series(out, f"{path}.{name}", getattr(pool, name), T)
             for name in ("solar_actual", "solar_lower", "solar_upper", "grid_limit", "grid_price")
         )
@@ -495,9 +532,15 @@ def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
         if loc.location_id in loc_ids:
             out.append(Violation(path, "duplicate location_id"))
         loc_ids.add(loc.location_id)
-        if loc.evse_count < 1:
+        evse_count = _index_or_none(loc.evse_count)
+        if evse_count is None:
+            out.append(Violation(f"{path}.evse_count", "must be an integer"))
+        elif evse_count < 1:
             out.append(Violation(f"{path}.evse_count", "must be >= 1"))
-        if loc.cables_per_evse < 1:
+        cables = _index_or_none(loc.cables_per_evse)
+        if cables is None:
+            out.append(Violation(f"{path}.cables_per_evse", "must be an integer"))
+        elif cables < 1:
             out.append(Violation(f"{path}.cables_per_evse", "cables_per_evse must be >= 1"))
         if not math.isfinite(loc.max_charge_rate):
             out.append(Violation(f"{path}.max_charge_rate", "must be finite"))
@@ -584,7 +627,7 @@ def validate_scenario(
     whole set passed, so they are checked on every call.
     """
     out = list(_scenario_violations(scenario))
-    T = scenario.slot_count
+    T = _index_or_none(scenario.slot_count)  # None: the checks against the horizon are skipped
     levels_at = {
         lid: _levels_up_to(scenario.energy_levels, loc.max_charge_rate)
         for lid, loc in scenario._location_by_id.items()
@@ -598,19 +641,30 @@ def validate_scenario(
         if clean and options_by_user is None:
             continue
         preferred = user.preferred_locations
-        width = user.window_length
+        width = user.window_length if clean else None  # None: a slot field is no integer
         demand = integral_demand(user.energy_demand)
         if not clean:
             path = f"users[{user.user_id}]"
             found = len(out)
-            if not (1 <= user.submission_time <= T):
-                out.append(Violation(f"{path}.submission_time", f"must be in [1, {T}]"))
-            if user.submission_time > user.arrival:
-                out.append(Violation(f"{path}.submission_time", "must not exceed arrival"))
-            if user.arrival >= user.departure:
-                out.append(Violation(f"{path}.window", "arrival must precede departure"))
-            if not (1 <= user.arrival and user.departure <= T):
-                out.append(Violation(f"{path}.window", f"must lie within [1, {T}]"))
+            times = [_index_or_none(t) for t in (user.submission_time, user.arrival, user.departure)]
+            if None in times:
+                names = ("submission_time", "arrival", "departure")
+                out.extend(
+                    Violation(f"{path}.{name}", "must be an integer")
+                    for name, t in zip(names, times)
+                    if t is None
+                )
+            else:
+                submission, arrival, departure = times
+                width = departure - arrival + 1
+                if T is not None and not (1 <= submission <= T):
+                    out.append(Violation(f"{path}.submission_time", f"must be in [1, {T}]"))
+                if submission > arrival:
+                    out.append(Violation(f"{path}.submission_time", "must not exceed arrival"))
+                if arrival >= departure:
+                    out.append(Violation(f"{path}.window", "arrival must precede departure"))
+                if T is not None and not (1 <= arrival and departure <= T):
+                    out.append(Violation(f"{path}.window", f"must lie within [1, {T}]"))
             if not math.isfinite(user.energy_demand):
                 out.append(Violation(f"{path}.energy_demand", "must be finite"))
             elif user.energy_demand <= 0:
@@ -630,14 +684,14 @@ def validate_scenario(
             known = [lid for lid in preferred if lid in levels_at]
             if len(known) != len(preferred):
                 out.append(Violation(f"{path}.preferred_locations", "references unknown location"))
-            if demand is not None and demand > 0 and width > 0 and known and all(
+            if demand is not None and demand > 0 and (width or 0) > 0 and known and all(
                 demand not in schedule_totals(levels_at[lid], width, demand)[width]
                 for lid in known
             ):
                 out.append(
                     Violation(f"{path}.energy_demand", "exceeds window capacity at every preferred location")
                 )
-            if user.explicit_schedules is not None and not any(
+            if width is not None and user.explicit_schedules is not None and not any(
                 _fits(sched, levels_at[lid], width, demand)
                 for sched in user.explicit_schedules
                 for lid in known
@@ -648,7 +702,8 @@ def validate_scenario(
         if options_by_user is not None:
             if user.user_id not in options_by_user:
                 out.append(Violation(f"options[{user.user_id}]", "missing (pin [] for no options)"))
-            for i, option in enumerate(options_by_user.get(user.user_id, ())):
+            pinned = options_by_user.get(user.user_id, ()) if width is not None else ()
+            for i, option in enumerate(pinned):
                 mark = getattr(option, "_clean_for", None)
                 if mark is not None and mark[0] is scenario and mark[1] is user:
                     continue

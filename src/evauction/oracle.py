@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
-from .engine import AuctionOutcome, _room, build_outcome, first_fit, run_in_order, submission_order
+from .engine import AuctionOutcome, build_outcome, first_fit, run_in_order, submission_order
 from .model import (
     AllocationResult,
     ChargeOption,
@@ -37,6 +37,7 @@ from .model import (
     UserType,
     procurement_capacity,
     raise_if_invalid,
+    room,
     validate_scenario,
 )
 from .options import generate_options
@@ -97,7 +98,7 @@ def solve_offline_exact(
     branch; a leaf replaces the incumbent only when strictly better. A
     user without options gets a reject row and is not walked.
 
-    Rooms are whole numbers (``engine._room`` at zero load, less what is
+    Rooms are whole numbers (``model.room`` at zero load, less what is
     placed) and option energies whole levels, so ``e <= room`` holds iff
     ``load + e <= cap``. Each EVSE's cable and energy rooms are one int of
     2·T fields, each pool's room one int of T fields. A field is ``W``
@@ -173,10 +174,10 @@ def solve_offline_exact(
 
     # rooms at zero load; one field width fits every room and every use (a
     # validated option's energies are at most its location's energy room)
-    cable_room = [_room(0.0, float(loc.cables_per_evse)) for loc in locations]
-    energy_room = [_room(0.0, float(loc.max_charge_rate)) for loc in locations]
+    cable_room = [room(0.0, float(loc.cables_per_evse)) for loc in locations]
+    energy_room = [room(0.0, float(loc.max_charge_rate)) for loc in locations]
     pool_fields = [
-        [_room(0.0, cap) for cap in procurement_capacity(pool, "exact").tolist()] for pool in pools
+        [room(0.0, cap) for cap in procurement_capacity(pool, "exact").tolist()] for pool in pools
     ]
     top = max([1, *cable_room, *energy_room, *(r for rooms in pool_fields for r in rooms)])
     W = top.bit_length() + 1

@@ -221,7 +221,9 @@ def load_users(path) -> list[UserType]:
 # traces
 
 def _read_trace(path, want_band: bool):
-    rows = []
+    """``(value, band)`` per data row; with ``want_band``, the band is the
+    (lower, upper) columns, on every row or on none."""
+    rows, bare = [], None  # bare: the first data line without a band
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -235,9 +237,13 @@ def _read_trace(path, want_band: bool):
                 band = None
                 if want_band and len(row) >= 4:
                     band = (float(row[2]), float(row[3]))
+                elif want_band and bare is None:
+                    bare = lineno
                 rows.append((value, band))
             except (ValueError, IndexError) as exc:
                 raise ScenarioFormatError(f"{path}: line {lineno}: {exc}") from exc
+    if bare is not None and any(band for _, band in rows):
+        raise ScenarioFormatError(f"{path}: line {bare}: no forecast band, though other lines have one")
     return rows
 
 
@@ -272,7 +278,7 @@ def load_solar_trace(path, band_fraction: float, slot_count: int):
         raise ScenarioFormatError(f"{path}: negative generation")
     actual = _resample(values, slot_count, "sum")
     bands = [b for _, b in rows]
-    if all(b is not None for b in bands) and bands:
+    if bands and bands[0] is not None:
         lower = _resample([b[0] for b in bands], slot_count, "sum")
         upper = _resample([b[1] for b in bands], slot_count, "sum")
     else:
@@ -304,9 +310,9 @@ class UserPopulationSpec:
     visit can start; ``location_weights`` (every location 1 when None) is
     non-negative, a location it does not name weighs 0, and at least
     ``min(preferred_count, location count)`` locations weigh more than 0.
-    Weights need not sum to 1. ``count >= 0``, ``preferred_count >= 1``,
-    ``submission_lead_max >= 0`` and ``value_range`` is a finite (low,
-    high) with ``low <= high``.
+    Weights need not sum to 1. ``count >= 0``, ``seed >= 0``,
+    ``preferred_count >= 1``, ``submission_lead_max >= 0`` and
+    ``value_range`` is a finite (low, high) with ``low <= high``.
     """
 
     count: int
@@ -392,6 +398,8 @@ def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserTyp
     T = scenario.slot_count
     if spec.count < 0:
         raise ValueError(f"count must be at least 0, got {spec.count}")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {spec.seed}")
     for name in ("duration_weights", "demand_weights", "location_weights"):
         if not all(math.isfinite(w) for w in (getattr(spec, name) or {}).values()):
             raise ValueError(f"{name} must be finite")

@@ -139,6 +139,30 @@ def test_compare_s1(tmp_path, capsys):
     assert len(table) == 2
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_compare_writes_strict_json_when_online_welfare_is_zero(tmp_path):
+    """One s1 user valuing $0.01 is served offline but priced out online:
+    the ratio's infinite sentinel is written as null, and the summary is
+    JSON by RFC 8259 (no ``Infinity`` or ``NaN``)."""
+    scenario, users = _gen(tmp_path)
+    users.write_text(users.read_text().replace("1:2.0", "1:0.01"), encoding="utf-8")
+    out = tmp_path / "cmp"
+    argv = ["compare", "--scenario", str(scenario), "--users", str(users), "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
+    assert (summary["online_welfare"], summary["offline_welfare"]) == (0.0, 0.01)
+    assert summary["empirical_ratio"] is None
+
+
+def test_gen_scenario_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["gen-scenario", "--preset", "downtown9", "--seed", "-1", "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be at least 0, got -1"]
+    assert not (tmp_path / "g").exists()
+
+
 def test_compare_budget_exceeded(tmp_path):
     scenario, users = _gen(tmp_path)
     code = main(

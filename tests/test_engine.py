@@ -810,3 +810,19 @@ def test_heuristic_policy_end_to_end(s1):
     ]
     outcome = run_auction(scenario, users, scenario.bounds, option_policy="heuristic-2", seed=3)
     assert outcome.accepted_count >= 1
+
+
+@pytest.mark.parametrize("run", ["exhaustive", "heuristic-3", "baseline"])
+def test_negative_seed_fails_before_any_decision(downtown, monkeypatch, run):
+    """A negative seed is refused, naming ``seed``, under every policy and
+    by the baseline, before any user is decided (numpy refuses it only at
+    a heuristic's first draw)."""
+    scenario, users = downtown
+    decided = []
+    monkeypatch.setattr(AuctionState, "settle", lambda state, result: decided.append(result))
+    with pytest.raises(ValueError, match="seed"):
+        if run == "baseline":
+            no_mechanism_baseline(scenario, users, seed=-1, option_policy="heuristic-3")
+        else:
+            run_auction(scenario, users, scenario.bounds, option_policy=run, seed=-1)
+    assert decided == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -474,3 +475,51 @@ def test_scenario_lookups_by_id(s1):
     assert odd.drawn_pool_ids == (pool.pool_id, 7, None)
     paths = [v.path for v in ev.validate_scenario(odd)]
     assert paths == ["locations[2].pool_id", "locations[3].pool_id"]
+
+
+def _with(scenario, user, record, field, change):
+    """``scenario`` and ``user`` with ``field`` of one record set to
+    ``change(value)``, ``value`` being its current one."""
+    owner = {"time_grid": scenario.time_grid, "locations[1]": scenario.locations[0]}.get(record, user)
+    new = dataclasses.replace(owner, **{field: change(getattr(owner, field))})
+    if record == "time_grid":
+        return dataclasses.replace(scenario, time_grid=new), user
+    if record == "locations[1]":
+        return dataclasses.replace(scenario, locations=(new,)), user
+    return scenario, new
+
+
+SLOT_AND_COUNT_FIELDS = [
+    ("time_grid", "slot_count"),
+    ("time_grid", "slot_duration_minutes"),
+    ("locations[1]", "evse_count"),
+    ("locations[1]", "cables_per_evse"),
+    ("users[1]", "submission_time"),
+    ("users[1]", "arrival"),
+    ("users[1]", "departure"),
+]
+
+
+@pytest.mark.parametrize("record, field", SLOT_AND_COUNT_FIELDS)
+@pytest.mark.parametrize("change", [lambda v: 1.5, float], ids=["fraction", "whole-float"])
+def test_non_integer_slot_and_count_fields_flagged(s1, record, field, change):
+    """A slot or count field that ``operator.index`` refuses, a whole float
+    included, is reported at its path, and the checks that would use it are
+    skipped, so validation neither raises nor lets a run price it."""
+    scenario, (user,) = s1
+    options = {user.user_id: generate_options(user, scenario)}
+    scenario, user = _with(scenario, user, record, field, change)
+    assert [str(v) for v in ev.validate_scenario(scenario, [user])] == [
+        f"{record}.{field}: must be an integer"
+    ]
+    assert _paths(ev.validate_scenario(scenario, [user], options)) == [f"{record}.{field}"]
+    with pytest.raises(ev.ScenarioValidationError, match=re.escape(f"{record}.{field}")):
+        ev.run_auction(scenario, [user], scenario.bounds)
+
+
+def test_numpy_int_slot_and_count_fields_stay_valid(s1):
+    scenario, (user,) = s1
+    for record, field in SLOT_AND_COUNT_FIELDS:
+        scenario, user = _with(scenario, user, record, field, np.int64)
+    assert ev.validate_scenario(scenario, [user]) == []
+    assert ev.run_auction(scenario, [user], scenario.bounds).ledger == ev.run_auction(*s1, s1[0].bounds).ledger

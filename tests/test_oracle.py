@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import evauction as ev
 from evauction import oracle, pricing
-from evauction.engine import _room, submission_order
-from evauction.model import GenerationPool, Location, Scenario, TimeGrid, UserType, ValueBounds
+from evauction.engine import submission_order
+from evauction.model import GenerationPool, Location, Scenario, TimeGrid, UserType, ValueBounds, room
 from evauction.oracle import (
     OracleBudgetExceeded,
     exhaustive_options,
@@ -464,10 +464,10 @@ def test_whole_rooms_fit_like_the_loads(load, e, cap):
     """For whole ``load`` and ``e >= 1``: ``e`` fits the room iff it fits
     the cap, and placing it leaves the room less ``e``, so the exact
     search may compare and subtract whole rooms."""
-    room = _room(float(load), cap)
-    assert (e <= room) == (load + e <= cap)
-    if e <= room:
-        assert _room(float(load + e), cap) == room - e
+    whole = room(float(load), cap)
+    assert (e <= whole) == (load + e <= cap)
+    if e <= whole:
+        assert room(float(load + e), cap) == whole - e
 
 
 @settings(max_examples=300, deadline=None)

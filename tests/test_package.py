@@ -18,11 +18,6 @@ def test_all_names_exist(name):
     assert not missing, f"evauction.{name}.__all__ names missing attributes: {missing}"
 
 
-# The private names one module may import from another: the exact search
-# starts its rooms from the engine's room rule.
-PRIVATE_IMPORTS_ALLOWED = {"engine._room"}
-
-
 def _private_imports(path):
     """``module._name`` for each underscore name the module at ``path``
     imports from a sibling, by ``from .module import _name`` or as an
@@ -48,12 +43,11 @@ def _private_imports(path):
 
 
 def test_no_module_imports_another_modules_private_names():
-    """Each rule has one owner: a module reaches another's underscore name
-    only where ``PRIVATE_IMPORTS_ALLOWED`` lists it."""
+    """Each rule has one owner: no module reaches another's underscore name."""
     src = Path(evauction.__file__).parent
     found = {
         f"{path.stem}: {name}"
         for path in sorted(src.glob("*.py"))
-        for name in _private_imports(path) - PRIVATE_IMPORTS_ALLOWED
+        for name in _private_imports(path)
     }
     assert not found, f"private names imported across modules: {sorted(found)}"

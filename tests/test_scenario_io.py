@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -107,6 +108,16 @@ def test_solar_trace_rejects_negative(tmp_path):
         load_solar_trace(path, 0.1, 1)
 
 
+def test_solar_trace_refuses_a_partial_band(tmp_path):
+    """Band columns are on every row or on none: a trace where only some
+    rows have them is refused at the first data line without one, not read
+    with the symmetric band."""
+    text = "timestamp,value,lower,upper\nh0,100,95,130\n\nh1,50\nh2,60,55,70\nh3,40\n"
+    path = _write(tmp_path, "s.csv", text)
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{path}: line 4: no forecast band")):
+        load_solar_trace(path, 0.2, 4)
+
+
 def test_band_fraction_domain(tmp_path):
     path = _write(tmp_path, "s.csv", "timestamp,value\nh0,5\n")
     with pytest.raises(ValueError):
@@ -127,6 +138,29 @@ def test_users_round_trip(tmp_path, downtown):
     save_users(users[:50], path)
     again = load_users(path)
     assert again == users[:50]
+
+
+def test_numpy_demand_round_trips(tmp_path, s1):
+    """A numpy float demand is kept as a float, so ``users.txt`` holds a
+    number ``load_users`` reads back."""
+    _, (user,) = s1
+    numpy_user = dataclasses.replace(user, energy_demand=np.float64(1.0))
+    assert type(numpy_user.energy_demand) is float
+    path = tmp_path / "users.txt"
+    save_users([numpy_user], path)
+    assert load_users(path) == [user]
+
+
+@pytest.mark.parametrize("levels", ["013", {"0": 1}], ids=["string", "mapping"])
+def test_energy_levels_must_be_a_list(s1, levels):
+    """A string or an object is not a list of levels: the document is
+    refused, not read as its characters or keys."""
+    scenario, _ = s1
+    document = {**scenario_to_dict(scenario), "energy_levels": levels}
+    with pytest.raises(ScenarioFormatError, match="energy_levels"):
+        scenario_from_dict(document)
+    with pytest.raises(TypeError, match="energy_levels"):
+        dataclasses.replace(scenario, energy_levels=levels)
 
 
 def test_users_round_trip_with_schedules(tmp_path):
@@ -217,6 +251,7 @@ _ARRIVAL = downtown9_population(seed=1).arrival_weights
     "field, change",
     [
         ("count", {"count": -5}),
+        ("seed", {"seed": -1}),
         ("preferred_count", {"preferred_count": 0}),
         ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: 0.0}}),
         ("location_weights", {"location_weights": {1: 1.0, 2: 1.0, 3: 1.0, 4: -0.5}}),
@@ -233,7 +268,7 @@ _ARRIVAL = downtown9_population(seed=1).arrival_weights
         ("value_range", {"value_range": (math.nan, 7.5)}),
     ],
     ids=[
-        "negative-count", "preferred-count-0", "two-positive-locations", "negative-location",
+        "negative-count", "negative-seed", "preferred-count-0", "two-positive-locations", "negative-location",
         "nan-location", "inf-arrival", "nan-arrival", "no-arrival-window", "nan-duration",
         "inf-duration", "nan-demand", "inf-demand", "negative-lead", "inverted-range", "nan-range",
     ],
