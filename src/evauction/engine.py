@@ -28,6 +28,19 @@ each EVSE's cheapest slots (the best response over every schedule);
 ``first_fit`` takes its earliest fill from the same walk. Pinned options are
 quoted one by one on every EVSE with a free cable (``_quoted_options``).
 
+The walk, and the pinned options, go by location in rank order:
+valuation descending, then id. Each location's free cables, caps and
+payments are computed only once the walk reaches it, and the walk stops
+at the first location that cannot win. For ``admit`` that is a valuation
+below the best utility found, or equal to it at a higher id than the best
+tuple's: every posted price is positive, so a payment is ``>= 0`` and, in
+floats too, a tuple's utility never exceeds its location's valuation.
+Ties between locations go to the lower id by an explicit comparison. For
+``first_fit`` it is a valuation below the first one at which some EVSE has
+a schedule. Heuristic draws keep the order of generating every location in
+ascending id (``located_schedules``), so decisions are those of walking
+every location.
+
 Listed schedules and pinned options price through one payment loop,
 ``_quoted``: it sums each schedule's procurement part once and keeps the
 schedules within the pool's room, then, EVSE by EVSE, adds the cable part
@@ -247,13 +260,25 @@ def _free_cables(state: AuctionState, location_id: int, w0: int, w1: int) -> lis
 def admit(
     state: AuctionState, user: UserType, options: Optional[Sequence[ChargeOption]]
 ) -> AllocationResult:
-    """Decide one user: quote all tuples, pick the utility argmax, settle.
+    """Decide one user: quote the tuples that can win, pick the utility
+    argmax, settle.
 
     Utility is the valuation at the location minus the quoted payment;
     zero utility (or no feasible tuple) means rejection. Ties break toward
     the lowest location id, then the lowest EVSE index, then the
     lexicographically smallest energy schedule, whatever order the options
     arrive in.
+
+    Locations are walked in rank order, valuation descending, then id, and
+    the walk stops at the first location that cannot win (``may_win``): a
+    valuation below the best utility so far, or equal to it at a higher id
+    than the best tuple's. This is exact: every posted price is positive
+    (``inf`` only where nothing fits), so a tuple's payment is ``>= 0`` and
+    its float utility never exceeds its location's valuation. Candidates
+    arrive by rank, not by id, so a tie between two locations goes to the
+    lower id by an explicit comparison; within a location, EVSE then
+    schedule order and the strict ``>`` keep the first. A rejected user has
+    no best tuple, so the walk covers every preferred location.
 
     ``options`` is a pinned option set, each option spanning the stay,
     quoted on every EVSE with a free cable (``_quoted_options``): a
@@ -263,14 +288,20 @@ def admit(
     stands for (``_placed``). Only the admitted tuple becomes a
     ``ChargeOption``.
     """
-    candidates = _placed(state, user) if options is None else _quoted_options(state, user, options)
-
     best_utility = 0.0
     best = None
+
+    def may_win(value, lid):
+        return best is None or value > best_utility or (value == best_utility and lid < best[1])
+
+    if options is None:
+        candidates = _placed(state, user, may_win)
+    else:
+        candidates = _quoted_options(state, user, options, may_win)
     for candidate in candidates:
-        _, _, _, cable, energy, generation, value = candidate
+        _, lid, _, cable, energy, generation, value = candidate
         utility = value - (cable + energy + generation)
-        if utility > best_utility:
+        if utility > best_utility or (utility == best_utility and best is not None and lid < best[1]):
             best_utility = utility
             best = candidate
 
@@ -290,16 +321,27 @@ def admit(
     )
 
 
-def _quoted_options(state, user, options):
+def _ranked(user):
+    """The user's ``(valuation, location id)`` pairs in rank order:
+    valuation descending, then id."""
+    return sorted(zip(user.valuations, user.preferred_locations), key=lambda p: (-p[0], p[1]))
+
+
+def _quoted_options(state, user, options, may_win):
     """Every feasible (EVSE, location, schedule) tuple of pinned options
-    with its payment parts and the valuation, by location, then EVSE, then
-    schedule. Only EVSEs with a free cable are quoted; no other pair is
-    feasible."""
+    with its payment parts and the valuation, by location in rank order
+    (``_ranked``) up to the first for which ``may_win(valuation, id)`` is
+    false, then by EVSE, then schedule. Only EVSEs with a free cable are
+    quoted; no other pair is feasible."""
     w0, w1 = user.arrival - 1, user.departure
     by_loc: dict[int, list[tuple[int, ...]]] = {}
     for opt in options:
         by_loc.setdefault(opt.location_id, []).append(opt.schedule)
-    for lid in sorted(by_loc):
+    for value, lid in _ranked(user):
+        if lid not in by_loc:
+            continue
+        if not may_win(value, lid):
+            return
         free = _free_cables(state, lid, w0, w1)
         loc = state.scenario.location(lid)
         yield from _quoted(state, user, loc, free, sorted(by_loc[lid]))
@@ -349,10 +391,11 @@ def _quoted(state, user, loc, evses, schedules):
                 yield m, lid, schedule, cable, energy, generation, value
 
 
-def _placed(state, user):
+def _placed(state, user, may_win):
     """The feasible tuples of the user's schedules under the run's policy,
     in the form and order of ``_quoted_options`` over the options they
-    stand for: listed schedules are quoted on the listed EVSEs.
+    stand for, the walk stopped by ``may_win`` as there: listed schedules
+    are quoted on the listed EVSEs.
 
     Where ``located_schedules`` lists no schedules, every schedule within
     an EVSE's caps is feasible. With prices linear per kWh, filling slots
@@ -363,7 +406,7 @@ def _placed(state, user):
     """
     w0, w1 = user.arrival - 1, user.departure
     demand = integral_demand(user.energy_demand)
-    for loc, evses, schedules in located_schedules(state, user):
+    for loc, evses, schedules in located_schedules(state, user, may_win):
         if schedules is not None:
             yield from _quoted(state, user, loc, [m for m, _ in evses], schedules)
             continue
@@ -422,10 +465,15 @@ def _earliest_fill(state, user, value) -> AllocationResult:
     ``located_schedules`` lists, its lexicographically largest feasible
     schedule, the earliest fill within its caps or else the largest listed
     schedule within them; the best by ``first_fit``'s key wins, ties to
-    the first EVSE walked."""
+    the first EVSE walked. The key ranks valuation first, so the walk stops
+    after the first valuation at which some EVSE has a schedule."""
     demand = integral_demand(user.energy_demand)
     best_key = best = None
-    for loc, evses, schedules in located_schedules(state, user):
+
+    def may_win(valuation, _lid):
+        return best_key is None or -valuation == best_key[0]
+
+    for loc, evses, schedules in located_schedules(state, user, may_win):
         lid = loc.location_id
         for m, caps in evses:
             if schedules is None:
@@ -445,39 +493,58 @@ def _earliest_fill(state, user, value) -> AllocationResult:
     return AllocationResult(user.user_id, option, m, valuation=value[option.location_id])
 
 
-def located_schedules(state: AuctionState, user: UserType):
+def located_schedules(state: AuctionState, user: UserType, may_win):
     """Where the user's schedules under the run's policy can land at the
     posted state: the one walk behind every decision without pinned
     options. A user's explicit schedules never reach it; they are pinned
     (``run_in_order``).
 
-    Yields ``(loc, evses, schedules)``, ascending, for each preferred
-    location with an EVSE listed in ``evses``. ``evses`` lists ``(m,
-    caps)`` for each EVSE with a free cable on every slot of the stay whose
-    caps reach the demand: ``caps[w] = min(top level, evse_room,
+    The walk visits the preferred locations in rank order (``_ranked``:
+    valuation descending, then id) and ends at the first one for which
+    ``may_win(valuation, id)`` is false; the caller's rule says when a
+    location can no longer win (``admit``, ``_earliest_fill``), and
+    nothing past it is computed. Yields ``(loc, evses, schedules)`` for
+    each location reached with an EVSE listed in ``evses``. ``evses`` lists
+    ``(m, caps)`` for each EVSE with a free cable on every slot of the stay
+    whose caps reach the demand: ``caps[w] = min(top level, evse_room,
     pool_room)`` (``AuctionState``), the largest whole ``v`` up to the top
-    level that ``_quoted`` finds feasible, so an allowed level fits
-    a slot iff it is within the slot's cap.
+    level that ``_quoted`` finds feasible, so an allowed level fits a slot
+    iff it is within the slot's cap.
 
     ``schedules`` is None where the exhaustive policy meets contiguous
     levels (``0..top``): every schedule within the caps is feasible there.
     Elsewhere it is ``options.location_schedules`` under the run's policy,
     with one rng ``default_rng([seed, user_id])`` built at its first draw
-    and, in a priced heuristic run, the ``_price_snapshot`` slot prices. It
-    is also generated at the locations without a listed EVSE before the
-    last one yielded, so a heuristic keeps at each location the draws it
-    makes when all are generated.
+    and, in a priced heuristic run, the ``_price_snapshot`` slot prices.
+    Heuristic draws keep the order of generating every location in
+    ascending id: a location's schedules are generated only after those of
+    each feasible preferred location with a lower id, so each sees the rng
+    state it would see then, and a location never reached draws nothing
+    that a reached one uses.
     """
     scenario = state.scenario
     w0, w1 = user.arrival - 1, user.departure
     width = w1 - w0
     demand = integral_demand(user.energy_demand)
-    located = []
-    for lid in sorted(user.preferred_locations):
-        levels = allowed_levels(scenario, lid)
-        if demand not in schedule_totals(levels, width, demand)[width]:
+
+    def feasible(lid):
+        return demand in schedule_totals(allowed_levels(scenario, lid), width, demand)[width]
+
+    def generated(lid):
+        slot_prices = None
+        if state.budget is not None and state.bounds is not None:
+            slot_prices = _price_snapshot(state, scenario.location(lid), w0, w1)
+        return location_schedules(user, scenario, lid, state.budget, slot_prices, rng)
+
+    rng = undrawn = None
+    drawn = {}
+    for value, lid in _ranked(user):
+        if not may_win(value, lid):
+            return
+        if not feasible(lid):
             continue
         loc = scenario.location(lid)
+        levels = allowed_levels(scenario, lid)
         top = levels[-1]
         pool_caps = [r if r < top else top for r in state.pool_room[loc.pool_id][w0:w1]]
         evses = []
@@ -486,22 +553,20 @@ def located_schedules(state: AuctionState, user: UserType):
             caps = [r if r < p else p for r, p in zip(rooms[m][w0:w1], pool_caps)]
             if sum(caps) >= demand:
                 evses.append((m, caps))
-        located.append((loc, levels, evses))
-
-    last = max((i for i, (_, _, evses) in enumerate(located) if evses), default=-1)
-    rng = None
-    for loc, levels, evses in located[: last + 1]:
-        schedules = slot_prices = None
-        if state.budget is not None or levels != tuple(range(len(levels))):
-            if rng is None:
+        if not evses:
+            continue
+        schedules = None
+        if state.budget is not None:
+            if undrawn is None:
                 rng = functools.cache(lambda: np.random.default_rng([state.seed, user.user_id]))
-            if state.budget is not None and state.bounds is not None:
-                slot_prices = _price_snapshot(state, loc, w0, w1)
-            schedules = location_schedules(
-                user, scenario, loc.location_id, state.budget, slot_prices, rng
-            )
-        if evses:
-            yield loc, evses, schedules
+                undrawn = iter(sorted(filter(feasible, user.preferred_locations)))
+            while lid not in drawn:
+                k = next(undrawn)
+                drawn[k] = generated(k)
+            schedules = drawn[lid]
+        elif levels != tuple(range(len(levels))):
+            schedules = generated(lid)  # enumeration draws nothing
+        yield loc, evses, schedules
 
 
 def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tuple[int, ...]:

@@ -360,6 +360,8 @@ _EXACT = 1 << 52  # below this every whole number is a float, one apart
 def room(load: float, cap: float) -> int:
     """The largest whole ``v >= 0`` with ``load + v <= cap`` (float
     addition), or 0. A room of ``2**52`` or more is ``floor(cap - load)``."""
+    if load > cap:  # no v >= 0 fits; the search below would never end
+        return 0
     v = math.floor(cap - load)
     if v < _EXACT:
         if load + v > cap:
@@ -368,7 +370,7 @@ def room(load: float, cap: float) -> int:
         else:
             while load + (v + 1) <= cap:
                 v += 1
-    return v if v > 0 else 0
+    return v
 
 
 class DemandState:

@@ -222,7 +222,8 @@ def load_users(path) -> list[UserType]:
 
 def _read_trace(path, want_band: bool):
     """``(value, band)`` per data row; with ``want_band``, the band is the
-    (lower, upper) columns, on every row or on none."""
+    (lower, upper) columns, on every row or on none, and a row with one of
+    them only is refused."""
     rows, bare = [], None  # bare: the first data line without a band
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -235,6 +236,8 @@ def _read_trace(path, want_band: bool):
             try:
                 value = float(row[1])
                 band = None
+                if want_band and len(row) == 3:
+                    raise ValueError("a forecast band needs both lower and upper columns")
                 if want_band and len(row) >= 4:
                     band = (float(row[2]), float(row[3]))
                 elif want_band and bare is None:

@@ -16,9 +16,10 @@ from evauction.engine import (
     first_fit,
     run_auction,
     run_in_order,
+    submission_order,
 )
 from evauction.model import AllocationResult, procurement_capacity
-from evauction.options import generate_options, location_schedules
+from evauction.options import generate_options, location_schedules, parse_policy
 from evauction.oracle import (
     exhaustive_options,
     no_mechanism_baseline,
@@ -49,7 +50,8 @@ def _quotes(state, option):
     """``_quoted_options``'s tuples for one pinned option, as ``{evse:
     (cable, energy, generation)}``: an EVSE left out is infeasible."""
     user = _user(arrival=option.start, departure=option.start + len(option.schedule) - 1)
-    return {m: (c, e, g) for m, _, _, c, e, g, _ in _quoted_options(state, user, [option])}
+    tuples = _quoted_options(state, user, [option], lambda value, lid: True)
+    return {m: (c, e, g) for m, _, _, c, e, g, _ in tuples}
 
 
 def _expected_quote(state, option, m):
@@ -275,6 +277,134 @@ def test_admit_tie_break_ignores_option_order(s1):
     best_response = run_auction(scenario, [user], scenario.bounds)
     assert forward.ledger == reverse.ledger == best_response.ledger
     assert forward.ledger[0].option.schedule == (0, 1)
+
+
+def _two_locations(s1, pools):
+    """s1 with a second location alike but for its id, rate 2 at both,
+    on pool 1 (``pools=1``) or on a copy of it (``pools=2``)."""
+    scenario, _ = s1
+    first = dataclasses.replace(scenario.locations[0], max_charge_rate=2.0)
+    copies = tuple(dataclasses.replace(scenario.pools[0], pool_id=p) for p in range(1, pools + 1))
+    second = dataclasses.replace(first, location_id=2, pool_id=pools)
+    return dataclasses.replace(scenario, locations=(first, second), pools=copies)
+
+
+def _decide(sc, user, source, state=None):
+    """``admit`` on a user of ``sc`` under ``source``: a policy name, or
+    ``"pinned"`` for the user's exhaustive options, the last location's
+    listed first."""
+    policy = "exhaustive" if source == "pinned" else source
+    state = state or AuctionState(sc, sc.bounds, "exact", policy)
+    options = None
+    if source == "pinned":
+        options = sorted(generate_options(user, sc), key=lambda o: -o.location_id)
+    return admit(state, user, options)
+
+
+@pytest.mark.parametrize("source", ["exhaustive", "heuristic-3", "pinned"])
+def test_equal_valuations_tie_to_the_lower_location_id(s1, source):
+    sc = _two_locations(s1, pools=1)
+    user = ev.UserType(1, 1, 1, 2, 1.0, preferred_locations=(2, 1), valuations=(2.0, 2.0))
+    result = _decide(sc, user, source)
+    assert result.accepted and result.location_id == 1
+
+
+@pytest.mark.parametrize("source", ["exhaustive", "heuristic-3", "pinned"])
+def test_a_lower_valued_location_ties_at_its_valuation(s1, source):
+    """Location 2 is valued one more than location 1, and its payment
+    (about 0.9) brings its best utility down to location 1's valuation,
+    which location 1's payment (0.275) is too small to move at this
+    magnitude. The walk reaches location 2 first, must not stop at
+    location 1 (valued at the best utility, but with a lower id), and
+    must give the tie to it."""
+    sc = _two_locations(s1, pools=2)
+    state = AuctionState(sc, sc.bounds, "exact", "exhaustive" if source == "pinned" else source)
+    state.demand.cable[2][0, :2] = 1.0
+    state.demand.energy[2][0, :2] = 1.0
+    state.demand.procurement[2][:2] = 1.0
+    state.refresh(2, 0, 0, 4, range(4))
+    low = 2.0**53 - 1
+    user = ev.UserType(1, 1, 1, 2, 1.0, preferred_locations=(1, 2), valuations=(low, low + 1))
+    for lid, value in zip(user.preferred_locations, user.valuations):
+        quotes = [_expected_quote(state, ev.ChargeOption(lid, 1, s), 0) for s in [(0, 1), (1, 0)]]
+        assert max(value - sum(q) for q in quotes) == low
+    result = _decide(sc, user, source, state)
+    assert result.accepted and result.location_id == 1 and result.utility == low
+
+
+def _brute_force(rule, state, user, options):
+    """What ``rule`` should take from ``options``, by brute force over
+    every (location, EVSE, schedule) tuple, with payments and feasibility
+    from ``_expected_quote``. For ``admit``, the utility argmax, ties to
+    the lowest location id, then EVSE index, then the smallest schedule;
+    for ``first_fit``, the first feasible tuple by valuation (highest
+    first), then the largest schedule, then location id and EVSE index.
+    As ``(location, EVSE, schedule, parts)``; None when nothing is taken
+    (no feasible tuple, or none with positive utility)."""
+    best_key = best = None
+    for opt in options:
+        lid, schedule = opt.location_id, opt.schedule
+        value = user.valuation_at(lid)
+        for m in range(state.scenario.location(lid).evse_count):
+            parts = _expected_quote(state, opt, m)
+            if parts is None:
+                continue
+            utility = value - (parts[0] + parts[1] + parts[2])
+            if rule is admit:
+                key = (-utility, lid, m, schedule)
+            else:
+                key, parts = (-value, tuple(-e for e in schedule), lid, m), (0.0, 0.0, 0.0)
+            if (rule is first_fit or utility > 0) and (best_key is None or key < best_key):
+                best_key, best = key, (lid, m, schedule, parts)
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    levels=st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3)]),
+    policy=st.sampled_from(["exhaustive", "heuristic-3"]),
+    pinned=st.booleans(),
+    rule=st.sampled_from([admit, first_fit]),
+)
+def test_rules_are_the_brute_force_choice(seed, levels, policy, pinned, rule):
+    """``admit`` and ``first_fit`` take the tuple a brute force over every
+    (location, EVSE, schedule) tuple takes (``_brute_force``), with the same
+    payment parts, from best-response fills (exhaustive, contiguous
+    levels), listed schedules (heuristic-3, or the gap of (0, 1, 3)) and
+    pinned options. The three locations are alike but for their ids, and
+    valuations are 1, 2 or 3, so equal valuations, and equal utilities
+    across locations, are common. Both rules run on a priced state, whose
+    prices ``first_fit`` does not read."""
+    scenario, users, mode = random_instance(seed, max_users=40, levels=levels)
+    first = scenario.locations[0]
+    locations = tuple(dataclasses.replace(first, location_id=lid) for lid in (1, 2, 3))
+    sc = dataclasses.replace(scenario, locations=locations)
+    rng = np.random.default_rng([seed, 2])
+    users = [
+        dataclasses.replace(
+            u, valuations=tuple(float(v) for v in rng.integers(1, 4, len(u.valuations)))
+        )
+        for u in users
+    ]
+    state = AuctionState(sc, sc.bounds, mode, policy, seed)
+    budget = parse_policy(policy)[1]
+    for user in submission_order(users):
+        w0, w1 = user.arrival - 1, user.departure
+        if pinned or budget is None:
+            options = generate_options(user, sc)
+            rng.shuffle(options)
+        else:
+            slot_prices = {lid: _price_snapshot(state, sc.location(lid), w0, w1) for lid in (1, 2, 3)}
+            draws = np.random.default_rng([seed, user.user_id])
+            options = _heuristic_options(user, sc, budget, draws, slot_prices)
+        expected = _brute_force(rule, state, user, options)
+        result = rule(state, user, options if pinned else None)
+        if expected is None:
+            assert not result.accepted
+        else:
+            parts = (result.cable_paid, result.energy_paid, result.generation_paid)
+            assert (result.location_id, result.evse_index, result.option.schedule, parts) == expected
 
 
 def test_run_auction_empty(s1):

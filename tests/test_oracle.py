@@ -455,6 +455,8 @@ _CAPS = [2.3, 7.2, 0.0, -1.0, -2.5, 2.0**20 + 0.5, 2.0**21, 3.0 * 2**22 + 0.75]
 
 
 @settings(max_examples=300, deadline=None)
+@example(load=10**300, e=1, cap=0.0)
+@example(load=10**300, e=1, cap=1e299)
 @given(
     load=st.integers(0, 2**23),
     e=st.integers(1, 2**23),
@@ -463,7 +465,9 @@ _CAPS = [2.3, 7.2, 0.0, -1.0, -2.5, 2.0**20 + 0.5, 2.0**21, 3.0 * 2**22 + 0.75]
 def test_whole_rooms_fit_like_the_loads(load, e, cap):
     """For whole ``load`` and ``e >= 1``: ``e`` fits the room iff it fits
     the cap, and placing it leaves the room less ``e``, so the exact
-    search may compare and subtract whole rooms."""
+    search may compare and subtract whole rooms. A load far above its cap
+    has room 0 (the examples: ``floor(cap - load)`` is then a huge
+    negative number, from which a step search never returns)."""
     whole = room(float(load), cap)
     assert (e <= whole) == (load + e <= cap)
     if e <= whole:

@@ -118,6 +118,15 @@ def test_solar_trace_refuses_a_partial_band(tmp_path):
         load_solar_trace(path, 0.2, 4)
 
 
+def test_solar_trace_refuses_a_one_column_band(tmp_path):
+    """A row with a lower column but no upper is refused at its line, not
+    read with the symmetric band and its lower values dropped."""
+    path = _write(tmp_path, "s.csv", "timestamp,value,lower\nh0,100,95\nh1,50,40\n")
+    message = f"{path}: line 2: a forecast band needs both lower and upper columns"
+    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+        load_solar_trace(path, 0.2, 2)
+
+
 def test_band_fraction_domain(tmp_path):
     path = _write(tmp_path, "s.csv", "timestamp,value\nh0,5\n")
     with pytest.raises(ValueError):
