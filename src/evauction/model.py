@@ -511,10 +511,11 @@ def _scenario_violations(scenario: Scenario) -> tuple[Violation, ...]:
         if pool.pool_id in pool_ids:
             out.append(Violation(path, "duplicate pool_id"))
         pool_ids.add(pool.pool_id)
-        shapes_ok = T is not None and all(
+        # a list, not a generator: every series is checked and reported
+        shapes_ok = T is not None and all([
             _check_series(out, f"{path}.{name}", getattr(pool, name), T)
             for name in ("solar_actual", "solar_lower", "solar_upper", "grid_limit", "grid_price")
-        )
+        ])
         if not shapes_ok:
             continue
         if (pool.solar_lower < 0).any():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evauction as ev
-from evauction import pricing
+from evauction import engine, pricing
 from evauction.engine import (
     AuctionState,
     _price_snapshot,
@@ -18,7 +18,7 @@ from evauction.engine import (
     run_in_order,
     submission_order,
 )
-from evauction.model import AllocationResult, procurement_capacity
+from evauction.model import AllocationResult, allowed_levels, procurement_capacity
 from evauction.options import generate_options, location_schedules, parse_policy
 from evauction.oracle import (
     exhaustive_options,
@@ -956,3 +956,149 @@ def test_negative_seed_fails_before_any_decision(downtown, monkeypatch, run):
         else:
             run_auction(scenario, users, scenario.bounds, option_policy=run, seed=-1)
     assert decided == []
+
+
+def _run_with_memo(scenario, users, bounds, mode, policy, seed, rule, memo=True):
+    """``run_in_order`` with ``rule``; with ``memo=False`` the rule first
+    empties ``state.no_room``, so every location is walked as if nothing
+    had been found without room. The outcome and the run's state."""
+    states = []
+
+    def ruled(state, user, options):
+        states[:] = [state]
+        if not memo:
+            state.no_room.clear()
+        return rule(state, user, options)
+
+    outcome = run_in_order(scenario, users, bounds, mode, policy, seed, None, ruled)
+    return outcome, states[0]
+
+
+def _exact_record(outcome):
+    """A run's ledger with its payment parts, and its totals, floats as
+    ``float.hex``."""
+    rows = [
+        (r, r.cable_paid.hex(), r.energy_paid.hex(), r.generation_paid.hex())
+        for r in outcome.ledger
+    ]
+    totals = [outcome.welfare, outcome.revenue, outcome.operational_cost, outcome.user_surplus]
+    stats = [
+        (s.evs_served, s.valuation_sum.hex(), s.revenue.hex(), s.welfare.hex())
+        for s in outcome.per_location
+    ]
+    return rows, [t.hex() for t in totals], stats
+
+
+def _memo_still_holds(state):
+    """Every ``no_room`` entry recomputed from the posted tables: at the
+    location and stay, no EVSE with a free cable on every slot has caps
+    ``min(top level, evse_room, pool_room)`` that reach the recorded
+    demand. True when all hold."""
+    sc = state.scenario
+    for (lid, w0, w1), demand in state.no_room.items():
+        top = allowed_levels(sc, lid)[-1]
+        pool_room = state.pool_room[sc.location(lid).pool_id][w0:w1]
+        for m, free in enumerate(state.cable_free[lid]):
+            if all(free[w0:w1]):
+                rooms = state.evse_room[lid][m][w0:w1]
+                if sum(min(top, r, p) for r, p in zip(rooms, pool_room)) >= demand:
+                    return False
+    return True
+
+
+def _assert_memo_is_exact(scenario, users, bounds, mode, policy, seed, rule):
+    """The run equals the run with the memo emptied before every user, bit
+    for bit, and its memo still holds at the end. The memo's size."""
+    kept, state = _run_with_memo(scenario, users, bounds, mode, policy, seed, rule)
+    emptied, _ = _run_with_memo(scenario, users, bounds, mode, policy, seed, rule, memo=False)
+    assert _exact_record(kept) == _exact_record(emptied)
+    assert _memo_still_holds(state)
+    return len(state.no_room)
+
+
+@pytest.mark.parametrize(
+    "mode, policy, rule",
+    [
+        ("exact", "exhaustive", admit),
+        ("conservative", "exhaustive", admit),
+        ("exact", "heuristic-3", admit),
+        ("conservative", "heuristic-3", admit),
+        ("exact", "exhaustive", first_fit),
+        ("exact", "heuristic-3", first_fit),
+    ],
+)
+def test_no_room_memo_is_exact_on_downtown9(downtown, mode, policy, rule):
+    """On downtown9 seed 42 (1,000 users), where every rejection is for
+    lack of room, skipping the (location, stay) pairs found without room
+    for a demand as large changes no decision, payment part or total: the
+    online run under either policy in either mode, and the baseline."""
+    scenario, users = downtown
+    bounds = scenario.bounds if rule is admit else None
+    assert _assert_memo_is_exact(scenario, users, bounds, mode, policy, 42, rule) > 0
+
+
+@pytest.mark.parametrize("levels", [(0, 1), (0, 1, 3)])
+def test_no_room_memo_is_exact_on_random_instances(levels):
+    """The same on ``random_instance`` 0-59: the online run under either
+    policy and the baseline. The levels (0, 1, 3) have a gap, so their
+    rate-3 locations list schedules."""
+    remembered = 0
+    for seed in range(60):
+        scenario, users, mode = random_instance(seed, max_users=60, levels=levels)
+        for policy in ("exhaustive", "heuristic-3"):
+            remembered += _assert_memo_is_exact(
+                scenario, users, scenario.bounds, mode, policy, seed, admit
+            )
+        remembered += _assert_memo_is_exact(
+            scenario, users, None, "exact", "exhaustive", seed, first_fit
+        )
+    assert remembered > 0
+
+
+def _count_scans(monkeypatch):
+    """Count ``engine._free_cables`` calls, as ``(user id, location id)``
+    pairs in ``scans`` when the decided user is noted in ``current``."""
+    scans, current = [], []
+    free_cables = engine._free_cables
+
+    def counted(state, lid, w0, w1):
+        scans.append((current[0] if current else None, lid))
+        return free_cables(state, lid, w0, w1)
+
+    monkeypatch.setattr(engine, "_free_cables", counted)
+    return scans, current
+
+
+def test_no_room_memo_scans_fewer_free_cables(downtown, monkeypatch):
+    """On downtown9 seed 42 (1,000 users, exhaustive) the memo saves
+    free-cable scans."""
+    scenario, users = downtown
+    scans, _ = _count_scans(monkeypatch)
+    counts = []
+    for memo in (True, False):
+        scans.clear()
+        _run_with_memo(scenario, users, scenario.bounds, "exact", "exhaustive", 42, admit, memo)
+        counts.append(len(scans))
+    assert counts[0] < counts[1]
+
+
+def test_stay_without_room_is_skipped_for_a_demand_as_large(s1, monkeypatch):
+    """s1 has one EVSE of two cables at rate 1. User 1 takes one slot of
+    slots 1-2; user 2 then finds no room for 2 kWh there (one slot has
+    room). User 3, with the same stay and demand, is not scanned there;
+    user 4, with the same stay and 1 kWh, is scanned and admitted."""
+    scenario, _ = s1
+    demands = (1.0, 2.0, 2.0, 1.0)
+    users = [_user(uid, 1, 2, demand, 3.0) for uid, demand in enumerate(demands, 1)]
+    scans, current = _count_scans(monkeypatch)
+
+    def rule(state, user, options):
+        current[:] = [user.user_id]
+        return admit(state, user, options)
+
+    outcome, state = _run_with_memo(
+        scenario, users, scenario.bounds, "exact", "exhaustive", 0, rule
+    )
+    assert [r.accepted for r in outcome.ledger] == [True, False, False, True]
+    assert scans == [(1, 1), (2, 1), (4, 1)]
+    assert state.no_room == {(1, 0, 2): 2}

@@ -53,6 +53,25 @@ def test_inverted_band_flagged(s1):
     assert any("solar_lower" in v.path for v in ev.validate_scenario(bad))
 
 
+def test_every_bad_pool_series_is_reported(s1):
+    """One entry per bad series, not only the first; the checks across
+    series are skipped once any series is bad."""
+    scenario, _ = s1
+    pool = scenario.pools[0]
+    bad_pool = dataclasses.replace(
+        pool,
+        solar_lower=[math.nan] * 4,
+        solar_upper=[math.nan] * 4,
+        grid_price=list(pool.grid_price) + [0.1],
+    )
+    bad = dataclasses.replace(scenario, pools=(bad_pool,))
+    assert [(v.path, v.message) for v in ev.validate_scenario(bad)] == [
+        ("pools[1].solar_lower", "series contains non-finite values"),
+        ("pools[1].solar_upper", "series contains non-finite values"),
+        ("pools[1].grid_price", "series must have length 4, got (5,)"),
+    ]
+
+
 def test_generation_floor_vs_grid_price_flagged(s1):
     scenario, _ = s1
     bad_bounds = dataclasses.replace(
