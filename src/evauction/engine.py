@@ -131,7 +131,8 @@ class LocationStats:
 class AuctionOutcome:
     """Everything a run produces (the online mechanism, the no-mechanism
     baseline or the exact oracle): the append-only ledger, aggregate
-    accounting, per-location statistics, and the final demand state, whose
+    accounting, per-location statistics, and the final loads, a
+    ``DemandState`` that ``build_outcome`` builds from the ledger, whose
     ``mode`` is the run's pricing mode (``exact`` for the baseline and the
     exact oracle). The inputs of the run (option policy, seed) are not
     repeated here."""
@@ -150,13 +151,22 @@ class AuctionOutcome:
 
 
 class AuctionState:
-    """Mutable state of one run: demand, ledger and the price scale, the
-    run's option policy (``budget`` is K under heuristic-K, None under
-    exhaustive) and seed (a negative one raises ``ValueError``, whatever
-    the policy), and the posted state every quote reads.
+    """Mutable state of one run: the loads, the ledger and the price
+    scale, the run's pricing mode (an unknown one raises ``ValueError``
+    from ``procurement_capacity``, before any decision), option policy
+    (``budget`` is K under heuristic-K, None under exhaustive) and seed (a
+    negative one raises ``ValueError``, whatever the policy), and the
+    posted state every quote reads.
 
-    The posted state is what the loads in ``demand`` imply, as plain
-    lists: per location and EVSE, per slot, ``evse_room`` (the largest
+    The loads are the engine's own, plain lists of floats that only
+    ``settle`` adds to: per location and EVSE, per slot, ``cable_load``
+    (cables held) and ``energy_load`` (kWh); per pool, per slot,
+    ``pool_load`` (kWh drawn). They take the ledger's admissions in
+    ledger order, as ``build_outcome`` applies them to the run's record,
+    so the two agree bit for bit.
+
+    The posted state is what the loads imply, as plain lists: per
+    location and EVSE, per slot, ``evse_room`` (the largest
     whole ``v >= 0`` with ``energy load + v <= max_charge_rate``, or 0),
     ``cable_free`` (``cable load + 1 <= cables_per_evse``) and, when
     priced, ``cable_price`` and ``energy_price``; per pool, per slot,
@@ -173,7 +183,8 @@ class AuctionState:
     [w0, w1)) to the least demand for which ``located_schedules`` listed no
     EVSE there. Loads only rise over a run, so each entry stays true (see
     the module docstring); only ``located_schedules`` reads or writes it.
-    A caller that re-posts lower loads through ``refresh`` must empty it.
+    A caller that lowers the loads and re-posts them through ``refresh``
+    must empty it.
     """
 
     def __init__(
@@ -186,7 +197,7 @@ class AuctionState:
     ):
         self.scenario = scenario
         self.bounds = bounds
-        self.demand = DemandState(scenario, mode)
+        self.mode = mode
         self.ledger: list[AllocationResult] = []
         self.k_scale = k = pricing.price_scale(scenario)
         self.budget = parse_policy(option_policy)[1]
@@ -197,8 +208,11 @@ class AuctionState:
         # at zero load every slot of every EVSE of a location is posted alike
         T = scenario.slot_count
         self.evse_room, self.cable_free, self.cable_price, self.energy_price = {}, {}, {}, {}
+        self.cable_load, self.energy_load, self.pool_load = {}, {}, {}
         for loc in scenario.locations:
             lid, rows = loc.location_id, range(loc.evse_count)
+            self.cable_load[lid] = [[0.0] * T for _ in rows]
+            self.energy_load[lid] = [[0.0] * T for _ in rows]
             energy_room, free = room(0.0, float(loc.max_charge_rate)), 1.0 <= loc.cables_per_evse
             self.evse_room[lid] = [[energy_room] * T for _ in rows]
             self.cable_free[lid] = [[free] * T for _ in rows]
@@ -211,6 +225,7 @@ class AuctionState:
         for pool in scenario.pools:
             pid = pool.pool_id
             caps = self._pool_caps[pid] = procurement_capacity(pool, mode).tolist()
+            self.pool_load[pid] = [0.0] * T
             self.pool_room[pid] = [room(0.0, cap) for cap in caps]
             if bounds is not None and pid in scenario.drawn_pool_ids:
                 grid = self._grid_prices[pid] = pool.grid_price.tolist()
@@ -220,22 +235,28 @@ class AuctionState:
                 ]
 
     def settle(self, result: AllocationResult) -> AllocationResult:
-        """Record a decision; an admission adds its option to demand and
-        re-posts the slots it holds."""
+        """Record a decision; an admission adds its option to the loads
+        (on every slot of the stay, one cable and the slot's kWh, on the
+        EVSE and its pool) and re-posts the slots it holds."""
         if result.accepted:
             option, m = result.option, result.evse_index
-            self.demand.apply(option, m)
-            w0 = option.start - 1
+            lid, w0 = option.location_id, option.start - 1
+            cable, energy = self.cable_load[lid][m], self.energy_load[lid][m]
+            pool = self.pool_load[self.scenario.location(lid).pool_id]
             charged = [t for t, e in enumerate(option.schedule, w0) if e > 0]
-            self.refresh(option.location_id, m, w0, w0 + len(option.schedule), charged)
+            for t, e in enumerate(option.schedule, w0):
+                cable[t] += 1.0
+                energy[t] += e
+                pool[t] += e
+            self.refresh(lid, m, w0, w0 + len(option.schedule), charged)
         self.ledger.append(result)
         return result
 
     def refresh(
         self, location_id: int, evse_index: int, w0: int, w1: int, charged: Sequence[int]
     ) -> None:
-        """Re-post one EVSE and its pool from the loads in ``demand``,
-        whatever they are: the cable over slots [w0, w1) (0-based), the
+        """Re-post one EVSE and its pool from the state's loads, whatever
+        they are: the cable over slots [w0, w1) (0-based), the
         energy and the pool over the slots ``charged`` (an admission
         changes them only where it charges). A slot without procurement
         capacity keeps its posted ``math.inf``."""
@@ -244,9 +265,8 @@ class AuctionState:
         b, k = self.bounds, self.k_scale
         cables, rate = loc.cables_per_evse, loc.max_charge_rate
         caps = self._pool_caps[pid]
-        cable_load = self.demand.cable[lid][m].tolist()
-        energy_load = self.demand.energy[lid][m].tolist()
-        pool_load = self.demand.procurement[pid].tolist()
+        cable_load, energy_load = self.cable_load[lid][m], self.energy_load[lid][m]
+        pool_load = self.pool_load[pid]
         for t in range(w0, w1):
             self.cable_free[lid][m][t] = cable_load[t] + 1.0 <= cables
             if b is not None:
@@ -669,7 +689,7 @@ def run_in_order(
         own = pinned is None and user.explicit_schedules is not None
         rule(state, user, generate_options(user, scenario) if own else pinned)
     posted = None if bounds is None else state
-    return build_outcome(scenario, state.demand, tuple(state.ledger), posted)
+    return build_outcome(scenario, tuple(state.ledger), mode, posted)
 
 
 def run_auction(
@@ -697,15 +717,18 @@ def run_auction(
 
 def build_outcome(
     scenario: Scenario,
-    demand: DemandState,
     ledger: tuple[AllocationResult, ...],
+    mode: str,
     posted: Optional[AuctionState],
 ) -> AuctionOutcome:
-    """Total a finished run: the one tally of every allocator's ledger.
+    """Total a finished run: the one tally of every allocator's ledger,
+    and the one builder of its load record.
 
-    ``demand`` is the state the ledger's admissions were settled into and
-    ``posted`` the priced run's ``AuctionState`` (None for an unpriced run:
-    the no-mechanism baseline and the exact oracle).
+    The outcome's ``demand`` is a ``DemandState`` in ``mode`` built here
+    from the ledger, each admitted row applied once in ledger order: an
+    admission is never revoked, so the loads are a function of the
+    ledger. ``posted`` is the priced run's ``AuctionState`` (None for an
+    unpriced run: the no-mechanism baseline and the exact oracle).
 
     Welfare is the valuation sum of admitted users minus the operational
     cost, the grid price of every kWh procured beyond actual solar
@@ -726,8 +749,10 @@ def build_outcome(
     # the builtin sum of floats is compensated from Python 3.12 on
     valuation_total = revenue = surplus = 0.0
     served = {lid: [0, 0.0, 0.0] for lid in scenario.location_ids}  # count, value, revenue
+    demand = DemandState(scenario, mode)
     for r in ledger:
         if r.accepted:
+            demand.apply(r.option, r.evse_index)
             valuation_total += r.valuation
             revenue += r.payment
             surplus += r.utility

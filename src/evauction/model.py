@@ -5,11 +5,10 @@ Conventions used throughout the package:
 * time is a 1-based slot index ``t`` with ``1 <= t <= T``; internal arrays
   are 0-based and length ``T``
 * energies are kWh, money is $, charge rates are kWh per slot
-* all types here are immutable value data once constructed; the one
-  exception is :class:`DemandState`, the numpy record of allocated loads,
-  which the auction engine mutates (its ``AuctionState`` posts prices and
-  rooms from it at each admission) and the exact search's replay of its
-  chosen rows mutates (``oracle.solve_offline_exact``)
+* all types here are immutable value data once constructed;
+  :class:`DemandState`, a run's record of allocated loads, is built in
+  one place (``engine.build_outcome``, from the run's ledger) and not
+  changed after it is returned
 """
 
 from __future__ import annotations
@@ -374,14 +373,15 @@ def room(load: float, cap: float) -> int:
 
 
 class DemandState:
-    """Running allocated quantities, the record a run settles into.
+    """A finished run's allocated loads, the record of its outcome.
 
     ``cable[lid]`` and ``energy[lid]`` are (evse_count, T) arrays of
     cable-slots and kWh; ``procurement[pid]`` is the pool-aggregate kWh per
-    slot. ``mode`` selects the procurement ceiling (``procurement_capacity``).
-    Prices are not read from here per quote: the engine's ``AuctionState``
-    posts what these loads imply at each admission. ``engine.build_outcome``
-    totals a finished run from these arrays.
+    slot. ``mode`` is the run's pricing mode, which selects the procurement
+    ceiling (``procurement_capacity``). A record is built once, by
+    ``engine.build_outcome``, which applies each admitted row of a ledger;
+    nothing mutates it afterwards. The engine's ``AuctionState`` keeps a
+    run's running loads in lists of its own.
     """
 
     def __init__(self, scenario: Scenario, mode: str = "exact"):

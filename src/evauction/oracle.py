@@ -32,7 +32,6 @@ from .engine import AuctionOutcome, build_outcome, first_fit, run_in_order, subm
 from .model import (
     AllocationResult,
     ChargeOption,
-    DemandState,
     Scenario,
     UserType,
     procurement_capacity,
@@ -91,7 +90,9 @@ def solve_offline_exact(
     Returns the optimal assignment as an outcome: its ledger has one row
     per user in submission order (rejected ones included), totalled by
     ``engine.build_outcome`` at actual solar, unpriced (all payments and
-    peak prices 0) in ``exact`` mode.
+    peak prices 0) in ``exact`` mode; ``build_outcome`` also builds the
+    outcome's loads from that ledger. The search's own loads and rooms
+    are not kept.
 
     Users are walked in the online run's order (``submission_order``),
     each trying its options as given, EVSEs ascending, then the reject
@@ -333,7 +334,6 @@ def solve_offline_exact(
     for (j, _), chosen in zip(walked, best_assign):
         assigned[j] = chosen
 
-    demand = DemandState(scenario)
     ledger = []
     for user, chosen in zip(ordered, assigned):
         if chosen is None:
@@ -341,9 +341,8 @@ def solve_offline_exact(
         else:
             m, opt = chosen
             value = user.valuation_at(opt.location_id)
-            demand.apply(opt, m)
             ledger.append(AllocationResult(user.user_id, opt, m, valuation=value))
-    return build_outcome(scenario, demand, tuple(ledger), None)
+    return build_outcome(scenario, tuple(ledger), "exact", None)
 
 
 def _pack(fields: Sequence[int], width: int) -> int:

@@ -13,6 +13,7 @@ from evauction.engine import (
     _price_snapshot,
     _quoted_options,
     admit,
+    build_outcome,
     first_fit,
     run_auction,
     run_in_order,
@@ -56,20 +57,21 @@ def _quotes(state, option):
 
 def _expected_quote(state, option, m):
     """The payment parts ``(cable, energy, generation)`` of ``option`` on
-    EVSE ``m``, worked out from the loads in ``state.demand`` through
-    ``pricing``: each the slot-order sum of quantity x the price at the
-    slot's load (one cable on every slot of the option's window). None
+    EVSE ``m``, worked out from the state's loads (``cable_load``,
+    ``energy_load``, ``pool_load``) through ``pricing``: each the
+    slot-order sum of quantity x the price at the slot's load (one cable
+    on every slot of the option's window). None
     when the pair is infeasible: a cable, or a used slot's energy or
     procurement, would pass its cap."""
     sc, b = state.scenario, state.bounds
     k = pricing.price_scale(sc)
     loc = sc.location(option.location_id)
     pool = sc.pool(loc.pool_id)
-    caps = procurement_capacity(pool, state.demand.mode).tolist()
+    caps = procurement_capacity(pool, state.mode).tolist()
     grid = pool.grid_price.tolist()
-    cable_load = state.demand.cable[loc.location_id][m].tolist()
-    energy_load = state.demand.energy[loc.location_id][m].tolist()
-    pool_load = state.demand.procurement[pool.pool_id].tolist()
+    cable_load = state.cable_load[loc.location_id][m]
+    energy_load = state.energy_load[loc.location_id][m]
+    pool_load = state.pool_load[pool.pool_id]
     slots = list(enumerate(option.schedule, option.start - 1))
     for t, e in slots:
         if cable_load[t] + 1.0 > loc.cables_per_evse:
@@ -116,7 +118,7 @@ def test_cable_overflow_is_infeasible(s1):
     loc = dataclasses.replace(scenario.locations[0], evse_count=2, cables_per_evse=1)
     sc = dataclasses.replace(scenario, locations=(loc,))
     state = AuctionState(sc, sc.bounds)
-    state.demand.cable[1][0, :2] = 1.0  # EVSE 0's only cable is taken
+    state.cable_load[1][0][:2] = [1.0, 1.0]  # EVSE 0's only cable is taken
     state.refresh(1, 0, 0, 2, range(2))
     assert list(_quotes(state, _option(1, (1, 0)))) == [1]
 
@@ -163,10 +165,10 @@ def test_price_is_linear_in_the_option(s1, data):
     def loads(cap):
         return st.lists(st.floats(0.0, float(cap)), min_size=T, max_size=T)
 
-    state.demand.cable[1][:] = [data.draw(loads(loc.cables_per_evse)) for _ in range(2)]
-    state.demand.energy[1][:] = [data.draw(loads(loc.max_charge_rate)) for _ in range(2)]
+    state.cable_load[1][:] = [data.draw(loads(loc.cables_per_evse)) for _ in range(2)]
+    state.energy_load[1][:] = [data.draw(loads(loc.max_charge_rate)) for _ in range(2)]
     pool_load = [data.draw(st.floats(0.0, float(cap))) for cap in caps]
-    state.demand.procurement[pool.pool_id][:] = pool_load
+    state.pool_load[pool.pool_id][:] = pool_load
     for m in range(loc.evse_count):
         state.refresh(1, m, 0, T, range(T))
     start = data.draw(st.integers(1, T))
@@ -204,8 +206,8 @@ def test_heuristic_ranks_slots_by_posted_prices(s1, data):
         for _ in range(loc.evse_count)
     ]
     pool_load = [data.draw(st.floats(0.0, float(cap))) for cap in caps]
-    state.demand.energy[1][:] = energy_load
-    state.demand.procurement[pool.pool_id][:] = pool_load
+    state.energy_load[1][:] = energy_load
+    state.pool_load[pool.pool_id][:] = pool_load
     for m in range(loc.evse_count):
         state.refresh(1, m, 0, T, range(T))
     w0 = data.draw(st.integers(0, T - 1))
@@ -244,7 +246,7 @@ def test_admit_rejects_below_floor(s1):
     result = admit(state, _user(value=0.01), [_option(1, (1, 0))])
     assert not result.accepted
     assert result.utility == 0.0 and result.payment == 0.0
-    assert state.demand.cable[1].sum() == 0
+    assert sum(map(sum, state.cable_load[1])) == 0
 
 
 def test_admit_zero_utility_is_rejection(s1):
@@ -319,9 +321,9 @@ def test_a_lower_valued_location_ties_at_its_valuation(s1, source):
     must give the tie to it."""
     sc = _two_locations(s1, pools=2)
     state = AuctionState(sc, sc.bounds, "exact", "exhaustive" if source == "pinned" else source)
-    state.demand.cable[2][0, :2] = 1.0
-    state.demand.energy[2][0, :2] = 1.0
-    state.demand.procurement[2][:2] = 1.0
+    state.cable_load[2][0][:2] = [1.0, 1.0]
+    state.energy_load[2][0][:2] = [1.0, 1.0]
+    state.pool_load[2][:2] = [1.0, 1.0]
     state.refresh(2, 0, 0, 4, range(4))
     low = 2.0**53 - 1
     user = ev.UserType(1, 1, 1, 2, 1.0, preferred_locations=(1, 2), valuations=(low, low + 1))
@@ -568,7 +570,7 @@ def _heuristic_reference(budget, seed):
     quoted."""
 
     def rule(state, user, _options):
-        sc, b, mode = state.scenario, state.bounds, state.demand.mode
+        sc, b, mode = state.scenario, state.bounds, state.mode
         if user.explicit_schedules is not None:
             return admit(state, user, generate_options(user, sc))
         k = pricing.price_scale(sc)
@@ -577,10 +579,10 @@ def _heuristic_reference(budget, seed):
             loc = sc.location(lid)
             pool = sc.pool(loc.pool_id)
             caps = procurement_capacity(pool, mode)
-            load = state.demand.procurement[pool.pool_id]
+            load = state.pool_load[pool.pool_id]
             prices = []
             for t in range(user.arrival - 1, user.departure):
-                least = float(state.demand.energy[lid][:, t].min())
+                least = min(row[t] for row in state.energy_load[lid])
                 gen = math.inf
                 if caps[t] > 0:
                     gen = pricing.generation_price(
@@ -631,10 +633,11 @@ def test_heuristic_matches_generated_options(seed, mode, levels, budget, explici
 
 
 def _posted_from_scratch(state):
-    """Every table ``AuctionState`` posts, recomputed from the loads in
-    ``state.demand`` by the pricing functions (procurement prices for the
-    pools a location draws on); floats as ``float.hex``."""
-    sc, b, mode = state.scenario, state.bounds, state.demand.mode
+    """Every table ``AuctionState`` posts, recomputed from the state's
+    loads (``cable_load``, ``energy_load``, ``pool_load``) by the pricing
+    functions (procurement prices for the pools a location draws on);
+    floats as ``float.hex``."""
+    sc, b, mode = state.scenario, state.bounds, state.mode
     k = pricing.price_scale(sc)
 
     def room(y, cap):
@@ -646,8 +649,8 @@ def _posted_from_scratch(state):
     posted = {name: {} for name in ("evse_room", "cable_free", "cable_price", "energy_price")}
     for loc in sc.locations:
         lid = loc.location_id
-        cable = state.demand.cable[lid].tolist()
-        energy = state.demand.energy[lid].tolist()
+        cable = state.cable_load[lid]
+        energy = state.energy_load[lid]
         posted["evse_room"][lid] = [[room(y, loc.max_charge_rate) for y in row] for row in energy]
         posted["cable_free"][lid] = [[y + 1.0 <= loc.cables_per_evse for y in row] for row in cable]
         if b is not None:
@@ -664,7 +667,7 @@ def _posted_from_scratch(state):
     for pool in sc.pools:
         pid = pool.pool_id
         caps = procurement_capacity(pool, mode).tolist()
-        loads = state.demand.procurement[pid].tolist()
+        loads = state.pool_load[pid]
         posted["pool_room"][pid] = [room(y, cap) for y, cap in zip(loads, caps)]
         if b is not None and pid in drawn:
             grid = pool.grid_price.tolist()
@@ -705,8 +708,9 @@ def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, expli
     """After a run of settles (priced ``admit`` or unpriced ``first_fit``,
     some users on pinned options, some carrying explicit schedules, pinned
     as ``run_in_order`` pins them), every posted room, cable flag and price
-    equals its recomputation from the loads in ``DemandState``, bit for
-    bit."""
+    equals its recomputation from the state's loads, bit for bit, and
+    those loads equal the ``DemandState`` that ``build_outcome`` builds
+    from the ledger, bit for bit."""
     scenario, users, _ = random_instance(seed, max_users=40, levels=levels)
     if explicit:
         users = _with_explicit_schedules(scenario, users, seed)
@@ -722,6 +726,18 @@ def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, expli
         rule(state, user, pinned.get(user.user_id))
     assert _posted(state) == _posted_from_scratch(state)
 
+    def bits(rows):
+        return np.asarray(rows, dtype=np.float64).tobytes()
+
+    record = build_outcome(scenario, tuple(state.ledger), mode, state if priced else None).demand
+    assert record.mode == mode
+    for loc in scenario.locations:
+        lid = loc.location_id
+        assert record.cable[lid].tobytes() == bits(state.cable_load[lid])
+        assert record.energy[lid].tobytes() == bits(state.energy_load[lid])
+    for pool in scenario.pools:
+        assert record.procurement[pool.pool_id].tobytes() == bits(state.pool_load[pool.pool_id])
+
 
 def _capacity_violations(scenario, demand, mode):
     """Slots pushed past a cable, rate or procurement cap."""
@@ -731,7 +747,7 @@ def _capacity_violations(scenario, demand, mode):
         bad += int((demand.energy[loc.location_id] > loc.max_charge_rate).sum())
     for pool in scenario.pools:
         solar = pool.solar_lower if mode == "conservative" else pool.solar_actual
-        bad += int((demand.procurement[pool.pool_id] > solar + pool.grid_limit + 1e-12).sum())
+        bad += int((demand.procurement[pool.pool_id] > solar + pool.grid_limit).sum())
     return bad
 
 
@@ -917,7 +933,7 @@ def test_conservative_mode_respects_band_cap():
     )
     for pool in scenario.pools:
         cap = pool.solar_lower + pool.grid_limit
-        assert np.all(outcome.demand.procurement[pool.pool_id] <= cap + 1e-12)
+        assert np.all(outcome.demand.procurement[pool.pool_id] <= cap)
 
 
 def test_individual_rationality_and_cost_recovery():
@@ -955,6 +971,20 @@ def test_negative_seed_fails_before_any_decision(downtown, monkeypatch, run):
             no_mechanism_baseline(scenario, users, seed=-1, option_policy="heuristic-3")
         else:
             run_auction(scenario, users, scenario.bounds, option_policy=run, seed=-1)
+    assert decided == []
+
+
+def test_unknown_mode_fails_before_any_decision(s1, monkeypatch):
+    """An unknown pricing mode is refused, naming it, by a run and by a
+    bare ``AuctionState`` (``procurement_capacity`` raises), before any
+    user is decided."""
+    scenario, users = s1
+    decided = []
+    monkeypatch.setattr(AuctionState, "settle", lambda state, result: decided.append(result))
+    with pytest.raises(ValueError, match="'bogus'"):
+        run_auction(scenario, users, scenario.bounds, mode="bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        AuctionState(scenario, scenario.bounds, "bogus")
     assert decided == []
 
 

@@ -498,7 +498,7 @@ def test_offline_solution_respects_constraints():
         assert np.all(sol.demand.energy[loc.location_id] <= loc.max_charge_rate)
     for pool in scenario.pools:
         assert np.all(
-            sol.demand.procurement[pool.pool_id] <= pool.solar_actual + pool.grid_limit + 1e-12
+            sol.demand.procurement[pool.pool_id] <= pool.solar_actual + pool.grid_limit
         )
     assert sorted(r.user_id for r in sol.ledger) == sorted(u.user_id for u in users)  # one row per user
 

@@ -51,3 +51,35 @@ def test_no_module_imports_another_modules_private_names():
         for name in _private_imports(path)
     }
     assert not found, f"private names imported across modules: {sorted(found)}"
+
+
+def _record_builds(tree, scope=()):
+    """``(scope, call)`` for each ``DemandState(...)`` construction and
+    each ``.apply(...)`` call below ``tree``; ``scope`` names the classes
+    and functions the call sits in, outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "DemandState":
+                yield ".".join(scope), "DemandState(...)"
+            elif isinstance(func, ast.Attribute) and func.attr in ("DemandState", "apply"):
+                yield ".".join(scope), f".{func.attr}(...)"
+        yield from _record_builds(node, inner)
+
+
+def test_only_build_outcome_builds_the_load_record():
+    """A run's ``DemandState`` has one builder: in the package it is
+    constructed, and ``apply`` called, only in ``engine.build_outcome``."""
+    src = Path(evauction.__file__).parent
+    found = {
+        f"{path.stem}.{scope}: {call}"
+        for path in sorted(src.glob("*.py"))
+        for scope, call in _record_builds(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        "engine.build_outcome: DemandState(...)",
+        "engine.build_outcome: .apply(...)",
+    }
