@@ -20,38 +20,44 @@ option sets exist only where options are pinned: by a caller, or by the
 user, whose own explicit schedules ``run_in_order`` pins as
 ``options.generate_options`` turns them into options. Every other user is
 decided under the run's policy from one walk over the preferred
-locations, ``located_schedules``: it lists the EVSEs a schedule can fit
-on (a free cable, and caps per slot that reach the demand) and, unless
-the exhaustive policy meets contiguous levels, the schedules the policy
-gives there. ``admit`` quotes those schedules on those EVSEs, or fills
-each EVSE's cheapest slots (the best response over every schedule);
-``first_fit`` takes its earliest fill from the same walk. Pinned options are
-quoted one by one on every EVSE with a free cable (``_quoted_options``).
+locations, ``located_schedules``. It yields ``(value, loc, evses,
+schedules)`` for each location it reaches with an EVSE listed: the
+user's valuation there, the location, the EVSEs it lists and, unless the
+exhaustive policy meets contiguous levels, the schedules the policy gives
+there. One rule lists an EVSE, the caps test: a free cable on every slot
+of the stay, and caps per slot that sum to at least the demand. Over
+contiguous levels some schedule fits within the caps iff they reach the
+demand. Over other levels the caps may reach a demand that no schedule
+makes; ``options.location_schedules`` then gives no schedule and draws
+nothing, so nothing is quoted there. ``admit`` quotes the listed
+schedules on the listed EVSEs, or fills each EVSE's cheapest slots (the
+best response over every schedule); ``first_fit`` takes its earliest fill
+from the same walk. Pinned options are quoted one by one on every EVSE
+with a free cable (``_quoted_options``).
 
 The walk, and the pinned options, go by location in rank order:
 valuation descending, then id. Each location's free cables, caps and
 payments are computed only once the walk reaches it, and the walk stops
 at the first location that cannot win. For ``admit`` that is a valuation
-below the best utility found, or equal to it at a higher id than the best
-tuple's: every posted price is positive, so a payment is ``>= 0`` and, in
-floats too, a tuple's utility never exceeds its location's valuation.
-Ties between locations go to the lower id by an explicit comparison. For
-``first_fit`` it is a valuation below the first one at which some EVSE has
-a schedule. Heuristic draws keep the order of generating every location in
-ascending id (``located_schedules``), so decisions are those of walking
-every location.
+that does not beat the best utility found by ``admit``'s one order
+(``beats``), 0 while none is found: every posted price is positive, so a
+payment is ``>= 0`` and, in floats too, a tuple's utility never exceeds
+its location's valuation. Ties between locations go to the lower id by an
+explicit comparison. For ``first_fit`` it is a valuation below the first
+one at which some EVSE has a schedule. Heuristic draws keep the order of
+generating every location in ascending id (``located_schedules``), so
+decisions are those of walking every location.
 
 An admission is never revoked, so within a run the loads only rise, and
-every posted room and free cable can only shrink. A location lists an EVSE
-for a stay when the EVSE has a free cable on every slot of it and caps
-that reach the demand; that test reads no price and no policy, and it
-fails for a larger demand too. So a (location, stay) at which the walk
-listed nothing for a demand lists nothing for that demand or a larger one
-for the rest of the run: ``AuctionState.no_room`` remembers the least such
-demand, and the walk skips the location without scanning it, under every
-policy and mode. On downtown9 seed 42 (exhaustive), where every rejection
-is for lack of room, this cuts the free-cable scans from 2,510 to 1,058 at
-1,000 users and from 11,456 to 1,679 at 4,000.
+every posted room and free cable can only shrink. The caps test reads no
+price and no policy, and where it fails it fails for a larger demand too.
+So a (location, stay) at which the walk listed nothing for a demand lists
+nothing for that demand or a larger one for the rest of the run:
+``AuctionState.no_room`` remembers the least such demand, and the walk
+skips the location without scanning it, under every policy and mode. On
+downtown9 seed 42 (exhaustive), where every rejection is for lack of
+room, this cuts the free-cable scans from 2,510 to 1,058 at 1,000 users
+and from 11,456 to 1,679 at 4,000.
 
 Listed schedules and pinned options price through one payment loop,
 ``_quoted``: it sums each schedule's procurement part once and keeps the
@@ -89,7 +95,6 @@ from .model import (
     procurement_capacity,
     raise_if_invalid,
     room,
-    schedule_totals,
     validate_bounds,
     validate_scenario,
 )
@@ -308,43 +313,41 @@ def admit(
     lexicographically smallest energy schedule, whatever order the options
     arrive in.
 
-    Locations are walked in rank order, valuation descending, then id, and
-    the walk stops at the first location that cannot win (``may_win``): a
-    valuation below the best utility so far, or equal to it at a higher id
-    than the best tuple's. This is exact: every posted price is positive
-    (``inf`` only where nothing fits), so a tuple's payment is ``>= 0`` and
-    its float utility never exceeds its location's valuation. Candidates
-    arrive by rank, not by id, so a tie between two locations goes to the
-    lower id by an explicit comparison; within a location, EVSE then
-    schedule order and the strict ``>`` keep the first. A rejected user has
-    no best tuple, so the walk covers every preferred location.
+    One predicate orders the tuples, ``beats(utility, id)``: a utility
+    above the best so far (0 while there is none), or equal to it at a
+    lower location id than the best tuple's. A tuple that beats the best
+    becomes the best. Locations are walked in rank order, valuation
+    descending, then id, and the walk stops at the first location whose
+    valuation does not beat the best; with none found, at a valuation of
+    0 or less. This is exact: every posted price is positive (``inf`` only
+    where nothing fits), so a tuple's payment is ``>= 0`` and its float
+    utility never exceeds its location's valuation. Candidates arrive by
+    rank, not by id, so a tie between two locations goes to the lower id
+    by the predicate's explicit comparison; within a location, EVSE then
+    schedule order and the strict ``>`` keep the first.
 
     ``options`` is a pinned option set, each option spanning the stay,
     quoted on every EVSE with a free cable (``_quoted_options``): a
     caller's, or the user's own explicit schedules (``run_in_order`` pins
     them). ``None`` decides the user under the run's policy without an
     option set, with the payments and tie-breaks of quoting every option it
-    stands for (``_placed``), as long as schedules whose payments differ
-    also differ in float utility. A valuation so large that distinct
-    payments round to the same utility breaks that: quoting every option
-    then keeps the lexicographically smallest of the tied schedules, the
-    best-response fill the cheapest. Only the admitted tuple becomes a
-    ``ChargeOption``.
+    stands for, but for a very large valuation (``_placed`` says when).
+    Only the admitted tuple becomes a ``ChargeOption``.
     """
     best_utility = 0.0
     best = None
 
-    def may_win(value, lid):
-        return best is None or value > best_utility or (value == best_utility and lid < best[1])
+    def beats(utility, lid):
+        return utility > best_utility or (utility == best_utility and best is not None and lid < best[1])
 
     if options is None:
-        candidates = _placed(state, user, may_win)
+        candidates = _placed(state, user, beats)
     else:
-        candidates = _quoted_options(state, user, options, may_win)
+        candidates = _quoted_options(state, user, options, beats)
     for candidate in candidates:
         _, lid, _, cable, energy, generation, value = candidate
         utility = value - (cable + energy + generation)
-        if utility > best_utility or (utility == best_utility and best is not None and lid < best[1]):
+        if beats(utility, lid):
             best_utility = utility
             best = candidate
 
@@ -387,12 +390,13 @@ def _quoted_options(state, user, options, may_win):
             return
         free = _free_cables(state, lid, w0, w1)
         loc = state.scenario.location(lid)
-        yield from _quoted(state, user, loc, free, sorted(by_loc[lid]))
+        yield from _quoted(state, user, value, loc, free, sorted(by_loc[lid]))
 
 
-def _quoted(state, user, loc, evses, schedules):
+def _quoted(state, user, value, loc, evses, schedules):
     """The feasible tuples of ``schedules`` (one location, sorted, over the
-    stay) on ``evses`` (ascending, each with a free cable), in the form and
+    stay) on ``evses`` (ascending, each with a free cable), each carrying
+    ``value``, the user's valuation at the location, in the form and
     order of ``_quoted_options``: the one payment loop of listed schedules
     and pinned options.
 
@@ -406,7 +410,6 @@ def _quoted(state, user, loc, evses, schedules):
     """
     lid, pid = loc.location_id, loc.pool_id
     w0, w1 = user.arrival - 1, user.departure
-    value = user.valuation_at(lid)
     pool_room = state.pool_room[pid][w0:w1]
     gen_prices = state.gen_price[pid][w0:w1]
     kept = []
@@ -445,21 +448,23 @@ def _placed(state, user, may_win):
     in ascending energy-plus-procurement price, ties toward the later slot,
     gives the cheapest schedule and, among equally cheap ones, the
     lexicographically smallest. The parts are summed in slot order as
-    ``_quoted`` sums them, so payments match bit for bit. The fill is the
-    choice of quoting every schedule only while distinct payments give
-    distinct float utilities: when the valuation is so large that they
-    round to one utility (the test instance ``random_instance(0,
-    max_users=40)`` with ``2**53`` added to every valuation), quoting
-    keeps the lexicographically smallest tied schedule, not the cheapest.
+    ``_quoted`` sums them, so payments match bit for bit.
+
+    The fill is the choice of quoting every schedule only while distinct
+    payments give distinct float utilities. When the valuation is so large
+    that they round to one utility (the test instance ``random_instance(0,
+    max_users=40)`` with ``2**53`` added to every valuation), quoting keeps
+    the lexicographically smallest tied schedule, the fill the cheapest:
+    the one case where ``admit`` without an option set differs from
+    quoting every option.
     """
     w0, w1 = user.arrival - 1, user.departure
     demand = integral_demand(user.energy_demand)
-    for loc, evses, schedules in located_schedules(state, user, may_win):
+    for value, loc, evses, schedules in located_schedules(state, user, may_win):
         if schedules is not None:
-            yield from _quoted(state, user, loc, [m for m, _ in evses], schedules)
+            yield from _quoted(state, user, value, loc, [m for m, _ in evses], schedules)
             continue
         lid = loc.location_id
-        value = user.valuation_at(lid)
         gen_prices = state.gen_price[loc.pool_id][w0:w1]
         for m, caps in evses:
             cable_pay = _cable_pay(state, lid, m, w0, w1)
@@ -489,14 +494,11 @@ def first_fit(
     ``None`` stands for the user's schedules under the run's policy, and
     the same choice is made from ``located_schedules`` without an option
     set (``_earliest_fill``)."""
-    value = dict(zip(user.preferred_locations, user.valuations))
     if options is None:
-        return state.settle(_earliest_fill(state, user, value))
+        return state.settle(_earliest_fill(state, user))
+    value = dict(zip(user.preferred_locations, user.valuations))
     w0, w1 = user.arrival - 1, user.departure
-    ranked = sorted(
-        options,
-        key=lambda o: (-value[o.location_id], tuple(-e for e in o.schedule), o.location_id),
-    )
+    ranked = sorted(options, key=lambda o: _fit_key(value[o.location_id], o.schedule, o.location_id))
     for opt in ranked:
         lid, sched = opt.location_id, opt.schedule
         pool_room = state.pool_room[state.scenario.location(lid).pool_id]
@@ -508,11 +510,18 @@ def first_fit(
     return state.settle(AllocationResult(user.user_id))
 
 
-def _earliest_fill(state, user, value) -> AllocationResult:
+def _fit_key(value: float, schedule: Sequence[int], location_id: int) -> tuple:
+    """``first_fit``'s order, least first: valuation descending, then
+    earliest fill (the lexicographically largest schedule), then location
+    id."""
+    return (-value, tuple(map(operator.neg, schedule)), location_id)
+
+
+def _earliest_fill(state, user) -> AllocationResult:
     """``first_fit`` without an option set: on each EVSE that
     ``located_schedules`` lists, its lexicographically largest feasible
     schedule, the earliest fill within its caps or else the largest listed
-    schedule within them; the best by ``first_fit``'s key wins, ties to
+    schedule within them; the least ``_fit_key`` wins, ties to
     the first EVSE walked. The key ranks valuation first, so the walk stops
     after the first valuation at which some EVSE has a schedule."""
     demand = integral_demand(user.energy_demand)
@@ -521,7 +530,7 @@ def _earliest_fill(state, user, value) -> AllocationResult:
     def may_win(valuation, _lid):
         return best_key is None or -valuation == best_key[0]
 
-    for loc, evses, schedules in located_schedules(state, user, may_win):
+    for value, loc, evses, schedules in located_schedules(state, user, may_win):
         lid = loc.location_id
         for m, caps in evses:
             if schedules is None:
@@ -531,14 +540,14 @@ def _earliest_fill(state, user, value) -> AllocationResult:
                 schedule = next(fitting, None)
                 if schedule is None:
                     continue
-            key = (-value[lid], tuple(-e for e in schedule), lid)
+            key = _fit_key(value, schedule, lid)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (m, ChargeOption(lid, user.arrival, schedule))
+                best = (m, ChargeOption(lid, user.arrival, schedule), value)
     if best is None:
         return AllocationResult(user.user_id)
-    m, option = best
-    return AllocationResult(user.user_id, option, m, valuation=value[option.location_id])
+    m, option, value = best
+    return AllocationResult(user.user_id, option, m, valuation=value)
 
 
 def located_schedules(state: AuctionState, user: UserType, may_win):
@@ -558,32 +567,34 @@ def located_schedules(state: AuctionState, user: UserType, may_win):
     what it yields without the memo, whatever the policy. Such a skip is a
     rejection there for lack of room or of a free cable.
 
-    Yields ``(loc, evses, schedules)`` for each location reached with an
-    EVSE listed in ``evses``. ``evses`` lists ``(m, caps)`` for each EVSE
-    with a free cable on every slot of the stay whose caps reach the
-    demand: ``caps[w] = min(top level, evse_room, pool_room)``
-    (``AuctionState``), the largest whole ``v`` up to the top level that
-    ``_quoted`` finds feasible, so an allowed level fits a slot iff it is
-    within the slot's cap.
+    Yields ``(value, loc, evses, schedules)`` for each location reached
+    with an EVSE listed in ``evses``; ``value`` is the user's valuation
+    there, the one the rank order read. The caps test is the one listing
+    rule: ``evses`` lists ``(m, caps)`` for each EVSE with a free cable on
+    every slot of the stay whose caps sum to at least the demand, where
+    ``caps[w] = min(top level, evse_room, pool_room)`` (``AuctionState``),
+    the largest whole ``v`` up to the top level that ``_quoted`` finds
+    feasible, so an allowed level fits a slot iff it is within the slot's
+    cap.
 
     ``schedules`` is None where the exhaustive policy meets contiguous
-    levels (``0..top``): every schedule within the caps is feasible there.
-    Elsewhere it is ``options.location_schedules`` under the run's policy,
-    with one rng ``default_rng([seed, user_id])`` built at its first draw
-    and, in a priced heuristic run, the ``_price_snapshot`` slot prices.
-    Heuristic draws keep the order of generating every location in
-    ascending id: a location's schedules are generated only after those of
-    each feasible preferred location with a lower id, so each sees the rng
-    state it would see then, and a location never reached draws nothing
-    that a reached one uses.
+    levels (``0..top``): every schedule within the caps is feasible there,
+    and one meets the demand iff the caps reach it. Elsewhere it is
+    ``options.location_schedules`` under the run's policy, with one rng
+    ``default_rng([seed, user_id])`` built at its first draw and, in a
+    priced heuristic run, the ``_price_snapshot`` slot prices; it is empty
+    where the levels cannot make the demand over the stay. Heuristic draws
+    keep the order of generating every location in ascending id: a
+    location's schedules are generated only after those of each preferred
+    location with a lower id, so each sees the rng state it would see
+    then, and a location never reached draws nothing that a reached one
+    uses. A location whose levels cannot make the demand gets no schedule
+    and draws nothing (``location_schedules`` returns before its first
+    draw), so generating it changes no other location's draws.
     """
     scenario = state.scenario
     w0, w1 = user.arrival - 1, user.departure
-    width = w1 - w0
     demand = integral_demand(user.energy_demand)
-
-    def feasible(lid):
-        return demand in schedule_totals(allowed_levels(scenario, lid), width, demand)[width]
 
     def generated(lid):
         slot_prices = None
@@ -596,7 +607,7 @@ def located_schedules(state: AuctionState, user: UserType, may_win):
     for value, lid in _ranked(user):
         if not may_win(value, lid):
             return
-        if demand >= state.no_room.get((lid, w0, w1), math.inf) or not feasible(lid):
+        if demand >= state.no_room.get((lid, w0, w1), math.inf):
             continue
         loc = scenario.location(lid)
         levels = allowed_levels(scenario, lid)
@@ -615,14 +626,14 @@ def located_schedules(state: AuctionState, user: UserType, may_win):
         if state.budget is not None:
             if undrawn is None:
                 rng = functools.cache(lambda: np.random.default_rng([state.seed, user.user_id]))
-                undrawn = iter(sorted(filter(feasible, user.preferred_locations)))
+                undrawn = iter(sorted(user.preferred_locations))
             while lid not in drawn:
                 k = next(undrawn)
                 drawn[k] = generated(k)
             schedules = drawn[lid]
         elif levels != tuple(range(len(levels))):
             schedules = generated(lid)  # enumeration draws nothing
-        yield loc, evses, schedules
+        yield value, loc, evses, schedules
 
 
 def fill_schedule(order: Sequence[int], demand: int, caps: Sequence[int]) -> tuple[int, ...]:

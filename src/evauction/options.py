@@ -152,11 +152,16 @@ def location_schedules(
     part here (``generate_options`` turns them into options).
 
     ``budget=None`` gives every schedule that meets the demand (the
-    exhaustive policy), and a budget K at most K heuristic fills; none when
-    the demand cannot be met there. ``slot_prices`` are the location's
-    $/kWh per slot of the stay, for the cheapest-first fill (``None``: no
-    such fill). ``rng()`` returns the random generator; it is called at the
-    first random fill only, so it may be None without a budget.
+    exhaustive policy), and a budget K at most K heuristic fills. Where
+    the demand is out of reach (not whole, or not in ``schedule_totals``'
+    ``reach[width]``) there are none, and the function returns before it
+    calls ``rng()``. ``engine.located_schedules`` relies on both: it lists
+    by caps alone and generates such a location too, which then leaves
+    nothing to quote and every other location's draws as they were.
+    ``slot_prices`` are the location's $/kWh per slot of the stay, for the
+    cheapest-first fill (``None``: no such fill). ``rng()`` returns the
+    random generator; it is called at the first random fill only, so it
+    may be None without a budget.
     """
     demand = integral_demand(user.energy_demand)
     if demand is None:

@@ -227,6 +227,8 @@ def solve_offline_exact(
         unit.append(unit[-1] | 1 << (t * W))
     choices = []
     for j, opts in walked:
+        user = ordered[j]
+        values = dict(zip(user.preferred_locations, user.valuations))
         rows = []
         for opt in opts:
             lid = opt.location_id
@@ -239,8 +241,7 @@ def solve_offline_exact(
             ]
             draw = sum(int(e) << (t * W) for t, e, _, _ in e_slots)
             use = unit[len(opt.schedule)] << (w0 * W) | draw << (T * W)
-            value = ordered[j].valuation_at(lid)
-            rows.append((value, li, pi, opt, use, draw, e_slots, prune and slack[li]))
+            rows.append((values[lid], li, pi, opt, use, draw, e_slots, prune and slack[li]))
         choices.append(rows)
 
     # bound[i]: the most value the users from depth i on can add. Pruned,
@@ -252,8 +253,9 @@ def solve_offline_exact(
             bound[i] = bound[i + 1] + max(row[0] for row in choices[i])
 
     best_welfare = 0.0
-    best_assign: list[Optional[tuple[int, ChargeOption]]] = [None] * n
-    current: list[Optional[tuple[int, ChargeOption]]] = [None] * n
+    # a chosen row as (EVSE, option, valuation)
+    best_assign: list[Optional[tuple[int, ChargeOption, float]]] = [None] * n
+    current: list[Optional[tuple[int, ChargeOption, float]]] = [None] * n
     memo: dict[tuple, list[tuple[float, float]]] = {}
     # per location, its EVSE rooms sorted: the memo key's part, kept in
     # step with evse_rows as rows are placed and undone
@@ -299,7 +301,7 @@ def solve_offline_exact(
                 # rises, so once one EVSE fails the test the rest fail too
                 if child_value + cut - child_cost <= best_welfare:
                     break
-                current[i] = (m, opt)
+                current[i] = (m, opt, value)
                 if leaf:
                     best_welfare = child_value - child_cost
                     best_assign = current.copy()
@@ -330,7 +332,7 @@ def solve_offline_exact(
     if n and bound[0] > best_welfare:
         walk(0, 0.0, 0.0)
     del walk  # the closure refers to itself: free the memo now, not at a cycle collection
-    assigned: list[Optional[tuple[int, ChargeOption]]] = [None] * len(ordered)
+    assigned: list[Optional[tuple[int, ChargeOption, float]]] = [None] * len(ordered)
     for (j, _), chosen in zip(walked, best_assign):
         assigned[j] = chosen
 
@@ -339,8 +341,7 @@ def solve_offline_exact(
         if chosen is None:
             ledger.append(AllocationResult(user.user_id))
         else:
-            m, opt = chosen
-            value = user.valuation_at(opt.location_id)
+            m, opt, value = chosen
             ledger.append(AllocationResult(user.user_id, opt, m, valuation=value))
     return build_outcome(scenario, tuple(ledger), "exact", None)
 

@@ -632,6 +632,76 @@ def test_heuristic_matches_generated_options(seed, mode, levels, budget, explici
     assert baseline.ledger == no_mechanism_baseline(scenario, users, options_by_user=pinned).ledger
 
 
+def _odd_demand_instance(seed):
+    """``random_instance(seed, max_users=30)`` over levels (0, 2, 3) with
+    locations 1 and 3 at rate 2 and location 2 at rate 3: at rate 2 the
+    levels (0, 2) make no odd demand. The users kept are those with a
+    preferred location whose levels make their demand over the stay."""
+    scenario, users, mode = random_instance(seed, max_users=30, levels=(0, 2, 3))
+    rates = {1: 2.0, 2: 3.0, 3: 2.0}
+    locations = tuple(
+        dataclasses.replace(loc, max_charge_rate=rates[loc.location_id])
+        for loc in scenario.locations
+    )
+    scenario = dataclasses.replace(scenario, locations=locations)
+    users = [u for u in users if generate_options(u, scenario)]
+    return scenario, users, mode
+
+
+def _unmakeable_within_caps(scenario, users, mode):
+    """The (user, location) pairs where the levels make no schedule for the
+    demand over the stay, yet at zero load an EVSE's caps ``min(top level,
+    evse_room, pool_room)`` reach it."""
+    state = AuctionState(scenario, scenario.bounds, mode)
+    pairs = []
+    for u in users:
+        w0, w1 = u.arrival - 1, u.departure
+        for lid in u.preferred_locations:
+            if location_schedules(u, scenario, lid, None, None, None):
+                continue
+            top = allowed_levels(scenario, lid)[-1]
+            pool_room = state.pool_room[scenario.location(lid).pool_id][w0:w1]
+            rooms = state.evse_room[lid][0][w0:w1]
+            if sum(min(top, r, p) for r, p in zip(rooms, pool_room)) >= u.energy_demand:
+                pairs.append((u.user_id, lid))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_caps_that_reach_an_unmakeable_demand_quote_nothing(seed):
+    """The caps test alone lists an EVSE, so it lists some where the
+    levels cannot make the demand (an odd one at rate 2 over (0, 2)).
+    There the policy gives no schedule and draws nothing: the run without
+    option sets equals the run on the pinned references, ledger and
+    payment bits, under exhaustive, heuristic-2 and heuristic-3, and so
+    does the baseline."""
+    scenario, users, mode = _odd_demand_instance(seed)
+    assert _unmakeable_within_caps(scenario, users, mode)
+    bounds = scenario.bounds
+    options = exhaustive_options(scenario, users)
+    online = run_auction(scenario, users, bounds, mode)
+    assert online.accepted_count > 0
+    pinned = run_auction(scenario, users, bounds, mode, options_by_user=options)
+    assert _exact_record(online) == _exact_record(pinned)
+    baseline = no_mechanism_baseline(scenario, users)
+    pinned = no_mechanism_baseline(scenario, users, options_by_user=options)
+    assert _exact_record(baseline) == _exact_record(pinned)
+    for budget in (2, 3):
+        policy = f"heuristic-{budget}"
+        online = run_auction(scenario, users, bounds, mode, policy, seed)
+        reference = run_in_order(
+            scenario, users, bounds, mode, policy, seed, None, _heuristic_reference(budget, seed)
+        )
+        assert _exact_record(online) == _exact_record(reference)
+        drawn = {
+            u.user_id: _heuristic_options(u, scenario, budget, np.random.default_rng([seed, u.user_id]))
+            for u in users
+        }
+        baseline = no_mechanism_baseline(scenario, users, seed=seed, option_policy=policy)
+        pinned = no_mechanism_baseline(scenario, users, options_by_user=drawn)
+        assert _exact_record(baseline) == _exact_record(pinned)
+
+
 def _posted_from_scratch(state):
     """Every table ``AuctionState`` posts, recomputed from the state's
     loads (``cable_load``, ``energy_load``, ``pool_load``) by the pricing

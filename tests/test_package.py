@@ -83,3 +83,35 @@ def test_only_build_outcome_builds_the_load_record():
         "engine.build_outcome: DemandState(...)",
         "engine.build_outcome: .apply(...)",
     }
+
+
+def _unused_imports(tree):
+    """The names a module imports but never uses: each name an ``import``
+    or ``from ... import`` binds (``__future__`` aside) that no other name
+    in the module spells and ``__all__`` does not list."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A rule that moves leaves no import behind. ``__init__`` is exempt:
+    its imports are the package's re-exports."""
+    src = Path(evauction.__file__).parent
+    found = [
+        f"{path.stem}: {name}"
+        for path in sorted(src.glob("*.py"))
+        if path.stem != "__init__"
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"imported names never used: {found}"
