@@ -137,10 +137,10 @@ class AuctionOutcome:
     """Everything a run produces (the online mechanism, the no-mechanism
     baseline or the exact oracle): the append-only ledger, aggregate
     accounting, per-location statistics, and the final loads, a
-    ``DemandState`` that ``build_outcome`` builds from the ledger, whose
-    ``mode`` is the run's pricing mode (``exact`` for the baseline and the
-    exact oracle). The inputs of the run (option policy, seed) are not
-    repeated here."""
+    ``DemandState`` that ``build_outcome`` builds from the ledger. The
+    inputs of the run (pricing mode, option policy, seed) are not repeated
+    here: a caller that checks the loads against the caps knows the mode
+    its run used (``exact`` for the baseline and the exact oracle)."""
 
     ledger: tuple[AllocationResult, ...]
     welfare: float
@@ -205,7 +205,7 @@ class AuctionState:
         self.mode = mode
         self.ledger: list[AllocationResult] = []
         self.k_scale = k = pricing.price_scale(scenario)
-        self.budget = parse_policy(option_policy)[1]
+        self.budget = parse_policy(option_policy)
         if seed < 0:
             raise ValueError(f"seed must be at least 0, got {seed}")
         self.seed = seed
@@ -525,7 +525,7 @@ def _earliest_fill(state, user) -> AllocationResult:
     the first EVSE walked. The key ranks valuation first, so the walk stops
     after the first valuation at which some EVSE has a schedule."""
     demand = integral_demand(user.energy_demand)
-    best_key = best = None
+    best_key, best = None, {}  # best: the admission's fields; none is a rejection
 
     def may_win(valuation, _lid):
         return best_key is None or -valuation == best_key[0]
@@ -543,11 +543,9 @@ def _earliest_fill(state, user) -> AllocationResult:
             key = _fit_key(value, schedule, lid)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (m, ChargeOption(lid, user.arrival, schedule), value)
-    if best is None:
-        return AllocationResult(user.user_id)
-    m, option, value = best
-    return AllocationResult(user.user_id, option, m, valuation=value)
+                option = ChargeOption(lid, user.arrival, schedule)
+                best = {"option": option, "evse_index": m, "valuation": value}
+    return AllocationResult(user.user_id, **best)
 
 
 def located_schedules(state: AuctionState, user: UserType, may_win):
@@ -688,7 +686,9 @@ def run_in_order(
     every policy. ``options=None`` means the run's policy: the rule then
     decides the user under ``option_policy`` without an option set, from
     ``located_schedules`` (``seed`` seeds its heuristic draws).
-    ``bounds=None`` is an unpriced run.
+    ``bounds=None`` is an unpriced run, which only ``first_fit`` can
+    decide: ``admit`` quotes posted prices, and none are posted without
+    bounds (``run_auction`` refuses it).
     """
     violations = validate_scenario(scenario, users, options_by_user)
     if bounds is not None and bounds != scenario.bounds:
@@ -699,8 +699,7 @@ def run_in_order(
         pinned = None if options_by_user is None else options_by_user[user.user_id]
         own = pinned is None and user.explicit_schedules is not None
         rule(state, user, generate_options(user, scenario) if own else pinned)
-    posted = None if bounds is None else state
-    return build_outcome(scenario, tuple(state.ledger), mode, posted)
+    return build_outcome(scenario, tuple(state.ledger), None if bounds is None else state)
 
 
 def run_auction(
@@ -722,24 +721,30 @@ def run_auction(
     schedule (``exhaustive``) or over at most K schedules per location
     (``heuristic-K``, randomness derived from ``seed`` and the user id);
     ``admit`` says how.
+
+    ``bounds=None`` raises ``ValueError`` before the input is validated:
+    the unpriced run is ``oracle.no_mechanism_baseline``.
     """
+    if bounds is None:
+        raise ValueError("run_auction needs bounds: the unpriced run is oracle.no_mechanism_baseline")
     return run_in_order(scenario, users, bounds, mode, option_policy, seed, options_by_user, admit)
 
 
 def build_outcome(
     scenario: Scenario,
     ledger: tuple[AllocationResult, ...],
-    mode: str,
     posted: Optional[AuctionState],
 ) -> AuctionOutcome:
     """Total a finished run: the one tally of every allocator's ledger,
     and the one builder of its load record.
 
-    The outcome's ``demand`` is a ``DemandState`` in ``mode`` built here
-    from the ledger, each admitted row applied once in ledger order: an
-    admission is never revoked, so the loads are a function of the
-    ledger. ``posted`` is the priced run's ``AuctionState`` (None for an
-    unpriced run: the no-mechanism baseline and the exact oracle).
+    The outcome's ``demand`` is a ``DemandState`` built here from the
+    ledger, each admitted row applied once in ledger order: an admission
+    is never revoked, so the loads are a function of the ledger. No mode
+    is needed: the totals read actual solar whatever the pricing mode,
+    and the caps the loads kept to are the run's to know. ``posted`` is
+    the priced run's ``AuctionState`` (None for an unpriced run: the
+    no-mechanism baseline and the exact oracle).
 
     Welfare is the valuation sum of admitted users minus the operational
     cost, the grid price of every kWh procured beyond actual solar
@@ -760,7 +765,7 @@ def build_outcome(
     # the builtin sum of floats is compensated from Python 3.12 on
     valuation_total = revenue = surplus = 0.0
     served = {lid: [0, 0.0, 0.0] for lid in scenario.location_ids}  # count, value, revenue
-    demand = DemandState(scenario, mode)
+    demand = DemandState(scenario)
     for r in ledger:
         if r.accepted:
             demand.apply(r.option, r.evse_index)

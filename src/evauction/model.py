@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * all types here are immutable value data once constructed;
   :class:`DemandState`, a run's record of allocated loads, is built in
   one place (``engine.build_outcome``, from the run's ledger) and not
-  changed after it is returned
+  changed after it is returned. It records loads only: the caps they are
+  held to, and the pricing mode that picks the procurement cap
+  (``procurement_capacity``), belong to the run
 """
 
 from __future__ import annotations
@@ -377,18 +379,15 @@ class DemandState:
 
     ``cable[lid]`` and ``energy[lid]`` are (evse_count, T) arrays of
     cable-slots and kWh; ``procurement[pid]`` is the pool-aggregate kWh per
-    slot. ``mode`` is the run's pricing mode, which selects the procurement
-    ceiling (``procurement_capacity``). A record is built once, by
-    ``engine.build_outcome``, which applies each admitted row of a ledger;
-    nothing mutates it afterwards. The engine's ``AuctionState`` keeps a
-    run's running loads in lists of its own.
+    slot. The record holds no pricing mode: the run that made it knows
+    which procurement cap (``procurement_capacity``) its loads kept to. A
+    record is built once, by ``engine.build_outcome``, which applies each
+    admitted row of a ledger; nothing mutates it afterwards. The engine's
+    ``AuctionState`` keeps a run's running loads in lists of its own.
     """
 
-    def __init__(self, scenario: Scenario, mode: str = "exact"):
-        if mode not in ("exact", "conservative"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.mode = mode
         T = scenario.slot_count
         self.cable = {
             loc.location_id: np.zeros((loc.evse_count, T)) for loc in scenario.locations

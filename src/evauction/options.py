@@ -50,18 +50,19 @@ from .model import (
 __all__ = ["generate_options", "location_schedules", "parse_policy"]
 
 
-def parse_policy(policy: str) -> tuple[str, Optional[int]]:
-    """Split a policy string into kind and budget: 'exhaustive' or
-    'heuristic-K' with K written in ASCII digits."""
+def parse_policy(policy: str) -> Optional[int]:
+    """The budget a policy string names: None for 'exhaustive', K for
+    'heuristic-K' with K written in ASCII digits. Anything else raises
+    ``ValueError``."""
     if policy == "exhaustive":
-        return "exhaustive", None
+        return None
     match = re.fullmatch(r"heuristic-([0-9]+)", policy)
     if match is None:
         raise ValueError(f"unknown option policy {policy!r}")
     k = int(match.group(1))
     if k < 1:
         raise ValueError("heuristic budget must be >= 1")
-    return "heuristic", k
+    return k
 
 
 def _enumerate_schedules(demand: int, levels: tuple[int, ...], reach) -> list[tuple[int, ...]]:

@@ -90,9 +90,9 @@ def solve_offline_exact(
     Returns the optimal assignment as an outcome: its ledger has one row
     per user in submission order (rejected ones included), totalled by
     ``engine.build_outcome`` at actual solar, unpriced (all payments and
-    peak prices 0) in ``exact`` mode; ``build_outcome`` also builds the
-    outcome's loads from that ledger. The search's own loads and rooms
-    are not kept.
+    peak prices 0); ``build_outcome`` also builds the outcome's loads from
+    that ledger. The loads keep within the ``exact`` caps (actual solar
+    plus the grid limit). The search's own loads and rooms are not kept.
 
     Users are walked in the online run's order (``submission_order``),
     each trying its options as given, EVSEs ascending, then the reject
@@ -343,7 +343,7 @@ def solve_offline_exact(
         else:
             m, opt, value = chosen
             ledger.append(AllocationResult(user.user_id, opt, m, valuation=value))
-    return build_outcome(scenario, tuple(ledger), "exact", None)
+    return build_outcome(scenario, tuple(ledger), None)
 
 
 def _pack(fields: Sequence[int], width: int) -> int:

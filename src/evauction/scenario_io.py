@@ -410,9 +410,9 @@ def generate_users(spec: UserPopulationSpec, scenario: Scenario) -> list[UserTyp
     if not durations:
         raise ValueError("duration_weights has no support")
     if durations[0] < 2:
-        raise ValueError("visits must span at least 2 slots")
+        raise ValueError("duration_weights: visits must span at least 2 slots")
     if durations[-1] > T:
-        raise ValueError(f"duration {durations[-1]} exceeds the {T}-slot horizon")
+        raise ValueError(f"duration_weights: duration {durations[-1]} exceeds the {T}-slot horizon")
     demands = sorted(h for h, w in spec.demand_weights.items() if w > 0)
     if not demands or demands[0] < 1:
         raise ValueError("demand_weights needs positive kWh support")

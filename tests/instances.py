@@ -1,4 +1,10 @@
-"""Seeded random instance generators shared by the test suite."""
+"""Seeded random instance generators and the mechanism-invariant checks
+shared by the test suite.
+
+Each invariant has one checker here: ``capacity_violations`` (every load
+within its cap), ``irrational_users`` (individual rationality per
+decision) and ``cost_recovered`` (revenue covers the operational cost).
+"""
 
 from __future__ import annotations
 
@@ -188,3 +194,51 @@ def is_small_bid(scenario, options_by_user) -> bool:
                 if e > 0 and (e > 0.1 * loc.max_charge_rate or e > 0.1 * caps[t]):
                     return False
     return True
+
+
+def capacity_violations(scenario, demand, mode: str) -> list[str]:
+    """Every slot where a run's loads (``outcome.demand``) pass a cap: an
+    EVSE's cables or kWh above ``cables_per_evse`` or ``max_charge_rate``,
+    a pool's kWh above its procurement cap in the run's ``mode``, actual
+    solar (``exact``) or the forecast lower band (``conservative``), plus
+    the grid limit. The caps are written out here, not read from the
+    package, and compared with a strict ``>``, without slack: loads are
+    sums of whole kWh, and admission tests ``load + e <= cap``."""
+    if mode not in ("exact", "conservative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    found = []
+    for loc in scenario.locations:
+        lid = loc.location_id
+        for name, loads, cap in (
+            ("cables", demand.cable[lid], loc.cables_per_evse),
+            ("kWh", demand.energy[lid], loc.max_charge_rate),
+        ):
+            for m, t in zip(*np.nonzero(loads > cap)):
+                found.append(f"location {lid} EVSE {m} slot {t + 1}: {loads[m, t]} {name} > {cap}")
+    for pool in scenario.pools:
+        solar = pool.solar_actual if mode == "exact" else pool.solar_lower
+        cap = solar + pool.grid_limit
+        loads = demand.procurement[pool.pool_id]
+        for t in np.flatnonzero(loads > cap):
+            found.append(f"pool {pool.pool_id} slot {t + 1}: {loads[t]} kWh > {cap[t]} ({mode})")
+    return found
+
+
+def irrational_users(outcome) -> list[int]:
+    """The users a run's ledger treats irrationally: an admitted user
+    without positive utility or paying no less than their valuation, or a
+    rejected one who pays or gains anything."""
+    bad = []
+    for r in outcome.ledger:
+        if r.accepted:
+            if not (r.utility > 0 and r.payment < r.valuation):
+                bad.append(r.user_id)
+        elif r.payment != 0.0 or r.utility != 0.0:
+            bad.append(r.user_id)
+    return bad
+
+
+def cost_recovered(outcome) -> bool:
+    """Cost recovery: the run's revenue covers its operational cost, to
+    within 1e-9."""
+    return outcome.revenue >= outcome.operational_cost - 1e-9

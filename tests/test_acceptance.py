@@ -8,7 +8,6 @@ import dataclasses
 import hashlib
 import time
 
-import numpy as np
 import pytest
 
 import evauction as ev
@@ -24,7 +23,14 @@ from evauction.oracle import (
     welfare_ratio,
 )
 
-from instances import is_small_bid, micro_instance, random_instance
+from instances import (
+    capacity_violations,
+    cost_recovered,
+    irrational_users,
+    is_small_bid,
+    micro_instance,
+    random_instance,
+)
 
 HOT_LOCATIONS = (3, 4, 6)
 TOL = 1e-9
@@ -64,7 +70,8 @@ def scenarios(s1, downtown):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """200 seeded random instances shared by criteria 4 and 5."""
+    """200 seeded random instances shared by criteria 4 and 5, each run
+    kept with its scenario and its pricing mode."""
     start = time.perf_counter()
     runs = []
     for seed in range(200):
@@ -72,7 +79,7 @@ def sweep():
         outcome = run_auction(
             scenario, users, scenario.bounds, mode=mode, option_policy="heuristic-3", seed=seed
         )
-        runs.append((scenario, outcome))
+        runs.append((scenario, outcome, mode))
     return runs, time.perf_counter() - start
 
 
@@ -209,19 +216,10 @@ def test_c3_dapr_under_forecast_error(s1):
 
 def test_c4_capacity_safety(sweep):
     runs, elapsed = sweep
-    violations = 0
-    for scenario, outcome in runs:
-        demand = outcome.demand
-        for loc in scenario.locations:
-            if np.any(demand.cable[loc.location_id] > loc.cables_per_evse):
-                violations += 1
-            if np.any(demand.energy[loc.location_id] > loc.max_charge_rate):
-                violations += 1
-        for pool in scenario.pools:
-            solar = pool.solar_actual if demand.mode == "exact" else pool.solar_lower
-            if np.any(demand.procurement[pool.pool_id] > solar + pool.grid_limit):
-                violations += 1
-    users = sum(len(o.ledger) for _, o in runs)
+    violations = sum(
+        len(capacity_violations(scenario, outcome.demand, mode)) for scenario, outcome, mode in runs
+    )
+    users = sum(len(o.ledger) for _, o, _ in runs)
     _verdict(
         "C4 capacity safety",
         violations == 0 and elapsed < 30.0,
@@ -231,17 +229,8 @@ def test_c4_capacity_safety(sweep):
 
 def test_c5_rationality_and_cost_recovery(sweep):
     runs, _ = sweep
-    ir_bad = 0
-    recovery_bad = 0
-    for _, outcome in runs:
-        for r in outcome.ledger:
-            if r.accepted:
-                if not (r.utility > 0 and r.payment < r.valuation):
-                    ir_bad += 1
-            elif r.payment != 0.0 or r.utility != 0.0:
-                ir_bad += 1
-        if outcome.revenue < outcome.operational_cost - TOL:
-            recovery_bad += 1
+    ir_bad = sum(len(irrational_users(outcome)) for _, outcome, _ in runs)
+    recovery_bad = sum(not cost_recovered(outcome) for _, outcome, _ in runs)
     _verdict(
         "C5 individual rationality + cost recovery",
         ir_bad == 0 and recovery_bad == 0,
@@ -254,7 +243,7 @@ def test_sweep_ledgers_are_pinned(sweep, micro_sweep):
     as recorded: decisions and payments bit for bit."""
     runs, _ = sweep
     rows, _ = micro_sweep
-    assert _ledger_digest(outcome.ledger for _, outcome in runs) == SWEEP_DIGEST
+    assert _ledger_digest(outcome.ledger for _, outcome, _ in runs) == SWEEP_DIGEST
     assert _ledger_digest(row["online_ledger"] for row in rows) == MICRO_SWEEP_DIGEST
 
 

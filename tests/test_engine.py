@@ -28,7 +28,13 @@ from evauction.oracle import (
     solve_offline_exact,
 )
 
-from instances import micro_instance, random_instance
+from instances import (
+    capacity_violations,
+    cost_recovered,
+    irrational_users,
+    micro_instance,
+    random_instance,
+)
 
 
 def _option(start, schedule):
@@ -390,7 +396,7 @@ def test_rules_are_the_brute_force_choice(seed, levels, policy, pinned, rule):
         for u in users
     ]
     state = AuctionState(sc, sc.bounds, mode, policy, seed)
-    budget = parse_policy(policy)[1]
+    budget = parse_policy(policy)
     for user in submission_order(users):
         w0, w1 = user.arrival - 1, user.departure
         if pinned or budget is None:
@@ -799,26 +805,13 @@ def test_posted_tables_match_the_loads(seed, mode, levels, priced, policy, expli
     def bits(rows):
         return np.asarray(rows, dtype=np.float64).tobytes()
 
-    record = build_outcome(scenario, tuple(state.ledger), mode, state if priced else None).demand
-    assert record.mode == mode
+    record = build_outcome(scenario, tuple(state.ledger), state if priced else None).demand
     for loc in scenario.locations:
         lid = loc.location_id
         assert record.cable[lid].tobytes() == bits(state.cable_load[lid])
         assert record.energy[lid].tobytes() == bits(state.energy_load[lid])
     for pool in scenario.pools:
         assert record.procurement[pool.pool_id].tobytes() == bits(state.pool_load[pool.pool_id])
-
-
-def _capacity_violations(scenario, demand, mode):
-    """Slots pushed past a cable, rate or procurement cap."""
-    bad = 0
-    for loc in scenario.locations:
-        bad += int((demand.cable[loc.location_id] > loc.cables_per_evse).sum())
-        bad += int((demand.energy[loc.location_id] > loc.max_charge_rate).sum())
-    for pool in scenario.pools:
-        solar = pool.solar_lower if mode == "conservative" else pool.solar_actual
-        bad += int((demand.procurement[pool.pool_id] > solar + pool.grid_limit).sum())
-    return bad
 
 
 @settings(max_examples=60, deadline=None)
@@ -831,15 +824,10 @@ def test_mechanism_invariants(seed, mode):
     scenario, users, _ = random_instance(seed, max_users=150)
     online = run_auction(scenario, users, scenario.bounds, mode=mode, option_policy="heuristic-4")
     baseline = no_mechanism_baseline(scenario, users, option_policy="heuristic-4")
-    assert _capacity_violations(scenario, online.demand, mode) == 0
-    assert _capacity_violations(scenario, baseline.demand, "exact") == 0
-    for r in online.ledger:
-        if r.accepted:
-            assert r.utility > 0
-            assert r.payment < r.valuation
-        else:
-            assert r.payment == 0.0 and r.utility == 0.0
-    assert online.revenue >= online.operational_cost - 1e-9
+    assert capacity_violations(scenario, online.demand, mode) == []
+    assert capacity_violations(scenario, baseline.demand, "exact") == []
+    assert irrational_users(online) == []
+    assert cost_recovered(online)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1001,21 +989,14 @@ def test_conservative_mode_respects_band_cap():
     outcome = run_auction(
         scenario, users, scenario.bounds, mode="conservative", option_policy="heuristic-4"
     )
-    for pool in scenario.pools:
-        cap = pool.solar_lower + pool.grid_limit
-        assert np.all(outcome.demand.procurement[pool.pool_id] <= cap)
+    assert capacity_violations(scenario, outcome.demand, "conservative") == []
 
 
 def test_individual_rationality_and_cost_recovery():
     scenario, users, mode = random_instance(5, max_users=150)
     outcome = run_auction(scenario, users, scenario.bounds, mode=mode, option_policy="heuristic-4")
-    for r in outcome.ledger:
-        if r.accepted:
-            assert r.utility > 0
-            assert r.payment < r.valuation
-        else:
-            assert r.payment == 0.0 and r.utility == 0.0
-    assert outcome.revenue >= outcome.operational_cost - 1e-9
+    assert irrational_users(outcome) == []
+    assert cost_recovered(outcome)
 
 
 def test_heuristic_policy_end_to_end(s1):
@@ -1056,6 +1037,18 @@ def test_unknown_mode_fails_before_any_decision(s1, monkeypatch):
     with pytest.raises(ValueError, match="'bogus'"):
         AuctionState(scenario, scenario.bounds, "bogus")
     assert decided == []
+
+
+def test_unpriced_run_auction_fails_before_validation(s1, monkeypatch):
+    """``run_auction`` without bounds is refused, naming the unpriced run,
+    before the input is validated and before any user is decided."""
+    scenario, users = s1
+    calls = []
+    monkeypatch.setattr(AuctionState, "settle", lambda state, result: calls.append(result))
+    monkeypatch.setattr(engine, "validate_scenario", lambda *args: calls.append(args) or [])
+    with pytest.raises(ValueError, match=r"oracle\.no_mechanism_baseline"):
+        run_auction(scenario, users, None)
+    assert calls == []
 
 
 def _run_with_memo(scenario, users, bounds, mode, policy, seed, rule, memo=True):

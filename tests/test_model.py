@@ -386,9 +386,9 @@ def _heuristic_3_options(user, scenario):
 
 
 def test_demand_state_consistency():
-    scenario, users, mode = random_instance(3, max_users=60)
+    scenario, users, _ = random_instance(3, max_users=60)
     options = {u.user_id: _heuristic_3_options(u, scenario) for u in users}
-    state = DemandState(scenario, mode)
+    state = DemandState(scenario)
     rng = np.random.default_rng(0)
     for u in users:
         opts = options[u.user_id]
@@ -497,12 +497,23 @@ def test_scenario_lookups_by_id(s1):
 
 
 def _with(scenario, user, record, field, change):
-    """``scenario`` and ``user`` with ``field`` of one record set to
+    """``scenario`` and ``user`` with ``field`` of one record (the
+    scenario, its time grid, its one pool or location, or the user) set to
     ``change(value)``, ``value`` being its current one."""
-    owner = {"time_grid": scenario.time_grid, "locations[1]": scenario.locations[0]}.get(record, user)
+    owners = {
+        "scenario": scenario,
+        "time_grid": scenario.time_grid,
+        "pools[1]": scenario.pools[0],
+        "locations[1]": scenario.locations[0],
+    }
+    owner = owners.get(record, user)
     new = dataclasses.replace(owner, **{field: change(getattr(owner, field))})
+    if record == "scenario":
+        return new, user
     if record == "time_grid":
         return dataclasses.replace(scenario, time_grid=new), user
+    if record == "pools[1]":
+        return dataclasses.replace(scenario, pools=(new,)), user
     if record == "locations[1]":
         return dataclasses.replace(scenario, locations=(new,)), user
     return scenario, new
@@ -542,3 +553,79 @@ def test_numpy_int_slot_and_count_fields_stay_valid(s1):
         scenario, user = _with(scenario, user, record, field, np.int64)
     assert ev.validate_scenario(scenario, [user]) == []
     assert ev.run_auction(scenario, [user], scenario.bounds).ledger == ev.run_auction(*s1, s1[0].bounds).ledger
+
+
+# each case: one field of the s1 scenario, or of its user without explicit
+# schedules, set to ``change(value)``, and the violations that reports
+_REFUSALS = {
+    "duplicate-pool-id": (
+        "scenario", "pools", lambda pools: pools * 2, [("pools[1]", "duplicate pool_id")],
+    ),
+    "slot-minutes-0": (
+        "time_grid", "slot_duration_minutes", lambda v: 0,
+        [("time_grid.slot_duration_minutes", "must be >= 1")],
+    ),
+    "negative-grid-limit": (
+        "pools[1]", "grid_limit", lambda v: [2.0, -1.0, 2.0, 2.0],
+        [("pools[1].grid_limit", "must be >= 0")],
+    ),
+    "negative-grid-price": (
+        "pools[1]", "grid_price", lambda v: [0.2, 0.2, -0.1, 0.2],
+        [("pools[1].grid_price", "must be >= 0")],
+    ),
+    "evse-count-0": (
+        "locations[1]", "evse_count", lambda v: 0, [("locations[1].evse_count", "must be >= 1")],
+    ),
+    "negative-level": (
+        "scenario", "energy_levels", lambda v: (-1, 0, 1),
+        [("energy_levels", "must be non-negative integers")],
+    ),
+    "no-positive-level": (
+        "scenario", "energy_levels", lambda v: (0,),
+        [("energy_levels", "must contain 0 and a positive level")],
+    ),
+    "submission-after-arrival": (
+        "users[1]", "submission_time", lambda v: 2,
+        [("users[1].submission_time", "must not exceed arrival")],
+    ),
+    "no-preferred-location": (
+        "users[1]", "preferred_locations", lambda v: (),
+        [
+            ("users[1].preferred_locations", "must be non-empty"),
+            ("users[1].valuations", "one valuation per preferred location"),
+        ],
+    ),
+    "repeated-preferred-location": (
+        "users[1]", "preferred_locations", lambda v: (1, 1),
+        [
+            ("users[1].preferred_locations", "must be distinct"),
+            ("users[1].valuations", "one valuation per preferred location"),
+        ],
+    ),
+    "valuation-count": (
+        "users[1]", "valuations", lambda v: (2.0, 1.0),
+        [("users[1].valuations", "one valuation per preferred location")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refusal_names_its_path(s1, case):
+    """Each scenario and user refusal is reported at its path with its
+    message; a scenario is validated without users, so that only its own
+    checks report."""
+    scenario, (user,) = s1
+    record, field, change, expected = _REFUSALS[case]
+    user = dataclasses.replace(user, explicit_schedules=None)
+    scenario, user = _with(scenario, user, record, field, change)
+    users = [user] if record.startswith("users") else []
+    assert [(v.path, v.message) for v in ev.validate_scenario(scenario, users)] == expected
+
+
+def test_room_steps_down_where_the_difference_rounds_up():
+    """``14.1 - 4.1000000000000005`` rounds to 10.0, but ``load + 10``
+    passes the cap: ``room`` steps down to the largest whole room that
+    fits."""
+    load, cap = 4.1000000000000005, 14.1
+    assert math.floor(cap - load) == 10 and load + 10 > cap
+    assert model.room(load, cap) == 9

@@ -31,8 +31,8 @@ def _heuristic(user, scenario, k, slot_prices=None, seed=0):
 
 
 def test_parse_policy():
-    assert parse_policy("exhaustive") == ("exhaustive", None)
-    assert parse_policy("heuristic-5") == ("heuristic", 5)
+    assert parse_policy("exhaustive") is None
+    assert parse_policy("heuristic-5") == 5
     with pytest.raises(ValueError):
         parse_policy("heuristic-0")
     for bad in ("greedy", "heuristic-x", "heuristic- 3", "heuristic-+3", "heuristic-"):

@@ -21,7 +21,7 @@ from evauction.oracle import (
     welfare_ratio,
 )
 
-from instances import micro_instance
+from instances import capacity_violations, micro_instance
 
 
 def _user(uid, value, arrival=1, departure=4, demand=2.0, locs=(1,)):
@@ -493,13 +493,7 @@ def test_packed_fit_agrees_with_each_slot(data, fields, bits):
 def test_offline_solution_respects_constraints():
     scenario, users, options, _ = micro_instance(8)
     sol = solve_offline_exact(scenario, users, options)
-    for loc in scenario.locations:
-        assert np.all(sol.demand.cable[loc.location_id] <= loc.cables_per_evse)
-        assert np.all(sol.demand.energy[loc.location_id] <= loc.max_charge_rate)
-    for pool in scenario.pools:
-        assert np.all(
-            sol.demand.procurement[pool.pool_id] <= pool.solar_actual + pool.grid_limit
-        )
+    assert capacity_violations(scenario, sol.demand, "exact") == []
     assert sorted(r.user_id for r in sol.ledger) == sorted(u.user_id for u in users)  # one row per user
 
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import pkgutil
 from pathlib import Path
@@ -85,6 +86,16 @@ def test_only_build_outcome_builds_the_load_record():
     }
 
 
+def _exported(tree):
+    """The names a module's ``__all__`` lists (none without one)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(tree):
     """The names a module imports but never uses: each name an ``import``
     or ``from ... import`` binds (``__future__`` aside) that no other name
@@ -96,12 +107,7 @@ def _unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read.update(ast.literal_eval(node.value))
-    return sorted(imported - read)
+    return sorted(imported - read - _exported(tree))
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -115,3 +121,38 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, f"imported names never used: {found}"
+
+
+def _names(node):
+    """Every name ``node`` spells: each ``Name``, each attribute and each
+    name a ``from ... import`` binds."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    """No top-level function or class goes unused: each is named somewhere
+    in the package outside its own definition, or listed in its module's
+    ``__all__``."""
+    src = Path(evauction.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    # the names each top-level statement spells, and how many statements spell each
+    spelled = {id(node): _names(node) for tree in trees.values() for node in tree.body}
+    statements = collections.Counter(name for names in spelled.values() for name in names)
+    unused = []
+    for stem, tree in trees.items():
+        exported = _exported(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            elsewhere = statements[node.name] - (node.name in spelled[id(node)])
+            if node.name not in exported and not elsewhere:
+                unused.append(f"{stem}.{node.name}")
+    assert not unused, f"top-level definitions never used: {unused}"

@@ -179,3 +179,40 @@ def test_dapr_rejects_tiny_grid():
 def test_dapr_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
         pricing.verify_dapr(lambda y: y, lambda y: 0.0, lambda p: 1.0, 1.0, alpha)
+
+
+def _inverted_band(scenario):
+    pool = dataclasses.replace(
+        scenario.pools[0], solar_lower=[1.0] * 4, solar_upper=[0.5, 1.0, 1.0, 1.0]
+    )
+    return dataclasses.replace(scenario, pools=(pool,))
+
+
+# each case: a call on the s1 parts, the error it raises and its message
+_REFUSALS = {
+    "energy-below-0": (
+        lambda sc, b, k: pricing.energy_price(-0.5, 1.0, b, k),
+        ValueError, "energy demand -0.5 outside [0, 1.0]",
+    ),
+    "energy-above-rate": (
+        lambda sc, b, k: pricing.energy_price(1.5, 1.0, b, k),
+        ValueError, "energy demand 1.5 outside [0, 1.0]",
+    ),
+    "generation-at-cap-0": (
+        lambda sc, b, k: pricing.generation_price(0.0, 0.0, 0.2, b, k),
+        pricing.ConfigurationError, "no procurement capacity (cap 0.0)",
+    ),
+    "alpha-2-inverted-band": (
+        lambda sc, b, k: pricing.alpha_2(_inverted_band(sc), b),
+        pricing.ConfigurationError, "pool 1 has an inverted forecast band",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refusal_raises_its_error(s1_parts, case):
+    scenario, bounds, _, k = s1_parts
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(ValueError) as raised:
+        call(scenario, bounds, k)
+    assert (type(raised.value), str(raised.value)) == (error, message)

@@ -127,6 +127,24 @@ def test_solar_trace_refuses_a_one_column_band(tmp_path):
         load_solar_trace(path, 0.2, 2)
 
 
+def test_empty_trace_is_refused(tmp_path):
+    path = _write(tmp_path, "p.csv", "")
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{path}: empty trace")):
+        load_price_trace(path, 2)
+
+
+def test_solar_trace_refuses_an_explicit_lower_above_actual(tmp_path):
+    path = _write(tmp_path, "s.csv", "timestamp,value,lower,upper\nh0,100,95,130\nh1,50,60,70\n")
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{path}: inconsistent forecast band")):
+        load_solar_trace(path, 0.2, 2)
+
+
+def test_malformed_scenario_json_names_the_file(tmp_path):
+    path = _write(tmp_path, "scenario.json", '{"time_grid": ')
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{path}: ")):
+        load_scenario(path)
+
+
 def test_band_fraction_domain(tmp_path):
     path = _write(tmp_path, "s.csv", "timestamp,value\nh0,5\n")
     with pytest.raises(ValueError):
@@ -221,6 +239,16 @@ def test_generate_users_properties(downtown):
         assert len(set(u.preferred_locations)) == 3
 
 
+def test_no_location_weights_weigh_every_location_alike(downtown):
+    """``location_weights=None`` draws as weight 1 at every location."""
+    scenario, _ = downtown
+    spec = dataclasses.replace(downtown9_population(seed=7, count=200), location_weights=None)
+    users = generate_users(spec, scenario)
+    ones = dataclasses.replace(spec, location_weights={lid: 1.0 for lid in scenario.location_ids})
+    assert users == generate_users(ones, scenario)
+    assert {lid for u in users for lid in u.preferred_locations} == set(scenario.location_ids)
+
+
 def test_generate_users_impossible_duration(downtown):
     scenario, _ = downtown
     spec = dataclasses.replace(
@@ -270,8 +298,12 @@ _ARRIVAL = downtown9_population(seed=1).arrival_weights
         ("arrival_weights", {"arrival_weights": (0.0,) * 23 + (1.0,)}),
         ("duration_weights", {"duration_weights": {4: 1.0, 5: math.nan}}),
         ("duration_weights", {"duration_weights": {4: 1.0, 5: math.inf}}),
+        ("duration_weights", {"duration_weights": {4: 0.0, 5: -1.0}}),
+        ("duration_weights", {"duration_weights": {1: 1.0, 4: 1.0}}),
+        ("duration_weights", {"duration_weights": {30: 1.0}}),
         ("demand_weights", {"demand_weights": {1: 1.0, 2: math.nan}}),
         ("demand_weights", {"demand_weights": {1: 1.0, 2: -math.inf}}),
+        ("demand_weights", {"demand_weights": {1: 0.0, 2: -1.0}}),
         ("submission_lead_max", {"submission_lead_max": -1}),
         ("value_range", {"value_range": (7.5, 1.5)}),
         ("value_range", {"value_range": (math.nan, 7.5)}),
@@ -279,7 +311,8 @@ _ARRIVAL = downtown9_population(seed=1).arrival_weights
     ids=[
         "negative-count", "negative-seed", "preferred-count-0", "two-positive-locations", "negative-location",
         "nan-location", "inf-arrival", "nan-arrival", "no-arrival-window", "nan-duration",
-        "inf-duration", "nan-demand", "inf-demand", "negative-lead", "inverted-range", "nan-range",
+        "inf-duration", "no-positive-duration", "one-slot-duration", "duration-past-horizon",
+        "nan-demand", "inf-demand", "no-positive-demand", "negative-lead", "inverted-range", "nan-range",
     ],
 )
 def test_spec_faults_fail_up_front_by_name(downtown, field, change):
@@ -343,6 +376,49 @@ def test_preset_override_users_count():
 def test_preset_unknown_name():
     with pytest.raises(ValueError):
         build_preset("uptown")
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("location.99.evse_count=3", "bad override location.99.evse_count=3: 'location 99'"),
+        ("pool.9.grid_limit=1", "bad override pool.9.grid_limit=1: 'pool 9'"),
+        ("color=red", "unsupported override key 'color'"),
+        ("users.count", "override 'users.count' is not key=value"),
+        ("users.count=x", "bad override users.count=x: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["unknown-location", "unknown-pool", "unsupported-key", "no-equals", "count-not-int"],
+)
+def test_preset_override_refusals(item, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_preset("downtown9", overrides=[item])
+
+
+def test_gen_scenario_reads_price_and_solar_traces(tmp_path):
+    """``gen-scenario --price-trace/--solar-trace`` writes every pool's
+    series as the trace loaders read them, and the files it writes pass
+    validation."""
+    prices = "\n".join(f"q{i},{0.02 + 0.01 * (i % 13)}" for i in range(96))
+    price_path = _write(tmp_path, "price.csv", "timestamp,value\n" + prices + "\n")
+    solar = []
+    for i in range(48):
+        kwh = max(0.0, 40.0 - abs(i - 26) * 4.0)
+        solar.append(f"h{i},{kwh},{0.6 * kwh},{1.5 * kwh}")
+    solar_path = _write(tmp_path, "solar.csv", "timestamp,value,lower,upper\n" + "\n".join(solar) + "\n")
+    out = tmp_path / "out"
+    args = ["--price-trace", str(price_path), "--solar-trace", str(solar_path), "--set", "users.count=50"]
+    assert cli.main(["gen-scenario", "--preset", "downtown9", "--seed", "42", *args, "--out", str(out)]) == 0
+    scenario, users = load_scenario(out / "scenario.json"), load_users(out / "users.txt")
+    series = load_price_trace(price_path, 24)
+    actual, lower, upper = load_solar_trace(solar_path, 0.25, 24)
+    assert not np.array_equal(lower, 0.75 * actual)  # the band is the trace's, not the fraction's
+    for pool in scenario.pools:
+        assert np.array_equal(pool.grid_price, series)
+        assert np.array_equal(pool.solar_actual, actual)
+        assert np.array_equal(pool.solar_lower, lower)
+        assert np.array_equal(pool.solar_upper, upper)
+    assert len(users) == 50
+    assert ev.validate_scenario(scenario, users) == []
 
 
 def test_preset_bad_override():
